@@ -6,9 +6,12 @@ they check.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 import neurules as nr
+from neurules.model_io import model_to_dict
 
 
 def random_set(seed: int) -> nr.LearningSet:
@@ -97,3 +100,58 @@ def eval_bits(expr, bits) -> int:
         return int(bits[int(expr)])
     name, left, right = expr
     return _TRUTH[name][(eval_bits(expr=left, bits=bits) << 1) | eval_bits(expr=right, bits=bits)]
+
+
+def golden_set(seed: int) -> nr.LearningSet:
+    """Seeded set for the golden model corpus; ``seed % 4`` picks its shape.
+
+    0: random labels; 1: a noiseless AND of two cuts; 2: a product cut with
+    5% label noise, which product search can admit; 3: an XOR of one cut with
+    an AND of two, plus duplicated rows with flipped labels (contradictions).
+    Every set holds at least two rows of each class, so split mode never
+    degenerates.
+    """
+    rng = np.random.default_rng(3000 + seed)
+    shape = seed % 4
+    m = int(rng.integers(3, 7))
+    n = int(rng.integers(16, 65))
+    values = rng.normal(size=(n, m)) * rng.uniform(0.5, 3, size=m) + rng.normal(size=m)
+    q = np.median(values, axis=0)
+    if shape == 0:
+        labels = rng.integers(0, 2, size=n)
+    elif shape == 2:
+        labels = (values[:, 0] * values[:, 1] > q[0] * q[1]) ^ (rng.uniform(size=n) < 0.05)
+    elif shape == 1:
+        labels = (values[:, 0] > q[0]) & (values[:, 1] < q[1])
+    else:
+        labels = (values[:, 0] > q[0]) ^ ((values[:, 1] > q[1]) & (values[:, 2] < q[2]))
+    labels = np.asarray(labels, dtype=np.uint8)
+    if min(np.bincount(labels, minlength=2)) < 2:
+        labels[:2], labels[2:4] = 0, 1
+    if shape == 3:
+        picks = rng.choice(n, size=int(rng.integers(1, 4)), replace=False)
+        values = np.vstack([values, values[picks]])
+        labels = np.concatenate([labels, 1 - labels[picks]]).astype(np.uint8)
+    return nr.from_arrays(values, labels)
+
+
+def golden_cases() -> list[tuple[str, nr.LearningSet, nr.SynthesisConfig]]:
+    """The golden corpus: (name, set, config) for 32 seeded cases.
+
+    Each set shape meets each mode, with and without product search, twice.
+    """
+    cases = []
+    for seed in range(32):
+        mode = "split" if (seed // 4) % 2 else "statement1"
+        max_p = 1 if (seed // 8) % 2 else None
+        delta = 1 if mode == "split" and seed % 3 == 0 else 0
+        config = nr.SynthesisConfig(mode=mode, max_p=max_p, delta=delta, seed=seed)
+        cases.append((f"case_{seed:02d}", golden_set(seed), config))
+    return cases
+
+
+def golden_model_text(ls: nr.LearningSet, config: nr.SynthesisConfig) -> str:
+    """Train and serialise exactly as ``save_model`` writes a model file."""
+    collective, report = nr.synthesize(ls, config)
+    payload = model_to_dict(collective, report=report.to_dict(), config=config.to_dict())
+    return json.dumps(payload, indent=2) + "\n"
