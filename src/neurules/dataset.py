@@ -96,14 +96,21 @@ def from_arrays(
 
 
 def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Read a headered CSV into (header, rows).  Raises FileNotFoundError as-is."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Read a headered CSV into (header, rows).  Raises FileNotFoundError as-is.
+
+    A leading UTF-8 byte-order mark is dropped; repeated column names are a
+    DataError, since a column could then not be told from its namesake.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"empty file: {path}") from None
         rows = [row for row in reader if row]
+    repeated = sorted(name for name, count in Counter(header).items() if count > 1)
+    if repeated:
+        raise DataError(f"duplicate column name(s) {repeated} in {path}")
     width = len(header)
     for i, row in enumerate(rows):
         if len(row) != width:

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
 
+import numpy as np
+
 from .dataset import LearningSet
 from .quantization import QuantizedFeature, quantize, source_values
 
@@ -48,6 +50,7 @@ def search_products(
     improvement.  Disabling pruning evaluates all 2^m - 1 - m product subsets
     (sizes 2..m); admission of a subset never depends on other subsets, so the
     pruned result equals the minimal-size members of the unpruned result.
+    A subset whose product overflows to a non-finite value is skipped.
     """
     m = ls.m
     if not 2 <= max_p <= m:
@@ -57,7 +60,13 @@ def search_products(
         for subset in combinations(range(m), size):
             if prune and any(set(g.source) <= set(subset) for g in admitted):
                 continue
-            feature = quantize(source_values(ls, subset), ls.labels, subset)
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = source_values(ls, subset)
+            if not np.isfinite(values).all():
+                # an overflowing product has no usable cut; skip it like a
+                # constant column
+                continue
+            feature = quantize(values, ls.labels, subset)
             if feature.constant:
                 # a constant column is no variable at all; admitting it would
                 # evict informative factors from the pool

@@ -122,6 +122,55 @@ class StopDecision:
 # candidate generation and admission
 # ---------------------------------------------------------------------------
 
+# (10, 4) truth tables in CONNECTIVES order; column index (a << 1) | b
+_TRUTH = np.array(list(CONNECTIVES.values()), dtype=np.uint8)
+_CONNECTIVE_NAMES = tuple(CONNECTIVES)
+_CONNECTIVE_INDEX = {name: c for c, name in enumerate(_CONNECTIVE_NAMES)}
+
+
+def _pack(columns) -> np.ndarray:
+    """Bit-pack Boolean columns along the last axis, padding with zero bits."""
+    return np.packbits(np.asarray(columns, dtype=bool), axis=-1)
+
+
+def _popcount(bits: np.ndarray) -> np.ndarray:
+    """Set bits along the last axis of a packed array."""
+    return np.bitwise_count(bits).sum(axis=-1, dtype=np.int64)
+
+
+def _expand(a: np.ndarray, b: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """Every connective of one packed column ``a`` against each packed row of ``b``.
+
+    Returns a (K, 10, bytes) block, connectives in CONNECTIVES order.  The four
+    minterm planes are disjoint, so summing the ones a truth table selects is
+    their union; ``pad`` clears the padding bits the 00 minterm would set.
+    """
+    na, nb = ~a, ~b
+    minterms = np.stack([na & nb & pad, na & b, a & nb, a & b])
+    return np.einsum("cv,vkw->kcw", _TRUTH, minterms)
+
+
+def _operands(
+    pool: list[QuantizedFeature],
+    survivors: list[Neuron] | None,
+    r: int,
+) -> list[tuple[Expr, np.ndarray, int, int, list[int]]]:
+    """(expression, column, errors, child leaf count, fresh pool indices) per operand.
+
+    At layer 1 the operands are the pool features, each paired with the later
+    ones; later layers pair each survivor with every pool feature it does not
+    already use.  Operands come in generation order.
+    """
+    if r == 1:
+        return [(j, f.column, f.errors, 2, list(range(j + 1, len(pool)))) for j, f in enumerate(pool)]
+    operands = []
+    for z in survivors or ():
+        used = z.leaves
+        fresh = [k for k in range(len(pool)) if k not in used]
+        operands.append((z.expression, z.column, z.errors, len(used) + 1, fresh))
+    return operands
+
+
 def generate_candidates(
     pool: list[QuantizedFeature],
     survivors: list[Neuron] | None,
@@ -132,51 +181,51 @@ def generate_candidates(
 
     Layer 1 takes all unordered pairs of distinct pool features; later layers
     pair each survivor with every pool feature it does not already use.
-    Candidates whose output column duplicates a survivor's or an earlier
-    candidate's are dropped (the duplicate with fewest distinct leaves wins).
+    Each operand is expanded against all its fresh features in one step, in
+    the order (operand, feature, connective).  Candidates whose output column
+    duplicates a survivor's or an earlier candidate's are dropped (the
+    duplicate with fewest distinct leaves wins, in the earlier one's place).
     Returns the pair count and the deduplicated candidate list.
     """
     if not pool:
         raise DataError("no features")
     if r == 1 and survivors:
         raise ValueError("layer 1 takes no survivors")
-    raw: list[Candidate] = []
+    n = len(labels)
+    pad = _pack(np.ones(n, dtype=bool))
+    target = _pack(labels)
+    packed = _pack([f.column for f in pool])
+    taken = {_pack(s.column).tobytes() for s in survivors} if survivors else set()
+    chosen: dict[bytes, tuple[int, int]] = {}   # key -> (position in out, leaf count)
+    out: list[Candidate] = []
     pairs = 0
-    if r == 1:
-        columns = [f.column for f in pool]
-        for j in range(len(pool)):
-            for k in range(j + 1, len(pool)):
-                pairs += 1
-                for name in CONNECTIVES:
-                    col = apply_connective(name, columns[j], columns[k])
-                    neuron = Neuron((name, j, k), r, hamming(col, labels), col)
-                    raw.append(Candidate(neuron, pool[j].errors, pool[k].errors))
-    else:
-        for z in survivors or ():
-            used = z.leaves
-            for k in range(len(pool)):
-                if k in used:
-                    continue
-                pairs += 1
-                for name in CONNECTIVES:
-                    col = apply_connective(name, z.column, pool[k].column)
-                    neuron = Neuron((name, z.expression, k), r, hamming(col, labels), col)
-                    raw.append(Candidate(neuron, z.errors, pool[k].errors))
-
-    survivor_keys = {s.column.tobytes() for s in survivors} if survivors else set()
-    chosen: dict[bytes, Candidate] = {}
-    order: list[bytes] = []
-    for cand in raw:
-        key = cand.neuron.column.tobytes()
-        if key in survivor_keys:
+    for expr, column, parent_errors, size, fresh in _operands(pool, survivors, r):
+        if not fresh:
             continue
-        held = chosen.get(key)
-        if held is None:
-            chosen[key] = cand
-            order.append(key)
-        elif len(cand.neuron.leaves) < len(held.neuron.leaves):
-            chosen[key] = cand
-    return pairs, [chosen[k] for k in order]
+        pairs += len(fresh)
+        block = _expand(_pack(column), packed[fresh], pad)
+        counts = _popcount(block ^ target).ravel().tolist()
+        rows = np.unpackbits(block, axis=-1, count=n).view(bool).reshape(-1, n)
+        width = block.shape[-1]
+        keys = block.tobytes()
+        for i, count in enumerate(counts):
+            key = keys[i * width:(i + 1) * width]
+            if key in taken:
+                continue
+            held = chosen.get(key)
+            if held is not None and held[1] <= size:
+                continue
+            pos, c = divmod(i, len(_CONNECTIVE_NAMES))
+            k = fresh[pos]
+            neuron = Neuron((_CONNECTIVE_NAMES[c], expr, k), r, count, rows[i])
+            cand = Candidate(neuron, parent_errors, pool[k].errors)
+            if held is None:
+                chosen[key] = (len(out), size)
+                out.append(cand)
+            else:
+                chosen[key] = (held[0], size)
+                out[held[0]] = cand
+    return pairs, out
 
 
 def admit(candidate: Neuron, parent_errors: int, leaf_errors: int) -> bool:
@@ -230,14 +279,6 @@ def _subset_fit_columns(
     return columns
 
 
-def _scores_from_fits(expr: Expr, fit_a, fit_b, labels) -> SplitScores:
-    out_a = eval_expr(expr, fit_a)
-    out_b = eval_expr(expr, fit_b)
-    unbiasedness = int(np.count_nonzero(out_a != out_b))
-    regularity = hamming(out_a, labels) + hamming(out_b, labels)
-    return SplitScores(unbiasedness, regularity)
-
-
 def split_criteria(
     expr: Expr,
     pool: list[QuantizedFeature],
@@ -251,9 +292,50 @@ def split_criteria(
     the whole set: unbiasedness counts where the two disagree with each other,
     regularity sums their disagreements with the teacher labels.
     """
-    fit_a = _subset_fit_columns(pool, split.subset_a, ls)
-    fit_b = _subset_fit_columns(pool, split.subset_b, ls)
-    return _scores_from_fits(expr, fit_a, fit_b, ls.labels)
+    out_a = eval_expr(expr, _subset_fit_columns(pool, split.subset_a, ls))
+    out_b = eval_expr(expr, _subset_fit_columns(pool, split.subset_b, ls))
+    unbiasedness = int(np.count_nonzero(out_a != out_b))
+    regularity = hamming(out_a, ls.labels) + hamming(out_b, ls.labels)
+    return SplitScores(unbiasedness, regularity)
+
+
+def _split_scores(out_a: np.ndarray, out_b: np.ndarray, target: np.ndarray) -> tuple[list, list]:
+    """Unbiasedness and regularity of packed A-fit and B-fit outputs, as lists."""
+    unbiasedness = _popcount(out_a ^ out_b)
+    regularity = _popcount(out_a ^ target) + _popcount(out_b ^ target)
+    return unbiasedness.tolist(), regularity.tolist()
+
+
+def _attach_split_criteria(
+    candidates: list[Candidate],
+    operands: list,
+    fits: dict,
+    pool_fits: tuple[np.ndarray, np.ndarray],
+    labels: np.ndarray,
+) -> None:
+    """Score every candidate of a layer from its operand's cached fit columns.
+
+    Each operand's A-fit and B-fit outputs are expanded against the fresh
+    features' fits in one step, exactly as ``generate_candidates`` expands the
+    training columns; ``fits`` maps an operand's expression to its two fit
+    columns and ``pool_fits`` holds the pool's packed fits.
+    """
+    pad = _pack(np.ones(len(labels), dtype=bool))
+    target = _pack(labels)
+    scores = {}
+    for expr, _, _, _, fresh in operands:
+        if not fresh:
+            continue
+        fit_a, fit_b = fits[expr]
+        out_a = _expand(_pack(fit_a), pool_fits[0][fresh], pad)
+        out_b = _expand(_pack(fit_b), pool_fits[1][fresh], pad)
+        unbiasedness, regularity = _split_scores(out_a, out_b, target)
+        scores[expr] = ({k: i for i, k in enumerate(fresh)}, unbiasedness, regularity)
+    for cand in candidates:
+        name, left, k = cand.neuron.expression
+        row, unbiasedness, regularity = scores[left]
+        i, c = row[k], _CONNECTIVE_INDEX[name]
+        cand.neuron.criteria = SplitScores(unbiasedness[i][c], regularity[i][c])
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +441,13 @@ def _majority_misfits(members: list[Neuron], labels: np.ndarray) -> tuple[int, .
     return tuple(doubtful)
 
 
+def _child_fits(child: Neuron, fits: dict, fit_a: list, fit_b: list) -> tuple:
+    """A-fit and B-fit output columns of a grown neuron, from its operand's."""
+    name, left, k = child.expression
+    parent_a, parent_b = fits[left]
+    return apply_connective(name, parent_a, fit_a[k]), apply_connective(name, parent_b, fit_b[k])
+
+
 def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[Collective, SynthesisReport]:
     """Quantize, search products, grow layers, and assemble the collective.
 
@@ -374,15 +463,17 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
         admitted_products = search_products(ls, base, max_p, prune=config.prune_products)
     pool = substitute(base, admitted_products)
 
+    # split mode: each operand's A-fit and B-fit output columns, by expression;
+    # training-only state that never reaches the collective
     split: SplitPair | None = None
-    fit_a = fit_b = None
+    fits: dict = {}
     if config.mode == MODE_SPLIT:
         split = split_even(ls, config.seed)
         fit_a = _subset_fit_columns(pool, split.subset_a, ls)
         fit_b = _subset_fit_columns(pool, split.subset_b, ls)
-
-    def attach_criteria(neuron: Neuron) -> None:
-        neuron.criteria = _scores_from_fits(neuron.expression, fit_a, fit_b, labels)
+        fits = dict(enumerate(zip(fit_a, fit_b)))
+        pool_fits = (_pack(fit_a), _pack(fit_b))
+        pool_scores = _split_scores(*pool_fits, _pack(labels))
 
     # layer 0: the pool itself, deduplicated by output column
     layer0: list[Neuron] = []
@@ -394,7 +485,7 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
         seen.add(key)
         neuron = Neuron(i, 0, f.errors, f.column)
         if split is not None:
-            attach_criteria(neuron)
+            neuron.criteria = SplitScores(pool_scores[0][i], pool_scores[1][i])
         layer0.append(neuron)
 
     trace0 = LayerTrace(
@@ -415,8 +506,7 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
         parents = traces[-1].survivors if r > 1 else None
         pairs, candidates = generate_candidates(pool, parents, r, labels)
         if split is not None:
-            for cand in candidates:
-                attach_criteria(cand.neuron)
+            _attach_split_criteria(candidates, _operands(pool, parents, r), fits, pool_fits, labels)
         if config.mode == MODE_STATEMENT1:
             kept = [
                 c.neuron
@@ -431,12 +521,18 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
             survivors = select_survivors(
                 kept, default_f_cap(pairs, config.f_ratio), by_criteria=split is not None
             )
+            for s in survivors:
+                # own the column, so the layer's candidate blocks can be freed
+                s.column = s.column.copy()
             trace.survivors = survivors
             trace.min_errors = min(n.errors for n in survivors)
             if split is not None:
                 trace.min_cr = min(n.criteria.cr for n in survivors)
+                fits = {s.expression: _child_fits(s, fits, fit_a, fit_b) for s in survivors}
             best_errors = min(best_errors, trace.min_errors)
         traces.append(trace)
+        # let the layer's candidate blocks go before the next layer is built
+        del candidates, kept
         decision = should_stop(traces, config.mode, config.delta, config.max_layers)
 
     traces[-1].stop_cause = decision.cause

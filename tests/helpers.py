@@ -119,10 +119,10 @@ def golden_set(seed: int) -> nr.LearningSet:
     q = np.median(values, axis=0)
     if shape == 0:
         labels = rng.integers(0, 2, size=n)
-    elif shape == 2:
-        labels = (values[:, 0] * values[:, 1] > q[0] * q[1]) ^ (rng.uniform(size=n) < 0.05)
     elif shape == 1:
         labels = (values[:, 0] > q[0]) & (values[:, 1] < q[1])
+    elif shape == 2:
+        labels = (values[:, 0] * values[:, 1] > q[0] * q[1]) ^ (rng.uniform(size=n) < 0.05)
     else:
         labels = (values[:, 0] > q[0]) ^ ((values[:, 1] > q[1]) & (values[:, 2] < q[2]))
     labels = np.asarray(labels, dtype=np.uint8)
@@ -133,6 +133,15 @@ def golden_set(seed: int) -> nr.LearningSet:
         values = np.vstack([values, values[picks]])
         labels = np.concatenate([labels, 1 - labels[picks]]).astype(np.uint8)
     return nr.from_arrays(values, labels)
+
+
+def conjunction_set(seed: int, n: int = 48) -> nr.LearningSet:
+    """Noiseless AND of four cuts at the 20% quantile over five normal
+    variables; split mode grows it three layers deep for seeds 2 and 7."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, 5))
+    labels = np.all(values[:, :4] > np.quantile(values[:, :4], 0.2, axis=0), axis=1)
+    return nr.from_arrays(values, labels.astype(np.uint8))
 
 
 def golden_cases() -> list[tuple[str, nr.LearningSet, nr.SynthesisConfig]]:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import neurules as nr
+from neurules.cli import main
 from neurules.dataset import read_table
 
 from helpers import contradiction_set, random_set
@@ -179,3 +180,24 @@ def test_bound_never_exceeds_any_feature_errors():
         features = [nr.quantize_source(ls, (j,)) for j in range(ls.m)]
         bound = nr.contradiction_bound(ls, features)
         assert all(bound <= f.errors for f in features)
+
+
+
+def test_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path, capsys):
+    p = tmp_path / "t.csv"
+    p.write_text("x1,x2\nF,1.5\nM,2.5\nF,0.5\n", encoding="utf-8-sig")
+    assert p.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert read_table(p)[0] == ["x1", "x2"]
+    ls = nr.load_dataset(p, "x1")
+    assert ls.variable_names == ("x2",) and ls.label_names == ("F", "M")
+    assert main(["train", "--data", str(p), "--label", "x1", "--out", str(tmp_path / "m.json")]) == 0
+
+
+def test_duplicate_column_names_rejected(tmp_path, capsys):
+    p = tmp_path / "t.csv"
+    p.write_text("x1,x1,cls\n1,2,a\n3,4,b\n")
+    with pytest.raises(nr.DataError, match=r"duplicate column name\(s\) \['x1'\]"):
+        read_table(p)
+    assert main(["train", "--data", str(p), "--label", "cls", "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: duplicate column name(s) ['x1']") and err.count("\n") == 1

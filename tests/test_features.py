@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 from types import MappingProxyType
 
@@ -182,3 +183,17 @@ def test_overlapping_factors_reported():
 
     assert overlapping_factors([gf((0, 1)), gf((2, 3))]) == ()
     assert overlapping_factors([gf((0, 1)), gf((1, 2))]) == (1,)
+
+
+def test_overflowing_product_is_skipped_without_a_warning():
+    # x1 * x2 overflows to +-inf on every row, and its sign alone would fit
+    # the XOR labels that no single cut fits; nothing may warn, and the
+    # product is never quantized or admitted
+    values = np.array([[1e200, 1e200], [-1e200, 1e200], [1e200, -1e200], [-1e200, -1e200]])
+    ls = nr.from_arrays(values, [1, 0, 0, 1])
+    base = [nr.quantize_source(ls, (j,)) for j in range(ls.m)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert search_products(ls, base, max_p=2) == []
+        _, report = nr.synthesize(ls)
+    assert report.products == []

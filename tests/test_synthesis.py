@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import neurules as nr
+import neurules.synthesis as synthesis
 from neurules.model_io import model_to_dict
 from neurules.neurons import expr_depth
 from neurules.quantization import quantize
@@ -18,7 +19,7 @@ from neurules.synthesis import (
     split_criteria,
 )
 
-from helpers import brute_best_cut_errors, contradiction_set, random_set, xor_set
+from helpers import brute_best_cut_errors, conjunction_set, contradiction_set, golden_cases, random_set, xor_set
 
 
 def _pool(m, n=8, seed=0):
@@ -75,6 +76,21 @@ def test_duplicate_columns_keep_fewest_leaves():
     # merged representatives can never use more leaves than any duplicate did
     for c in cands:
         assert len(c.neuron.leaves) <= 2
+
+
+def test_duplicate_from_a_smaller_operand_takes_the_earlier_place():
+    pool, labels = _pool(4)
+    col = nr.apply_connective("AND", pool[0].column, pool[1].column)
+    deep = nr.Neuron(("AND", ("AND", 0, 1), 2), 2, 0, col)   # three leaves
+    shallow = nr.Neuron(("AND", 0, 1), 1, 0, col)           # same column, two leaves
+    _, cands = generate_candidates(pool, [deep, shallow], 3, labels)
+    lefts = [c.neuron.expression[1] for c in cands]
+    rights = [c.neuron.expression[2] for c in cands]
+    # deep pairs only with feature 3, and shallow's feature-3 candidates repeat
+    # those columns with fewer leaves: they replace deep's, in deep's places
+    assert deep.expression not in lefts
+    assert rights[0] == 3 and rights[-1] == 2
+    assert set(lefts) == {shallow.expression}
 
 
 def test_generate_rejects_bad_arguments():
@@ -230,6 +246,30 @@ def test_split_criteria_matches_direct_hamming_recount():
         assert scores.unbiasedness == b_u
         assert scores.regularity == delta
         assert scores.cr == b_u + delta
+
+
+def test_bulk_split_criteria_match_the_reference_for_every_candidate(monkeypatch):
+    # training scores every candidate from cached fit columns in one bulk step
+    # per operand; each score must equal the per-candidate reference
+    generated = []
+
+    def recording(*args):
+        pairs, candidates = generate_candidates(*args)
+        generated.extend(candidates)
+        return pairs, candidates
+
+    monkeypatch.setattr(synthesis, "generate_candidates", recording)
+    sets = [(ls, config) for _, ls, config in golden_cases() if config.mode == "split"]
+    sets += [(conjunction_set(seed), nr.SynthesisConfig(mode="split", max_p=1, seed=seed)) for seed in (2, 7)]
+    depths = []
+    for ls, config in sets:
+        generated.clear()
+        c, rep = nr.synthesize(ls, config)
+        split = nr.split_even(ls, config.seed)
+        depths.append(len(rep.traces) - 1)
+        for neuron in rep.traces[0].survivors + [cand.neuron for cand in generated]:
+            assert neuron.criteria == split_criteria(neuron.expression, c.pool, split, ls)
+    assert max(depths) >= 3
 
 
 def test_agreeing_perfect_fits_score_zero():
