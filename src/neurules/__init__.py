@@ -40,7 +40,7 @@ from .neurons import CONNECTIVES, Neuron, SplitScores, apply_connective, eval_ex
 from .quantization import GE, LT, QuantizedFeature, quantize, quantize_source
 from .rules import NeuronRule, extract_rules, render_rules
 from .synthesis import (
-    Candidate,
+    CandidateLayer,
     LayerTrace,
     StopDecision,
     SynthesisConfig,
@@ -62,7 +62,7 @@ __all__ = [
     "FORMAT_VERSION",
     "GE",
     "LT",
-    "Candidate",
+    "CandidateLayer",
     "Collective",
     "CoherenceTable",
     "DataError",

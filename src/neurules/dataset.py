@@ -141,6 +141,9 @@ def load_dataset(path, label_column: str) -> LearningSet:
     variable_names = tuple(name for i, name in enumerate(header) if i != label_idx)
     if not variable_names:
         raise DataError("at least one input variable required besides the label column")
+    blank = [i + 1 for i, name in enumerate(header) if i != label_idx and not name.strip()]
+    if blank:
+        raise DataError(f"empty variable name in column {blank[0]} of {path}")
     if len(rows) < 2:
         raise DataError("n >= 2 required")
 

@@ -8,6 +8,7 @@ Training columns are not stored; a loaded model quantizes fresh inputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,9 +73,10 @@ def dict_to_model(data: dict) -> LoadedModel:
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version: {version!r}")
     try:
+        variable_names = tuple(data["variable_names"])
         pool = [
             QuantizedFeature(
-                source=tuple(int(i) for i in f["source"]),
+                source=_source(f["source"], len(variable_names)),
                 threshold=float(f["threshold"]),
                 polarity=str(f["polarity"]),
                 errors=int(f["errors"]),
@@ -86,6 +88,8 @@ def dict_to_model(data: dict) -> LoadedModel:
         for f in pool:
             if f.polarity not in (GE, LT):
                 raise ModelFormatError(f"unknown polarity: {f.polarity!r}")
+            if not math.isfinite(f.threshold):
+                raise ModelFormatError(f"non-finite threshold: {f.threshold!r}")
         neurons = [
             Neuron(
                 expression=expr_from_json(n["expression"]),
@@ -95,13 +99,17 @@ def dict_to_model(data: dict) -> LoadedModel:
             )
             for n in data["neurons"]
         ]
+        for n in neurons:
+            outside = sorted(k for k in n.leaves if not 0 <= k < len(pool))
+            if outside:
+                raise ModelFormatError(f"neuron leaf {outside[0]} is outside the pool of {len(pool)}")
         weights = data.get("weights")
         collective = Collective(
             neurons=neurons,
             pool=pool,
             chi0=Fraction(data["chi0"]),
             label_names=tuple(data["label_names"]),
-            variable_names=tuple(data["variable_names"]),
+            variable_names=variable_names,
             weights=tuple(int(w) for w in weights) if weights is not None else None,
         )
     except ModelFormatError:
@@ -113,6 +121,16 @@ def dict_to_model(data: dict) -> LoadedModel:
     return LoadedModel(collective, dict(data.get("config") or {}), data.get("report"))
 
 
+def _source(data, m: int) -> tuple[int, ...]:
+    """A pool feature's variable indices: a non-empty list of integers below ``m``."""
+    if not isinstance(data, list) or not data:
+        raise ModelFormatError(f"pool source must be a non-empty list of variable indices, not {data!r}")
+    for i in data:
+        if type(i) is not int or not 0 <= i < m:
+            raise ModelFormatError(f"pool source index {i!r} is not a variable index below {m}")
+    return tuple(data)
+
+
 def save_model(
     path,
     collective: Collective,
@@ -121,7 +139,7 @@ def save_model(
 ) -> None:
     payload = model_to_dict(collective, report=report, config=config)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
+        json.dump(payload, fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

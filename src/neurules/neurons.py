@@ -68,7 +68,7 @@ def expr_to_json(expr: Expr):
 
 
 def expr_from_json(data) -> Expr:
-    if isinstance(data, int):
+    if isinstance(data, int) and not isinstance(data, bool):
         return data
     name, left, right = data
     if name not in CONNECTIVES:

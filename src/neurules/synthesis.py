@@ -20,7 +20,8 @@ from .collective import DEFAULT_CHI0, Collective
 from .dataset import LearningSet, SplitPair, split_even
 from .errors import DataError, DegenerateSplitError
 from .features import overlapping_factors, search_products, substitute
-from .neurons import CONNECTIVES, Expr, Neuron, SplitScores, apply_connective, eval_expr
+from .neurons import CONNECTIVES, Expr, Neuron, SplitScores, eval_expr
+from .neurons import apply_connective  # noqa: F401  (bench/tracing.py wraps this name here)
 from .quantization import QuantizedFeature, hamming, product_values, quantize, quantize_source
 
 MODE_STATEMENT1 = "statement1"
@@ -87,13 +88,43 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """A generated neuron plus the error counts of its two operands."""
+@dataclass
+class CandidateLayer:
+    """One layer's candidates as parallel arrays: deduplicated, in generation order.
 
-    neuron: Neuron
-    parent_errors: int
-    leaf_errors: int
+    Candidate i applies connective ``connective[i]`` (an index into
+    CONNECTIVES) to operand ``operand[i]`` and pool feature ``feature[i]``.
+    The operands are the pool features at layer 1 and the previous layer's
+    survivors later; ``operands`` holds their expressions.
+    """
+
+    layer: int
+    rows: int                   # training rows: the length of an unpacked column
+    operands: list
+    packed: np.ndarray          # (N, bytes) bit-packed training columns
+    errors: np.ndarray
+    parent_errors: np.ndarray   # the operand's error count, per candidate
+    operand: np.ndarray
+    feature: np.ndarray
+    connective: np.ndarray
+    unbiasedness: np.ndarray | None = None   # split mode only
+    regularity: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def neurons(self, positions) -> list[Neuron]:
+        """Neurons for the candidates at ``positions``; only their columns are unpacked."""
+        positions = np.asarray(positions, dtype=np.int64)
+        columns = np.unpackbits(self.packed[positions], axis=-1, count=self.rows).view(bool)
+        out = []
+        for i, column in zip(positions.tolist(), columns):
+            connective, operand = _CONNECTIVE_NAMES[self.connective[i]], self.operands[self.operand[i]]
+            expression = (connective, operand, int(self.feature[i]))
+            criteria = None if self.unbiasedness is None else SplitScores(
+                int(self.unbiasedness[i]), int(self.regularity[i]))
+            out.append(Neuron(expression, self.layer, int(self.errors[i]), column, criteria))
+        return out
 
 
 @dataclass
@@ -125,7 +156,6 @@ class StopDecision:
 # (10, 4) truth tables in CONNECTIVES order; column index (a << 1) | b
 _TRUTH = np.array(list(CONNECTIVES.values()), dtype=np.uint8)
 _CONNECTIVE_NAMES = tuple(CONNECTIVES)
-_CONNECTIVE_INDEX = {name: c for c, name in enumerate(_CONNECTIVE_NAMES)}
 
 
 def _pack(columns) -> np.ndarray:
@@ -138,37 +168,37 @@ def _popcount(bits: np.ndarray) -> np.ndarray:
     return np.bitwise_count(bits).sum(axis=-1, dtype=np.int64)
 
 
-def _expand(a: np.ndarray, b: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """Every connective of one packed column ``a`` against each packed row of ``b``.
+def _keys(packed: np.ndarray) -> np.ndarray:
+    """One opaque key per packed row, comparable and sortable as a whole."""
+    return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[-1]))).ravel()
 
-    Returns a (K, 10, bytes) block, connectives in CONNECTIVES order.  The four
-    minterm planes are disjoint, so summing the ones a truth table selects is
+
+def _minterms(a: np.ndarray, b: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """The four minterm planes of packed rows ``a[i]``, ``b[i]``: (4, K, bytes).
+
+    The planes are disjoint, so summing the ones a truth table selects is
     their union; ``pad`` clears the padding bits the 00 minterm would set.
     """
     na, nb = ~a, ~b
-    minterms = np.stack([na & nb & pad, na & b, a & nb, a & b])
-    return np.einsum("cv,vkw->kcw", _TRUTH, minterms)
+    return np.stack([na & nb & pad, na & b, a & nb, a & b])
 
 
-def _operands(
-    pool: list[QuantizedFeature],
-    survivors: list[Neuron] | None,
-    r: int,
-) -> list[tuple[Expr, np.ndarray, int, int, list[int]]]:
-    """(expression, column, errors, child leaf count, fresh pool indices) per operand.
+def _first_occurrences(keys: np.ndarray, taken: np.ndarray | None = None) -> np.ndarray:
+    """Positions of the first occurrence of each distinct key, ascending,
+    leaving out every key in ``taken``: the heads of runs in a stable sort."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    head = np.ones(len(ranked), dtype=bool)
+    head[1:] = ranked[1:] != ranked[:-1]
+    if taken is not None and len(ranked):
+        at = np.minimum(np.searchsorted(ranked, taken), len(ranked) - 1)
+        head[at[ranked[at] == taken]] = False
+    return np.sort(order[head])
 
-    At layer 1 the operands are the pool features, each paired with the later
-    ones; later layers pair each survivor with every pool feature it does not
-    already use.  Operands come in generation order.
-    """
-    if r == 1:
-        return [(j, f.column, f.errors, 2, list(range(j + 1, len(pool)))) for j, f in enumerate(pool)]
-    operands = []
-    for z in survivors or ():
-        used = z.leaves
-        fresh = [k for k in range(len(pool)) if k not in used]
-        operands.append((z.expression, z.column, z.errors, len(used) + 1, fresh))
-    return operands
+
+def _combine(a: np.ndarray, b: np.ndarray, connective: np.ndarray, pad: np.ndarray) -> np.ndarray:
+    """Connective ``connective[i]`` of each row pair: (K, bytes)."""
+    return np.einsum("kv,vkw->kw", _TRUTH[connective], _minterms(a, b, pad))
 
 
 def generate_candidates(
@@ -176,16 +206,18 @@ def generate_candidates(
     survivors: list[Neuron] | None,
     r: int,
     labels: np.ndarray,
-) -> tuple[int, list[Candidate]]:
+    fits: tuple | None = None,
+) -> tuple[int, CandidateLayer]:
     """Expand one layer's operand pairs through every reference connective.
 
     Layer 1 takes all unordered pairs of distinct pool features; later layers
-    pair each survivor with every pool feature it does not already use.
-    Each operand is expanded against all its fresh features in one step, in
-    the order (operand, feature, connective).  Candidates whose output column
-    duplicates a survivor's or an earlier candidate's are dropped (the
-    duplicate with fewest distinct leaves wins, in the earlier one's place).
-    Returns the pair count and the deduplicated candidate list.
+    pair each survivor with every pool feature it does not already use.  All
+    pairs are expanded in one numpy step on bit-packed columns, in the order
+    (operand, feature, connective).  A candidate whose column repeats a
+    survivor's or an earlier candidate's is dropped: the first occurrence of
+    a column is kept.  In split mode ``fits`` holds the packed A-fit and
+    B-fit outputs ``(pool_a, pool_b, operand_a, operand_b)``, and every kept
+    candidate is scored from them.  Returns the pair count and the candidates.
     """
     if not pool:
         raise DataError("no features")
@@ -195,42 +227,47 @@ def generate_candidates(
     pad = _pack(np.ones(n, dtype=bool))
     target = _pack(labels)
     packed = _pack([f.column for f in pool])
-    taken = {_pack(s.column).tobytes() for s in survivors} if survivors else set()
-    chosen: dict[bytes, tuple[int, int]] = {}   # key -> (position in out, leaf count)
-    out: list[Candidate] = []
-    pairs = 0
-    for expr, column, parent_errors, size, fresh in _operands(pool, survivors, r):
-        if not fresh:
-            continue
-        pairs += len(fresh)
-        block = _expand(_pack(column), packed[fresh], pad)
-        counts = _popcount(block ^ target).ravel().tolist()
-        rows = np.unpackbits(block, axis=-1, count=n).view(bool).reshape(-1, n)
-        width = block.shape[-1]
-        keys = block.tobytes()
-        for i, count in enumerate(counts):
-            key = keys[i * width:(i + 1) * width]
-            if key in taken:
-                continue
-            held = chosen.get(key)
-            if held is not None and held[1] <= size:
-                continue
-            pos, c = divmod(i, len(_CONNECTIVE_NAMES))
-            k = fresh[pos]
-            neuron = Neuron((_CONNECTIVE_NAMES[c], expr, k), r, count, rows[i])
-            cand = Candidate(neuron, parent_errors, pool[k].errors)
-            if held is None:
-                chosen[key] = (len(out), size)
-                out.append(cand)
-            else:
-                chosen[key] = (held[0], size)
-                out[held[0]] = cand
-    return pairs, out
+    if r == 1:
+        operands, parents, left = list(range(len(pool))), pool, packed
+        fresh = np.triu(np.ones((len(pool), len(pool)), dtype=bool), 1)
+    else:
+        parents = survivors or []
+        operands = [s.expression for s in parents]
+        left = _pack(np.reshape([s.column for s in parents], (-1, n)))
+        fresh = np.ones((len(parents), len(pool)), dtype=bool)
+        for i, s in enumerate(parents):
+            fresh[i, list(s.leaves)] = False
+    operand, feature = np.nonzero(fresh)
+    pairs = len(operand)
+    # split scores come from minterm popcounts, before the training block exists
+    scores = _pair_split_scores(fits, operand, feature, pad, target) if fits is not None else None
+    planes = _minterms(left[operand], packed[feature], pad)
+    errors = _plane_errors(planes, target)
+    # every connective of each pair: (K * 10, bytes) in (pair, connective) order
+    block = np.einsum("cv,vkw->kcw", _TRUTH, planes).reshape(-1, len(pad))
+    del planes
+    first = _first_occurrences(_keys(block), _keys(left) if r > 1 else None)
+    kept = block[first]
+    pair, connective = np.divmod(first, len(_CONNECTIVE_NAMES))
+    layer = CandidateLayer(
+        layer=r,
+        rows=n,
+        operands=operands,
+        packed=kept,
+        errors=errors.ravel()[first],
+        parent_errors=np.array([p.errors for p in parents], dtype=np.int64)[operand[pair]],
+        operand=operand[pair],
+        feature=feature[pair],
+        connective=connective,
+    )
+    if scores is not None:
+        layer.unbiasedness, layer.regularity = (s.ravel()[first] for s in scores)
+    return pairs, layer
 
 
-def admit(candidate: Neuron, parent_errors: int, leaf_errors: int) -> bool:
-    """Exterior-addition admission: strictly beat both operands' error counts."""
-    return candidate.errors < min(parent_errors, leaf_errors)
+def admit(errors, parent_errors, leaf_errors) -> np.ndarray:
+    """Exterior-addition admission mask: strictly beat both operands' error counts."""
+    return np.asarray(errors) < np.minimum(parent_errors, leaf_errors)
 
 
 def default_f_cap(pairs: int, f_ratio: Fraction = Fraction(2, 5)) -> int:
@@ -238,23 +275,16 @@ def default_f_cap(pairs: int, f_ratio: Fraction = Fraction(2, 5)) -> int:
     return max(1, math.ceil(_as_fraction(f_ratio) * pairs))
 
 
-def select_survivors(
-    admitted: list[Neuron],
-    f_cap: int,
-    by_criteria: bool = False,
-) -> list[Neuron]:
-    """Keep the best ``f_cap`` neurons; stable sort preserves generation order.
+def select_survivors(errors: np.ndarray, f_cap: int, cr: np.ndarray | None = None) -> np.ndarray:
+    """Positions of the best ``f_cap`` candidates, best first.
 
-    Statement-1 ranking is (errors, leaf count); split-criteria ranking puts
-    the exterior criterion first.
+    Candidates rank by errors, or in split mode by the exterior criterion CR
+    and then errors; ties keep generation order.
     """
     if f_cap < 1:
         raise ValueError("f_cap must be at least 1")
-    if by_criteria:
-        key = lambda n: (n.criteria.cr, n.errors, len(n.leaves))
-    else:
-        key = lambda n: (n.errors, len(n.leaves))
-    return sorted(admitted, key=key)[:f_cap]
+    keys = (np.arange(len(errors)), errors) + ((cr,) if cr is not None else ())
+    return np.lexsort(keys)[:f_cap]
 
 
 # ---------------------------------------------------------------------------
@@ -299,43 +329,32 @@ def split_criteria(
     return SplitScores(unbiasedness, regularity)
 
 
-def _split_scores(out_a: np.ndarray, out_b: np.ndarray, target: np.ndarray) -> tuple[list, list]:
-    """Unbiasedness and regularity of packed A-fit and B-fit outputs, as lists."""
-    unbiasedness = _popcount(out_a ^ out_b)
-    regularity = _popcount(out_a ^ target) + _popcount(out_b ^ target)
-    return unbiasedness.tolist(), regularity.tolist()
+# (4, 10): whether a connective's truth table selects minterm v, (a << 1) | b
+_SELECTS = _TRUTH.T.astype(np.int64)
+# (16, 10): whether a connective maps A-fit minterm v and B-fit minterm u,
+# row 4 * v + u, to different outputs
+_DIFFER = (_TRUTH[:, :, None] != _TRUTH[:, None, :]).reshape(len(_TRUTH), 16).T.astype(np.int64)
 
 
-def _attach_split_criteria(
-    candidates: list[Candidate],
-    operands: list,
-    fits: dict,
-    pool_fits: tuple[np.ndarray, np.ndarray],
-    labels: np.ndarray,
-) -> None:
-    """Score every candidate of a layer from its operand's cached fit columns.
+def _plane_errors(planes: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Errors of every connective of each pair, (K, 10), from its minterm planes:
+    a connective's output is the union of the planes its truth table selects,
+    and a plane of c rows, o of them labelled 1, adds c - 2o to its |labels|."""
+    excess = _popcount(planes) - 2 * _popcount(planes & target)
+    return int(_popcount(target)) + excess.T @ _SELECTS
 
-    Each operand's A-fit and B-fit outputs are expanded against the fresh
-    features' fits in one step, exactly as ``generate_candidates`` expands the
-    training columns; ``fits`` maps an operand's expression to its two fit
-    columns and ``pool_fits`` holds the pool's packed fits.
-    """
-    pad = _pack(np.ones(len(labels), dtype=bool))
-    target = _pack(labels)
-    scores = {}
-    for expr, _, _, _, fresh in operands:
-        if not fresh:
-            continue
-        fit_a, fit_b = fits[expr]
-        out_a = _expand(_pack(fit_a), pool_fits[0][fresh], pad)
-        out_b = _expand(_pack(fit_b), pool_fits[1][fresh], pad)
-        unbiasedness, regularity = _split_scores(out_a, out_b, target)
-        scores[expr] = ({k: i for i, k in enumerate(fresh)}, unbiasedness, regularity)
-    for cand in candidates:
-        name, left, k = cand.neuron.expression
-        row, unbiasedness, regularity = scores[left]
-        i, c = row[k], _CONNECTIVE_INDEX[name]
-        cand.neuron.criteria = SplitScores(unbiasedness[i][c], regularity[i][c])
+
+def _pair_split_scores(fits: tuple, operand, feature, pad: np.ndarray, target: np.ndarray) -> tuple:
+    """Unbiasedness and regularity of every connective of each (operand,
+    feature) pair, (K, 10) each, from the pairs' A-fit and B-fit minterm
+    planes.  Unbiasedness counts the rows of each (A plane, B plane) meeting
+    whose outputs differ."""
+    pool_a, pool_b, operand_a, operand_b = fits
+    planes_a = _minterms(operand_a[operand], pool_a[feature], pad)
+    planes_b = _minterms(operand_b[operand], pool_b[feature], pad)
+    joint = np.stack([_popcount(planes_a[v] & planes_b) for v in range(4)])   # (4, 4, K)
+    unbiasedness = joint.reshape(16, -1).T @ _DIFFER
+    return unbiasedness, _plane_errors(planes_a, target) + _plane_errors(planes_b, target)
 
 
 # ---------------------------------------------------------------------------
@@ -441,13 +460,6 @@ def _majority_misfits(members: list[Neuron], labels: np.ndarray) -> tuple[int, .
     return tuple(doubtful)
 
 
-def _child_fits(child: Neuron, fits: dict, fit_a: list, fit_b: list) -> tuple:
-    """A-fit and B-fit output columns of a grown neuron, from its operand's."""
-    name, left, k = child.expression
-    parent_a, parent_b = fits[left]
-    return apply_connective(name, parent_a, fit_a[k]), apply_connective(name, parent_b, fit_b[k])
-
-
 def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[Collective, SynthesisReport]:
     """Quantize, search products, grow layers, and assemble the collective.
 
@@ -463,30 +475,23 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
         admitted_products = search_products(ls, base, max_p, prune=config.prune_products)
     pool = substitute(base, admitted_products)
 
-    # split mode: each operand's A-fit and B-fit output columns, by expression;
-    # training-only state that never reaches the collective
+    # split mode: the packed A-fit and B-fit output columns of the pool and of
+    # the current operands; training-only state that never reaches the collective
     split: SplitPair | None = None
-    fits: dict = {}
     if config.mode == MODE_SPLIT:
         split = split_even(ls, config.seed)
-        fit_a = _subset_fit_columns(pool, split.subset_a, ls)
-        fit_b = _subset_fit_columns(pool, split.subset_b, ls)
-        fits = dict(enumerate(zip(fit_a, fit_b)))
-        pool_fits = (_pack(fit_a), _pack(fit_b))
-        pool_scores = _split_scores(*pool_fits, _pack(labels))
+        pool_a = _pack(_subset_fit_columns(pool, split.subset_a, ls))
+        pool_b = _pack(_subset_fit_columns(pool, split.subset_b, ls))
+        operand_a, operand_b = pool_a, pool_b
+        target = _pack(labels)
+        pool_scores = (_popcount(pool_a ^ pool_b), _popcount(pool_a ^ target) + _popcount(pool_b ^ target))
 
     # layer 0: the pool itself, deduplicated by output column
-    layer0: list[Neuron] = []
-    seen: set[bytes] = set()
-    for i, f in enumerate(pool):
-        key = f.column.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        neuron = Neuron(i, 0, f.errors, f.column)
-        if split is not None:
-            neuron.criteria = SplitScores(pool_scores[0][i], pool_scores[1][i])
-        layer0.append(neuron)
+    layer0 = [
+        Neuron(i, 0, pool[i].errors, pool[i].column,
+               SplitScores(int(pool_scores[0][i]), int(pool_scores[1][i])) if split is not None else None)
+        for i in _first_occurrences(_keys(_pack([f.column for f in pool]))).tolist()
+    ]
 
     trace0 = LayerTrace(
         index=0,
@@ -501,38 +506,33 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
     best_errors = trace0.min_errors
     decision = should_stop(traces, config.mode, config.delta, config.max_layers)
 
+    pool_errors = np.array([f.errors for f in pool], dtype=np.int64)
+    pad = _pack(np.ones(len(labels), dtype=bool))
     while not decision.stop:
         r = traces[-1].index + 1
         parents = traces[-1].survivors if r > 1 else None
-        pairs, candidates = generate_candidates(pool, parents, r, labels)
-        if split is not None:
-            _attach_split_criteria(candidates, _operands(pool, parents, r), fits, pool_fits, labels)
+        fits = (pool_a, pool_b, operand_a, operand_b) if split is not None else None
+        pairs, layer = generate_candidates(pool, parents, r, labels, fits)
         if config.mode == MODE_STATEMENT1:
-            kept = [
-                c.neuron
-                for c in candidates
-                if admit(c.neuron, c.parent_errors, c.leaf_errors)
-                and c.neuron.errors < best_errors
-            ]
+            admitted = admit(layer.errors, layer.parent_errors, pool_errors[layer.feature])
+            kept = np.flatnonzero(admitted & (layer.errors < best_errors))
         else:
-            kept = [c.neuron for c in candidates]
-        trace = LayerTrace(index=r, pairs=pairs, expanded=len(candidates), admitted=len(kept))
-        if kept:
-            survivors = select_survivors(
-                kept, default_f_cap(pairs, config.f_ratio), by_criteria=split is not None
-            )
-            for s in survivors:
-                # own the column, so the layer's candidate blocks can be freed
-                s.column = s.column.copy()
-            trace.survivors = survivors
-            trace.min_errors = min(n.errors for n in survivors)
+            kept = np.arange(len(layer))
+        trace = LayerTrace(index=r, pairs=pairs, expanded=len(layer), admitted=len(kept))
+        if len(kept):
+            cr = (layer.unbiasedness + layer.regularity)[kept] if split is not None else None
+            chosen = kept[select_survivors(layer.errors[kept], default_f_cap(pairs, config.f_ratio), cr)]
+            trace.survivors = layer.neurons(chosen)
+            trace.min_errors = min(n.errors for n in trace.survivors)
             if split is not None:
-                trace.min_cr = min(n.criteria.cr for n in survivors)
-                fits = {s.expression: _child_fits(s, fits, fit_a, fit_b) for s in survivors}
+                trace.min_cr = min(n.criteria.cr for n in trace.survivors)
+                op, k, c = layer.operand[chosen], layer.feature[chosen], layer.connective[chosen]
+                operand_a = _combine(operand_a[op], pool_a[k], c, pad)
+                operand_b = _combine(operand_b[op], pool_b[k], c, pad)
             best_errors = min(best_errors, trace.min_errors)
         traces.append(trace)
-        # let the layer's candidate blocks go before the next layer is built
-        del candidates, kept
+        # let the layer's candidate arrays go before the next layer is built
+        del layer, kept
         decision = should_stop(traces, config.mode, config.delta, config.max_layers)
 
     traces[-1].stop_cause = decision.cause

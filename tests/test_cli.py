@@ -221,3 +221,50 @@ def test_console_script_runs(demo_path, tmp_path):
     )
     assert proc.returncode == 0
     assert "model written" in proc.stdout
+
+
+def _set_leaf(payload, value):
+    payload["neurons"][0]["expression"] = ["AND", 0, value]
+
+
+_UNTRUSTED = {
+    "leaf-beyond-pool": (lambda p: _set_leaf(p, len(p["pool"])), "outside the pool"),
+    "negative-leaf": (lambda p: _set_leaf(p, -1), "outside the pool"),
+    "source-beyond-variables": (
+        lambda p: p["pool"][0].__setitem__("source", [len(p["variable_names"])]), "variable index"),
+    "bool-expression": (lambda p: p["neurons"][0].__setitem__("expression", True), "malformed"),
+    "bool-leaf": (lambda p: _set_leaf(p, False), "malformed"),
+    "bool-source-index": (lambda p: p["pool"][0].__setitem__("source", [True]), "variable index"),
+    "float-source-index": (lambda p: p["pool"][0].__setitem__("source", [0.0]), "variable index"),
+    "empty-source": (lambda p: p["pool"][0].__setitem__("source", []), "non-empty list"),
+    "nan-threshold": (lambda p: p["pool"][0].__setitem__("threshold", float("nan")), "non-finite threshold"),
+    "infinite-threshold": (lambda p: p["pool"][0].__setitem__("threshold", float("inf")), "non-finite threshold"),
+}
+
+
+@pytest.mark.parametrize("mutate, message", list(_UNTRUSTED.values()), ids=list(_UNTRUSTED))
+@pytest.mark.parametrize("command", ["predict", "rules"])
+def test_untrusted_model_files_exit_4_with_one_line(demo_path, tmp_path, capsys, mutate, message, command):
+    _, out = _train(demo_path, tmp_path)
+    payload = json.loads(out.read_text(encoding="utf-8"))
+    mutate(payload)
+    out.write_text(json.dumps(payload), encoding="utf-8")   # writes NaN and Infinity literally
+    capsys.readouterr()
+    args = ["--model", str(out)] + (["--data", str(demo_path)] if command == "predict" else [])
+    assert main([command, *args]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and "Traceback" not in captured.err
+
+
+def test_saved_models_refuse_non_finite_numbers(tmp_path):
+    collective = nr.Collective(
+        neurons=[nr.Neuron(0, 0, 0, np.zeros(2, dtype=bool))],
+        pool=[nr.QuantizedFeature((0,), float("nan"), "ge", 0, np.zeros(2, dtype=bool))],
+        chi0=Fraction(4, 5),
+        label_names=("a", "b"),
+        variable_names=("x",),
+    )
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        nr.save_model(tmp_path / "m.json", collective)

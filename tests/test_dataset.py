@@ -201,3 +201,16 @@ def test_duplicate_column_names_rejected(tmp_path, capsys):
     assert main(["train", "--data", str(p), "--label", "cls", "--out", str(tmp_path / "m.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: duplicate column name(s) ['x1']") and err.count("\n") == 1
+
+
+def test_empty_variable_name_rejected(tmp_path, capsys):
+    # a blank header cell would train a variable named "" and print rules like
+    # "feature:  < 1.5"
+    p = tmp_path / "t.csv"
+    p.write_text("a,,y\n1,2,p\n3,1,q\n2,3,p\n", encoding="utf-8")
+    with pytest.raises(nr.DataError, match="empty variable name in column 2"):
+        nr.load_dataset(p, "y")
+    assert main(["train", "--data", str(p), "--label", "y", "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: empty variable name") and err.count("\n") == 1
+    assert not (tmp_path / "m.json").exists()

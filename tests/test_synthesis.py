@@ -44,62 +44,100 @@ def test_layer1_pair_counts():
 
 def test_later_layer_pairs_survivor_with_fresh_features():
     pool, labels = _pool(4)
-    _, cands = generate_candidates(pool, None, 1, labels)
-    survivor = cands[0].neuron
+    _, layer = generate_candidates(pool, None, 1, labels)
+    survivor = layer.neurons([0])[0]
     assert survivor.leaves == frozenset({0, 1})
-    pairs, cands2 = generate_candidates(pool, [survivor], 2, labels)
+    pairs, layer2 = generate_candidates(pool, [survivor], 2, labels)
     assert pairs == 2  # features 2 and 3 only
-    for c in cands2:
-        name, left, right = c.neuron.expression
+    for neuron in layer2.neurons(np.arange(len(layer2))):
+        name, left, right = neuron.expression
         assert left == survivor.expression
         assert right in (2, 3)
-        assert c.parent_errors == survivor.errors
+    assert layer2.parent_errors.tolist() == [survivor.errors] * len(layer2)
 
 
 def test_candidates_duplicating_a_survivor_column_are_dropped():
     pool, labels = _pool(3)
-    _, cands = generate_candidates(pool, None, 1, labels)
-    survivor = cands[0].neuron
-    _, cands2 = generate_candidates(pool, [survivor], 2, labels)
+    _, layer = generate_candidates(pool, None, 1, labels)
+    survivor = layer.neurons([0])[0]
+    _, layer2 = generate_candidates(pool, [survivor], 2, labels)
     key = survivor.column.tobytes()
-    assert all(c.neuron.column.tobytes() != key for c in cands2)
+    assert all(n.column.tobytes() != key for n in layer2.neurons(np.arange(len(layer2))))
 
 
-def test_duplicate_columns_keep_fewest_leaves():
-    pool, labels = _pool(3)
-    _, cands = generate_candidates(pool, None, 1, labels)
-    seen = {}
-    for c in cands:
-        key = c.neuron.column.tobytes()
-        assert key not in seen, "duplicate columns must be merged"
-        seen[key] = c
-    # merged representatives can never use more leaves than any duplicate did
-    for c in cands:
-        assert len(c.neuron.leaves) <= 2
+def _reference_layer(pool, parents, r):
+    """Expressions and columns of one layer, by a plain loop: every (operand,
+    fresh feature, connective) in generation order, keeping the first
+    occurrence of each column and no operand's own column."""
+    if r == 1:
+        parents = [nr.Neuron(j, 0, f.errors, f.column) for j, f in enumerate(pool)]
+    taken = set() if r == 1 else {p.column.tobytes() for p in parents}
+    out = {}
+    for p in parents:
+        for k in range(len(pool)):
+            if k in p.leaves or (r == 1 and k <= p.expression):
+                continue
+            for name in nr.CONNECTIVES:
+                column = nr.apply_connective(name, p.column, pool[k].column)
+                key = column.tobytes()
+                if key not in taken and key not in out:
+                    out[key] = ((name, p.expression, k), column)
+    return list(out.values())
 
 
-def test_duplicate_from_a_smaller_operand_takes_the_earlier_place():
-    pool, labels = _pool(4)
-    col = nr.apply_connective("AND", pool[0].column, pool[1].column)
-    deep = nr.Neuron(("AND", ("AND", 0, 1), 2), 2, 0, col)   # three leaves
-    shallow = nr.Neuron(("AND", 0, 1), 1, 0, col)           # same column, two leaves
-    _, cands = generate_candidates(pool, [deep, shallow], 3, labels)
-    lefts = [c.neuron.expression[1] for c in cands]
-    rights = [c.neuron.expression[2] for c in cands]
-    # deep pairs only with feature 3, and shallow's feature-3 candidates repeat
-    # those columns with fewer leaves: they replace deep's, in deep's places
-    assert deep.expression not in lefts
-    assert rights[0] == 3 and rights[-1] == 2
-    assert set(lefts) == {shallow.expression}
+def _recorded_layers(monkeypatch):
+    """Run ``synthesize`` with every generated layer recorded as (parents, layer)."""
+    layers = []
+
+    def recording(pool, survivors, r, labels, fits=None):
+        pairs, layer = generate_candidates(pool, survivors, r, labels, fits)
+        layers.append((survivors, layer))
+        return pairs, layer
+
+    monkeypatch.setattr(synthesis, "generate_candidates", recording)
+    return layers
+
+
+def test_duplicate_columns_keep_the_first_occurrence(monkeypatch):
+    layers = _recorded_layers(monkeypatch)
+    for seed in (0, 3, 6):
+        for mode in ("statement1", "split"):
+            layers.clear()
+            c, _ = nr.synthesize(random_set(seed), nr.SynthesisConfig(mode=mode, max_p=1))
+            assert layers
+            for parents, layer in layers:
+                neurons = layer.neurons(np.arange(len(layer)))
+                reference = _reference_layer(c.pool, parents, layer.layer)
+                assert [n.expression for n in neurons] == [expr for expr, _ in reference]
+                assert all(np.array_equal(n.column, col) for n, (_, col) in zip(neurons, reference))
+
+
+def test_split_dedup_keys_on_the_training_column_only(monkeypatch):
+    # a later candidate repeating an earlier training column is dropped even
+    # when its A/B refits, and so its criteria, differ from the kept one's
+    layers = _recorded_layers(monkeypatch)
+    _, ls, config = golden_cases()[5]
+    assert config.mode == "split"
+    c, _ = nr.synthesize(ls, config)
+    split = nr.split_even(ls, config.seed)
+    _, layer = layers[0]
+    kept = {n.expression: n for n in layer.neurons(np.arange(len(layer)))}
+    earlier, later = ("OR", 0, 2), ("OR", 0, 4)
+    assert np.array_equal(
+        nr.apply_connective("OR", c.pool[0].column, c.pool[2].column),
+        nr.apply_connective("OR", c.pool[0].column, c.pool[4].column),
+    )
+    assert split_criteria(later, c.pool, split, ls) != kept[earlier].criteria
+    assert later not in kept
 
 
 def test_generate_rejects_bad_arguments():
     pool, labels = _pool(3)
     with pytest.raises(nr.DataError, match="no features"):
         generate_candidates([], None, 1, labels)
-    _, cands = generate_candidates(pool, None, 1, labels)
+    _, layer = generate_candidates(pool, None, 1, labels)
     with pytest.raises(ValueError, match="layer 1"):
-        generate_candidates(pool, [cands[0].neuron], 1, labels)
+        generate_candidates(pool, layer.neurons([0]), 1, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -107,14 +145,8 @@ def test_generate_rejects_bad_arguments():
 # ---------------------------------------------------------------------------
 
 def test_admission_requires_strictly_beating_both_operands():
-    col = np.zeros(4, dtype=bool)
-
-    def neuron(v):
-        return nr.Neuron(("AND", 0, 1), 1, v, col)
-
-    assert nr.admit(neuron(1), 2, 3)
-    assert not nr.admit(neuron(2), 2, 5)
-    assert nr.admit(neuron(0), 1, 1)
+    mask = nr.admit(np.array([1, 2, 0, 3]), np.array([2, 2, 1, 9]), np.array([3, 5, 1, 3]))
+    assert mask.tolist() == [True, False, True, False]
 
 
 def test_default_f_cap_rounds_up_and_never_drops_below_one():
@@ -128,23 +160,19 @@ def test_default_f_cap_rounds_up_and_never_drops_below_one():
     assert default_f_cap(10, Fraction("0.4")) == 4
 
 
-def test_select_survivors_orders_by_errors_leaves_then_generation():
-    col = np.zeros(2, dtype=bool)
-    a = nr.Neuron(("AND", 0, 1), 1, 2, col)
-    b = nr.Neuron(("OR", 0, 1), 1, 1, col)
-    c = nr.Neuron(("XOR", ("AND", 0, 1), 2), 2, 1, col)
-    d = nr.Neuron(("NOR", 0, 2), 1, 1, col)
-    picked = select_survivors([a, b, c, d], f_cap=3)
-    assert picked == [b, d, c]
+def test_select_survivors_orders_by_errors_then_generation():
+    errors = np.array([2, 1, 3, 1, 1, 0])
+    assert select_survivors(errors, f_cap=4).tolist() == [5, 1, 3, 4]
+    assert select_survivors(errors, f_cap=9).tolist() == [5, 1, 3, 4, 0, 2]
     with pytest.raises(ValueError, match="f_cap"):
-        select_survivors([a], 0)
+        select_survivors(errors, 0)
 
 
 def test_select_survivors_split_mode_ranks_by_criteria_first():
-    col = np.zeros(2, dtype=bool)
-    a = nr.Neuron(("AND", 0, 1), 1, 1, col, criteria=nr.SplitScores(3, 3))
-    b = nr.Neuron(("OR", 0, 1), 1, 4, col, criteria=nr.SplitScores(1, 1))
-    assert select_survivors([a, b], 2, by_criteria=True) == [b, a]
+    errors = np.array([1, 4, 2, 2, 0])
+    cr = np.array([3, 1, 1, 1, 5])
+    # CR first, then errors, then generation order
+    assert select_survivors(errors, 4, cr=cr).tolist() == [2, 3, 1, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -249,27 +277,34 @@ def test_split_criteria_matches_direct_hamming_recount():
 
 
 def test_bulk_split_criteria_match_the_reference_for_every_candidate(monkeypatch):
-    # training scores every candidate from cached fit columns in one bulk step
-    # per operand; each score must equal the per-candidate reference
-    generated = []
-
-    def recording(*args):
-        pairs, candidates = generate_candidates(*args)
-        generated.extend(candidates)
-        return pairs, candidates
-
-    monkeypatch.setattr(synthesis, "generate_candidates", recording)
+    # training scores every candidate of a layer in one bulk step from cached
+    # fit columns; each score must equal the per-candidate reference
+    layers = _recorded_layers(monkeypatch)
     sets = [(ls, config) for _, ls, config in golden_cases() if config.mode == "split"]
     sets += [(conjunction_set(seed), nr.SynthesisConfig(mode="split", max_p=1, seed=seed)) for seed in (2, 7)]
     depths = []
     for ls, config in sets:
-        generated.clear()
+        layers.clear()
         c, rep = nr.synthesize(ls, config)
         split = nr.split_even(ls, config.seed)
         depths.append(len(rep.traces) - 1)
-        for neuron in rep.traces[0].survivors + [cand.neuron for cand in generated]:
+        candidates = [n for _, layer in layers for n in layer.neurons(np.arange(len(layer)))]
+        assert len(candidates) == sum(t.expanded for t in rep.traces[1:])
+        for neuron in rep.traces[0].survivors + candidates:
             assert neuron.criteria == split_criteria(neuron.expression, c.pool, split, ls)
     assert max(depths) >= 3
+
+
+def test_every_layer_r_candidate_has_r_plus_one_leaves_and_depth_r(monkeypatch):
+    # the invariant that lets selection and dedup ignore leaf counts
+    layers = _recorded_layers(monkeypatch)
+    for _, ls, config in golden_cases():
+        layers.clear()
+        nr.synthesize(ls, config)
+        for _, layer in layers:
+            for neuron in layer.neurons(np.arange(len(layer))):
+                assert len(neuron.leaves) == layer.layer + 1
+                assert expr_depth(neuron.expression) == neuron.layer == layer.layer
 
 
 def test_agreeing_perfect_fits_score_zero():
