@@ -42,6 +42,7 @@ from .rules import NeuronRule, extract_rules, render_rules
 from .synthesis import (
     CandidateLayer,
     LayerTrace,
+    SplitFits,
     StopDecision,
     SynthesisConfig,
     SynthesisReport,
@@ -76,6 +77,7 @@ __all__ = [
     "Neuron",
     "NeuronRule",
     "QuantizedFeature",
+    "SplitFits",
     "SplitPair",
     "SplitScores",
     "StopDecision",

@@ -88,6 +88,18 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+@dataclass(frozen=True)
+class SplitFits:
+    """Split mode's packed A-fit and B-fit output columns, of every pool
+    feature and of one layer's operands (row i for operand i): training-only
+    state that never reaches the collective."""
+
+    pool_a: np.ndarray
+    pool_b: np.ndarray
+    operand_a: np.ndarray
+    operand_b: np.ndarray
+
+
 @dataclass
 class CandidateLayer:
     """One layer's candidates as parallel arrays: deduplicated, in generation order.
@@ -107,7 +119,8 @@ class CandidateLayer:
     operand: np.ndarray
     feature: np.ndarray
     connective: np.ndarray
-    unbiasedness: np.ndarray | None = None   # split mode only
+    fits: SplitFits | None = None            # split mode only
+    unbiasedness: np.ndarray | None = None
     regularity: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -125,6 +138,13 @@ class CandidateLayer:
                 int(self.unbiasedness[i]), int(self.regularity[i]))
             out.append(Neuron(expression, self.layer, int(self.errors[i]), column, criteria))
         return out
+
+    def survivor_fits(self, positions) -> SplitFits:
+        """The split fits with the candidates at ``positions`` as operands, as in ``neurons``."""
+        f, pad = self.fits, _pack(np.ones(self.rows, dtype=bool))
+        op, k, truth = self.operand[positions], self.feature[positions], _TRUTH[self.connective[positions]]
+        grow = lambda fit, pool_fit: np.einsum("kv,vkw->kw", truth, _minterms(fit[op], pool_fit[k], pad))
+        return SplitFits(f.pool_a, f.pool_b, grow(f.operand_a, f.pool_a), grow(f.operand_b, f.pool_b))
 
 
 @dataclass
@@ -196,17 +216,12 @@ def _first_occurrences(keys: np.ndarray, taken: np.ndarray | None = None) -> np.
     return np.sort(order[head])
 
 
-def _combine(a: np.ndarray, b: np.ndarray, connective: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """Connective ``connective[i]`` of each row pair: (K, bytes)."""
-    return np.einsum("kv,vkw->kw", _TRUTH[connective], _minterms(a, b, pad))
-
-
 def generate_candidates(
     pool: list[QuantizedFeature],
     survivors: list[Neuron] | None,
     r: int,
     labels: np.ndarray,
-    fits: tuple | None = None,
+    fits: SplitFits | None = None,
 ) -> tuple[int, CandidateLayer]:
     """Expand one layer's operand pairs through every reference connective.
 
@@ -215,9 +230,9 @@ def generate_candidates(
     pairs are expanded in one numpy step on bit-packed columns, in the order
     (operand, feature, connective).  A candidate whose column repeats a
     survivor's or an earlier candidate's is dropped: the first occurrence of
-    a column is kept.  In split mode ``fits`` holds the packed A-fit and
-    B-fit outputs ``(pool_a, pool_b, operand_a, operand_b)``, and every kept
-    candidate is scored from them.  Returns the pair count and the candidates.
+    a column is kept.  In split mode every kept candidate is scored from
+    ``fits``, whose operand rows follow ``survivors`` (or the pool at layer 1).
+    Returns the pair count and the candidates.
     """
     if not pool:
         raise DataError("no features")
@@ -247,27 +262,27 @@ def generate_candidates(
     block = np.einsum("cv,vkw->kcw", _TRUTH, planes).reshape(-1, len(pad))
     del planes
     first = _first_occurrences(_keys(block), _keys(left) if r > 1 else None)
-    kept = block[first]
     pair, connective = np.divmod(first, len(_CONNECTIVE_NAMES))
     layer = CandidateLayer(
         layer=r,
         rows=n,
         operands=operands,
-        packed=kept,
+        packed=block[first],
         errors=errors.ravel()[first],
         parent_errors=np.array([p.errors for p in parents], dtype=np.int64)[operand[pair]],
         operand=operand[pair],
         feature=feature[pair],
         connective=connective,
+        fits=fits,
     )
     if scores is not None:
         layer.unbiasedness, layer.regularity = (s.ravel()[first] for s in scores)
     return pairs, layer
 
 
-def admit(errors, parent_errors, leaf_errors) -> np.ndarray:
-    """Exterior-addition admission mask: strictly beat both operands' error counts."""
-    return np.asarray(errors) < np.minimum(parent_errors, leaf_errors)
+def admit(errors: int, parent_errors: int, leaf_errors: int) -> bool:
+    """Exterior-addition admission of one candidate: strictly beat both operands' error counts."""
+    return errors < min(parent_errors, leaf_errors)
 
 
 def default_f_cap(pairs: int, f_ratio: Fraction = Fraction(2, 5)) -> int:
@@ -344,14 +359,13 @@ def _plane_errors(planes: np.ndarray, target: np.ndarray) -> np.ndarray:
     return int(_popcount(target)) + excess.T @ _SELECTS
 
 
-def _pair_split_scores(fits: tuple, operand, feature, pad: np.ndarray, target: np.ndarray) -> tuple:
+def _pair_split_scores(fits: SplitFits, operand, feature, pad: np.ndarray, target: np.ndarray) -> tuple:
     """Unbiasedness and regularity of every connective of each (operand,
     feature) pair, (K, 10) each, from the pairs' A-fit and B-fit minterm
     planes.  Unbiasedness counts the rows of each (A plane, B plane) meeting
     whose outputs differ."""
-    pool_a, pool_b, operand_a, operand_b = fits
-    planes_a = _minterms(operand_a[operand], pool_a[feature], pad)
-    planes_b = _minterms(operand_b[operand], pool_b[feature], pad)
+    planes_a = _minterms(fits.operand_a[operand], fits.pool_a[feature], pad)
+    planes_b = _minterms(fits.operand_b[operand], fits.pool_b[feature], pad)
     joint = np.stack([_popcount(planes_a[v] & planes_b) for v in range(4)])   # (4, 4, K)
     unbiasedness = joint.reshape(16, -1).T @ _DIFFER
     return unbiasedness, _plane_errors(planes_a, target) + _plane_errors(planes_b, target)
@@ -450,14 +464,9 @@ class SynthesisReport:
 
 def _majority_misfits(members: list[Neuron], labels: np.ndarray) -> tuple[int, ...]:
     """Instances the collective's majority vote misses or cannot decide."""
-    votes = np.sum([m.column for m in members], axis=0)
-    total = len(members)
-    doubtful = []
-    for i, (n1, label) in enumerate(zip(votes.tolist(), labels.tolist())):
-        n0 = total - n1
-        if n1 == n0 or int(n1 > n0) != label:
-            doubtful.append(i)
-    return tuple(doubtful)
+    n1 = np.sum([m.column for m in members], axis=0)
+    n0 = len(members) - n1
+    return tuple(np.flatnonzero((n1 == n0) | ((n1 > n0) != (labels == 1))).tolist())
 
 
 def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[Collective, SynthesisReport]:
@@ -475,60 +484,50 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
         admitted_products = search_products(ls, base, max_p, prune=config.prune_products)
     pool = substitute(base, admitted_products)
 
-    # split mode: the packed A-fit and B-fit output columns of the pool and of
-    # the current operands; training-only state that never reaches the collective
-    split: SplitPair | None = None
+    fits: SplitFits | None = None
     if config.mode == MODE_SPLIT:
         split = split_even(ls, config.seed)
         pool_a = _pack(_subset_fit_columns(pool, split.subset_a, ls))
         pool_b = _pack(_subset_fit_columns(pool, split.subset_b, ls))
-        operand_a, operand_b = pool_a, pool_b
+        fits = SplitFits(pool_a, pool_b, pool_a, pool_b)
         target = _pack(labels)
         pool_scores = (_popcount(pool_a ^ pool_b), _popcount(pool_a ^ target) + _popcount(pool_b ^ target))
 
     # layer 0: the pool itself, deduplicated by output column
     layer0 = [
         Neuron(i, 0, pool[i].errors, pool[i].column,
-               SplitScores(int(pool_scores[0][i]), int(pool_scores[1][i])) if split is not None else None)
+               SplitScores(int(pool_scores[0][i]), int(pool_scores[1][i])) if fits is not None else None)
         for i in _first_occurrences(_keys(_pack([f.column for f in pool]))).tolist()
     ]
 
-    trace0 = LayerTrace(
-        index=0,
-        pairs=0,
-        expanded=len(pool),
-        admitted=len(layer0),
-        min_errors=min(f.errors for f in pool),
-        min_cr=min(n.criteria.cr for n in layer0) if split is not None else None,
-        survivors=layer0,
-    )
+    trace0 = LayerTrace(0, expanded=len(pool), admitted=len(layer0), survivors=layer0,
+                        min_errors=min(f.errors for f in pool),
+                        min_cr=min(n.criteria.cr for n in layer0) if fits is not None else None)
     traces = [trace0]
     best_errors = trace0.min_errors
     decision = should_stop(traces, config.mode, config.delta, config.max_layers)
 
     pool_errors = np.array([f.errors for f in pool], dtype=np.int64)
-    pad = _pack(np.ones(len(labels), dtype=bool))
     while not decision.stop:
         r = traces[-1].index + 1
         parents = traces[-1].survivors if r > 1 else None
-        fits = (pool_a, pool_b, operand_a, operand_b) if split is not None else None
         pairs, layer = generate_candidates(pool, parents, r, labels, fits)
         if config.mode == MODE_STATEMENT1:
-            admitted = admit(layer.errors, layer.parent_errors, pool_errors[layer.feature])
-            kept = np.flatnonzero(admitted & (layer.errors < best_errors))
+            # one admit call per candidate: bench/tracing.py counts admissions per call
+            admitted = list(map(admit, layer.errors.tolist(), layer.parent_errors.tolist(),
+                                pool_errors[layer.feature].tolist()))
+            kept = np.flatnonzero(np.array(admitted, dtype=bool) & (layer.errors < best_errors))
         else:
             kept = np.arange(len(layer))
         trace = LayerTrace(index=r, pairs=pairs, expanded=len(layer), admitted=len(kept))
         if len(kept):
-            cr = (layer.unbiasedness + layer.regularity)[kept] if split is not None else None
+            cr = (layer.unbiasedness + layer.regularity)[kept] if fits is not None else None
             chosen = kept[select_survivors(layer.errors[kept], default_f_cap(pairs, config.f_ratio), cr)]
             trace.survivors = layer.neurons(chosen)
             trace.min_errors = min(n.errors for n in trace.survivors)
-            if split is not None:
+            if fits is not None:
                 trace.min_cr = min(n.criteria.cr for n in trace.survivors)
-                op, k, c = layer.operand[chosen], layer.feature[chosen], layer.connective[chosen]
-                operand_a = _combine(operand_a[op], pool_a[k], c, pad)
-                operand_b = _combine(operand_b[op], pool_b[k], c, pad)
+                fits = layer.survivor_fits(chosen)
             best_errors = min(best_errors, trace.min_errors)
         traces.append(trace)
         # let the layer's candidate arrays go before the next layer is built

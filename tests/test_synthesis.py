@@ -145,8 +145,10 @@ def test_generate_rejects_bad_arguments():
 # ---------------------------------------------------------------------------
 
 def test_admission_requires_strictly_beating_both_operands():
-    mask = nr.admit(np.array([1, 2, 0, 3]), np.array([2, 2, 1, 9]), np.array([3, 5, 1, 3]))
-    assert mask.tolist() == [True, False, True, False]
+    assert nr.admit(1, 2, 3) is True
+    assert nr.admit(2, 2, 5) is False
+    assert nr.admit(0, 1, 1) is True
+    assert nr.admit(3, 9, 3) is False
 
 
 def test_default_f_cap_rounds_up_and_never_drops_below_one():
@@ -293,6 +295,25 @@ def test_bulk_split_criteria_match_the_reference_for_every_candidate(monkeypatch
         for neuron in rep.traces[0].survivors + candidates:
             assert neuron.criteria == split_criteria(neuron.expression, c.pool, split, ls)
     assert max(depths) >= 3
+
+
+def test_survivor_fits_follow_the_chosen_candidates(monkeypatch):
+    # row i of the next layer's operand fits is the A/B refit output of the
+    # i-th chosen candidate, in any order the positions are given
+    layers = _recorded_layers(monkeypatch)
+    ls, config = conjunction_set(2), nr.SynthesisConfig(mode="split", max_p=1, seed=2)
+    c, _ = nr.synthesize(ls, config)
+    split = nr.split_even(ls, config.seed)
+    fit_a = _subset_fit_columns(c.pool, split.subset_a, ls)
+    fit_b = _subset_fit_columns(c.pool, split.subset_b, ls)
+    assert len(layers) >= 2
+    for _, layer in layers:
+        positions = np.arange(len(layer))[::-3]
+        fits = layer.survivor_fits(positions)
+        for i, neuron in enumerate(layer.neurons(positions)):
+            for rows, columns in ((fits.operand_a, fit_a), (fits.operand_b, fit_b)):
+                expected = nr.eval_expr(neuron.expression, columns)
+                assert np.array_equal(np.unpackbits(rows[i], count=len(expected)).view(bool), expected)
 
 
 def test_every_layer_r_candidate_has_r_plus_one_leaves_and_depth_r(monkeypatch):
