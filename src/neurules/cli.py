@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .collective import Collective, classify, evaluate
-from .dataset import load_dataset, parse_cell, read_table
+from .dataset import load_dataset, parse_columns, read_table
 from .errors import DataError, DegenerateSplitError, ModelFormatError
 from .model_io import load_model, save_model
 from .rules import render_rules
@@ -88,12 +88,7 @@ def _values_for_model(header, rows, c: Collective, path) -> np.ndarray:
     missing = [v for v in c.variable_names if v not in header]
     if missing:
         raise DataError(f"width mismatch: {path} lacks required column(s) {missing}")
-    picks = [header.index(v) for v in c.variable_names]
-    values = np.empty((len(rows), len(picks)), dtype=np.float64)
-    for i, row in enumerate(rows):
-        for k, j in enumerate(picks):
-            values[i, k] = parse_cell(row[j], header[j], i)
-    return values
+    return parse_columns(header, rows, [header.index(v) for v in c.variable_names])
 
 
 def _cmd_train(args) -> int:

@@ -24,27 +24,19 @@ DEFAULT_CHI0 = Fraction(4, 5)
 
 @dataclass
 class Collective:
-    """Equal-error neurons plus everything needed to quantize fresh inputs.
-
-    ``weights`` is a hook for efficiency-weighted voting; members share one
-    error count by construction, so it defaults to uniform and stays None in
-    every model this package trains.
-    """
+    """Equal-error neurons plus everything needed to quantize fresh inputs."""
 
     neurons: list[Neuron]
     pool: list[QuantizedFeature]
     chi0: Fraction
     label_names: tuple[str, str]
     variable_names: tuple[str, ...]
-    weights: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         if not self.neurons:
             raise ValueError("collective needs at least one neuron")
         if not Fraction(1, 2) <= self.chi0 <= 1:
             raise ValueError(f"chi0 must lie in [1/2, 1], got {self.chi0}")
-        if self.weights is not None and len(self.weights) != len(self.neurons):
-            raise ValueError("one weight per neuron required")
 
     @property
     def size(self) -> int:
@@ -96,32 +88,28 @@ class EvalMetrics:
         }
 
 
-def quantize_input(c: Collective, x) -> tuple[int, ...]:
-    """Map one raw measurement vector to the pool's Boolean feature values."""
+def quantize_input(c: Collective, x) -> np.ndarray:
+    """Map one raw row ``(m,)`` or a matrix ``(n, m)`` to pool bits ``(|pool|,)`` or ``(n, |pool|)``."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (len(c.variable_names),):
-        raise DataError(
-            f"width mismatch: model expects {len(c.variable_names)} values, got {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
+    m = len(c.variable_names)
+    if x.ndim not in (1, 2) or x.shape[-1] != m:
+        raise DataError(f"width mismatch: model expects {m} values, got {x.shape}")
+    if not np.isfinite(x).all():
         raise DataError("non-finite value in input vector")
-    row = x.reshape(1, -1)
-    return tuple(int(f.apply(product_values(row, f.source))[0]) for f in c.pool)
+    rows = x.reshape(-1, m)
+    bits = np.array([f.apply(product_values(rows, f.source)) for f in c.pool]).T
+    return bits.reshape(x.shape[:-1] + (len(c.pool),))
 
 
-def vote(c: Collective, bits: tuple[int, ...]) -> Verdict:
-    """Tally the neurons on quantized pool bits and apply the refusal rule."""
-    scalar_bits = [np.array([b], dtype=bool) for b in bits]
-    votes = tuple(int(eval_expr(n.expression, scalar_bits)[0]) for n in c.neurons)
-    weights = c.weights if c.weights is not None else (1,) * len(votes)
-    tally = [0, 0]
-    for v, w in zip(votes, weights):
-        tally[v] += w
-    total = tally[0] + tally[1]
-    if tally[0] == tally[1]:
+def vote(c: Collective, bits) -> Verdict:
+    """Tally the neurons on one row of pool bits and apply the refusal rule."""
+    votes = tuple(int(eval_expr(n.expression, bits)) for n in c.neurons)
+    ones = sum(votes)
+    zeros = len(votes) - ones
+    if ones == zeros:
         return Verdict(None, Fraction(1, 2), votes)
-    winner = int(tally[1] > tally[0])
-    chi = Fraction(tally[winner], total)
+    winner = int(ones > zeros)
+    chi = Fraction(max(ones, zeros), len(votes))
     if chi < c.chi0:
         return Verdict(None, chi, votes)
     return Verdict(c.label_names[winner], chi, votes)
@@ -129,7 +117,10 @@ def vote(c: Collective, bits: tuple[int, ...]) -> Verdict:
 
 def classify(c: Collective, x) -> Verdict:
     """Classify one raw input vector; refuses on low coherence or an exact tie."""
-    return vote(c, quantize_input(c, x))
+    bits = quantize_input(c, x)
+    if bits.ndim != 1:
+        raise DataError(f"classify takes one row of {len(c.variable_names)} values")
+    return vote(c, bits)
 
 
 def coherence_table(c: Collective) -> CoherenceTable:
@@ -153,35 +144,46 @@ def coherence_table(c: Collective) -> CoherenceTable:
 def evaluate(c: Collective, values, labels) -> EvalMetrics:
     """Classify a labeled batch; errors count only over non-refused decisions.
 
-    ``labels`` are encoded 0/1 against the collective's label_names.  A mean
+    ``values`` is ``(n, m)`` and ``labels`` holds n entries, each 0 or 1
+    against the collective's label_names.  Rows sharing one pool-bit pattern
+    share one verdict, so the neurons vote once per distinct pattern.  A mean
     coherence below chi0 raises the quality-control warning flag: the feature
     set or the learning set needs revision.
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
-    if values.shape[0] < 1:
-        raise DataError("n >= 1 rows required")
-    verdicts = [classify(c, values[i]) for i in range(values.shape[0])]
+    if values.ndim != 2 or values.shape[0] < 1:
+        raise DataError(f"n >= 1 rows of shape (n, m) required, got {values.shape}")
+    n = values.shape[0]
+    if labels.shape != (n,) or not np.isin(labels, (0, 1)).all():
+        raise DataError(f"{n} labels required, each 0 or 1")
+    patterns, inverse = np.unique(quantize_input(c, values), axis=0, return_inverse=True)
+    inverse = inverse.reshape(n)   # numpy 2.0.0 shaped it (n, 1)
+    distinct = [vote(c, bits) for bits in patterns]
+    # rows per (pattern, label): a few dozen patterns stand for all n rows
+    counts = np.bincount(2 * inverse + labels.astype(np.intp), minlength=2 * len(distinct))
     errors = 0
     refusals = 0
     per_class = {name: 0 for name in c.label_names}
     chi_sum = Fraction(0)
-    for verdict, label in zip(verdicts, labels):
-        chi_sum += verdict.chi
+    for verdict, by_label in zip(distinct, counts.reshape(-1, 2).tolist()):
+        chi_sum += sum(by_label) * verdict.chi
         if verdict.refused:
-            refusals += 1
-        elif verdict.decision != c.label_names[int(label)]:
-            errors += 1
-            per_class[c.label_names[int(label)]] += 1
-    mean_chi = chi_sum / len(verdicts)
+            refusals += sum(by_label)
+            continue
+        for name, count in zip(c.label_names, by_label):
+            if verdict.decision != name:
+                errors += count
+                per_class[name] += count
+    mean_chi = chi_sum / n
     return EvalMetrics(
-        total=len(verdicts),
+        total=n,
         errors=errors,
         refusals=refusals,
         per_class_errors=per_class,
         mean_chi=mean_chi,
         low_coherence_warning=mean_chi < c.chi0,
-        verdicts=verdicts,
+        verdicts=[distinct[i] for i in inverse],
     )
 
 

@@ -118,14 +118,20 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def parse_cell(text: str, column: str, row: int) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise DataError(f"non-numeric value {text!r} in column {column!r}, row {row + 1}") from None
-    if not math.isfinite(value):
-        raise DataError(f"non-finite value {text!r} in column {column!r}, row {row + 1}")
-    return value
+def parse_columns(header, rows, picks) -> np.ndarray:
+    """Parse the columns at indices ``picks`` into (n, k) float64; a bad cell's
+    DataError names its column and its 1-based data row."""
+    values = np.empty((len(rows), len(picks)), dtype=np.float64)
+    for i, row in enumerate(rows):
+        for k, j in enumerate(picks):
+            try:
+                value = float(row[j])
+            except ValueError:
+                raise DataError(f"non-numeric value {row[j]!r} in column {header[j]!r}, row {i + 1}") from None
+            if not math.isfinite(value):
+                raise DataError(f"non-finite value {row[j]!r} in column {header[j]!r}, row {i + 1}")
+            values[i, k] = value
+    return values
 
 
 def load_dataset(path, label_column: str) -> LearningSet:
@@ -138,10 +144,11 @@ def load_dataset(path, label_column: str) -> LearningSet:
     if label_column not in header:
         raise DataError(f"missing label column {label_column!r} (columns: {', '.join(header)})")
     label_idx = header.index(label_column)
-    variable_names = tuple(name for i, name in enumerate(header) if i != label_idx)
+    picks = [j for j in range(len(header)) if j != label_idx]
+    variable_names = tuple(header[j] for j in picks)
     if not variable_names:
         raise DataError("at least one input variable required besides the label column")
-    blank = [i + 1 for i, name in enumerate(header) if i != label_idx and not name.strip()]
+    blank = [j + 1 for j in picks if not header[j].strip()]
     if blank:
         raise DataError(f"empty variable name in column {blank[0]} of {path}")
     if len(rows) < 2:
@@ -159,14 +166,7 @@ def load_dataset(path, label_column: str) -> LearningSet:
     if len(literals) > 2:
         raise DataError(f"label column {label_column!r} has {len(literals)} distinct values: {literals}")
 
-    values = np.empty((len(rows), len(variable_names)), dtype=np.float64)
-    for i, row in enumerate(rows):
-        k = 0
-        for j, cell in enumerate(row):
-            if j == label_idx:
-                continue
-            values[i, k] = parse_cell(cell, header[j], i)
-            k += 1
+    values = parse_columns(header, rows, picks)
     return LearningSet(values, np.asarray(labels), variable_names, (literals[0], literals[1]))
 
 

@@ -60,7 +60,7 @@ def model_to_dict(
             }
             for n in collective.neurons
         ],
-        "weights": list(collective.weights) if collective.weights is not None else None,
+        "weights": None,   # format 1 keeps the key; the vote is unweighted
         "config": dict(config) if config is not None else {},
         "report": report,
     }
@@ -72,6 +72,8 @@ def dict_to_model(data: dict) -> LoadedModel:
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version: {version!r}")
+    if data.get("weights") is not None:
+        raise ModelFormatError("vote weights are not supported: 'weights' must be null")
     try:
         variable_names = tuple(data["variable_names"])
         pool = [
@@ -103,14 +105,12 @@ def dict_to_model(data: dict) -> LoadedModel:
             outside = sorted(k for k in n.leaves if not 0 <= k < len(pool))
             if outside:
                 raise ModelFormatError(f"neuron leaf {outside[0]} is outside the pool of {len(pool)}")
-        weights = data.get("weights")
         collective = Collective(
             neurons=neurons,
             pool=pool,
             chi0=Fraction(data["chi0"]),
             label_names=tuple(data["label_names"]),
             variable_names=variable_names,
-            weights=tuple(int(w) for w in weights) if weights is not None else None,
         )
     except ModelFormatError:
         raise

@@ -147,13 +147,10 @@ def _render_dnf(
 def neuron_rule(index: int, neuron: Neuron, c: Collective) -> NeuronRule:
     """Minimize one neuron into a NeuronRule with rendered text."""
     leaf_order = tuple(sorted(neuron.leaves))
-    minterms = []
-    for bits in product((0, 1), repeat=len(leaf_order)):
-        columns: list = [None] * len(c.pool)
-        for leaf, bit in zip(leaf_order, bits):
-            columns[leaf] = np.array([bit], dtype=bool)
-        if eval_expr(neuron.expression, columns)[0]:
-            minterms.append(bits)
+    rows = list(product((0, 1), repeat=len(leaf_order)))
+    enumeration = np.array(rows, dtype=bool)
+    truth = eval_expr(neuron.expression, {leaf: enumeration[:, i] for i, leaf in enumerate(leaf_order)})
+    minterms = [bits for bits, true in zip(rows, truth) if true]
     terms = tuple(minimal_cover(minterms, prime_implicants(minterms))) if minterms else ()
     dnf = _render_dnf(terms, leaf_order, c.pool, c.variable_names)
     text = (

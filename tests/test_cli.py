@@ -146,6 +146,15 @@ def test_predict_missing_required_column_exits_2(demo_path, tmp_path, capsys):
     assert "width mismatch" in capsys.readouterr().err
 
 
+def test_predict_names_the_bad_cell_and_exits_2(demo_path, tmp_path, capsys):
+    _, out = _train(demo_path, tmp_path)
+    fresh = tmp_path / "fresh.csv"
+    fresh.write_text("x2,x1\n55,1.5\n60,tall\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["predict", "--model", str(out), "--data", str(fresh)]) == 2
+    assert capsys.readouterr().err == "error: non-numeric value 'tall' in column 'x1', row 2\n"
+
+
 def test_eval_with_unknown_class_literal_exits_2(demo_path, tmp_path, capsys):
     _, out = _train(demo_path, tmp_path)
     odd = tmp_path / "odd.csv"
@@ -239,6 +248,7 @@ _UNTRUSTED = {
     "empty-source": (lambda p: p["pool"][0].__setitem__("source", []), "non-empty list"),
     "nan-threshold": (lambda p: p["pool"][0].__setitem__("threshold", float("nan")), "non-finite threshold"),
     "infinite-threshold": (lambda p: p["pool"][0].__setitem__("threshold", float("inf")), "non-finite threshold"),
+    "vote-weights": (lambda p: p.__setitem__("weights", [1]), "'weights' must be null"),
 }
 
 

@@ -1,13 +1,18 @@
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neurules as nr
 from neurules.collective import coherence_table, quantize_input, vote
 
 from helpers import eval_bits
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _feature(j, threshold=0.5):
@@ -15,7 +20,7 @@ def _feature(j, threshold=0.5):
     return nr.QuantizedFeature((j,), threshold, "ge", 0, col)
 
 
-def _collective(exprs, k=2, chi0=Fraction(4, 5), weights=None, names=None):
+def _collective(exprs, k=2, chi0=Fraction(4, 5), names=None):
     col = np.zeros(2, dtype=bool)
     neurons = [nr.Neuron(e, 1, 0, col) for e in exprs]
     pool = [_feature(j) for j in range(k)]
@@ -25,7 +30,6 @@ def _collective(exprs, k=2, chi0=Fraction(4, 5), weights=None, names=None):
         chi0=chi0,
         label_names=("neg", "pos"),
         variable_names=names or tuple(f"x{j + 1}" for j in range(k)),
-        weights=weights,
     )
 
 
@@ -34,8 +38,6 @@ def test_collective_validation():
         _collective([])
     with pytest.raises(ValueError, match="chi0"):
         _collective([0], chi0=Fraction(1, 4))
-    with pytest.raises(ValueError, match="one weight per neuron"):
-        _collective([0, 1], weights=(1,))
 
 
 def test_single_voter_always_has_full_coherence():
@@ -64,15 +66,10 @@ def test_exact_rational_threshold_boundary():
 
 
 def test_even_ties_are_refused_at_one_half():
-    c = _collective([0, ("NAND", 0, 0)])
-    v = vote(c, (1, 0))
-    assert v.refused and v.chi == Fraction(1, 2)
-
-
-def test_weighted_votes_shift_the_outcome():
-    c = _collective([0, ("NAND", 0, 0)], weights=(3, 1), chi0=Fraction(3, 4))
-    v = vote(c, (1, 0))
-    assert v.decision == "pos" and v.chi == Fraction(3, 4)
+    for chi0 in (Fraction(4, 5), Fraction(1, 2)):
+        c = _collective([0, ("NAND", 0, 0)], chi0=chi0)
+        v = vote(c, (1, 0))
+        assert v.refused and v.chi == Fraction(1, 2)
 
 
 def test_vote_bookkeeping_and_chi_range():
@@ -110,8 +107,10 @@ def test_quantize_input_respects_thresholds_and_products():
         nr.QuantizedFeature((0, 1), 6.0, "lt", 0, col),
     ]
     c = nr.Collective([nr.Neuron(0, 0, 0, col)], pool, Fraction(4, 5), ("a", "b"), ("x1", "x2"))
-    assert quantize_input(c, [3.0, 1.0]) == (1, 1)   # 3 >= 2; 3*1 < 6
-    assert quantize_input(c, [1.0, 7.0]) == (0, 0)   # 1 < 2; 7 >= 6
+    assert quantize_input(c, [3.0, 1.0]).tolist() == [True, True]   # 3 >= 2; 3*1 < 6
+    assert quantize_input(c, [1.0, 7.0]).tolist() == [False, False]   # 1 < 2; 7 >= 6
+    # a matrix quantizes row by row
+    assert quantize_input(c, [[3.0, 1.0], [1.0, 7.0]]).tolist() == [[True, True], [False, False]]
 
 
 def test_coherence_table_matches_manual_vote_counts():
@@ -184,6 +183,58 @@ def test_evaluate_requires_rows():
     c = _collective([0])
     with pytest.raises(nr.DataError, match="n >= 1"):
         nr.evaluate(c, np.zeros((0, 2)), [])
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [lambda ls: ls.labels[:2], lambda ls: np.full(ls.n, -1), lambda ls: np.full(ls.n, 2)],
+    ids=["too-few-labels", "label-minus-one", "label-two"],
+)
+def test_evaluate_rejects_labels_that_are_not_one_0_or_1_per_row(demo_path, labels):
+    ls = nr.load_dataset(demo_path, "sex")
+    c, _ = nr.synthesize(ls)
+    with pytest.raises(nr.DataError, match=f"{ls.n} labels required, each 0 or 1"):
+        nr.evaluate(c, ls.values, labels(ls))
+
+
+@pytest.fixture(scope="module")
+def golden_models(tmp_path_factory):
+    """Each golden model as loaded, and again after a save/load round trip."""
+    tmp = tmp_path_factory.mktemp("golden")
+    models = {}
+    for path in sorted(GOLDEN.glob("*.json")):
+        c = nr.load_model(path).collective
+        nr.save_model(tmp / path.name, c)
+        models[path.stem] = (c, nr.load_model(tmp / path.name).collective)
+    return models
+
+
+@st.composite
+def _raw_rows(draw, c):
+    """1-20 raw rows; cells are plain floats, pool thresholds or 1.0, so
+    single and product cuts are often hit exactly and rows often repeat."""
+    exact = sorted({f.threshold for f in c.pool} | {1.0})
+    cell = st.one_of(st.floats(-10, 10), st.sampled_from(exact))
+    width = len(c.variable_names)
+    return draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=20))
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.json")))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_evaluate_votes_like_classify_per_row_and_after_a_round_trip(golden_models, name, data):
+    c, reloaded = golden_models[name]
+    rows = data.draw(_raw_rows(c))
+    labels = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    expected = [nr.classify(c, x) for x in rows]
+    metrics = nr.evaluate(c, rows, labels)
+    assert metrics.verdicts == expected
+    assert metrics.refusals == sum(v.refused for v in expected)
+    assert metrics.errors == sum(
+        not v.refused and v.decision != c.label_names[y] for v, y in zip(expected, labels)
+    )
+    assert metrics.mean_chi == sum(v.chi for v in expected) / len(rows)
+    assert nr.evaluate(reloaded, rows, labels).verdicts == expected
 
 
 def test_evaluate_set_remaps_label_literals(demo_path):

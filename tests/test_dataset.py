@@ -72,6 +72,10 @@ def test_non_numeric_and_non_finite_cells(tmp_path):
     p.write_text("a,cls\ninf,x\n2,y\n")
     with pytest.raises(nr.DataError, match="non-finite"):
         nr.load_dataset(p, "cls")
+    # the message names the column and the 1-based data row
+    p.write_text("cls,a,b\nx,1,2\ny,3,nan\n")
+    with pytest.raises(nr.DataError, match="non-finite value 'nan' in column 'b', row 2$"):
+        nr.load_dataset(p, "cls")
 
 
 def test_ragged_row_rejected(tmp_path):

@@ -26,7 +26,6 @@ def _small_collective():
         chi0=Fraction(4, 5),
         label_names=("F", "M"),
         variable_names=("x1", "x2"),
-        weights=(2, 1),
     )
 
 
@@ -37,7 +36,6 @@ def test_dict_round_trip_preserves_everything():
     assert d.label_names == c.label_names
     assert d.variable_names == c.variable_names
     assert d.chi0 == c.chi0 and isinstance(d.chi0, Fraction)
-    assert d.weights == c.weights
     assert [n.expression for n in d.neurons] == [n.expression for n in c.neurons]
     assert [(n.layer, n.errors) for n in d.neurons] == [(0, 0), (2, 1)]
     for got, want in zip(d.pool, c.pool):
@@ -118,16 +116,16 @@ def test_missing_file_raises_oserror(tmp_path):
         nr.load_model(tmp_path / "absent.json")
 
 
-def test_absent_weights_stay_absent():
-    c = nr.Collective(
-        [nr.Neuron(0, 0, 0, np.zeros(1, dtype=bool))],
-        [nr.QuantizedFeature((0,), 1.0, "ge", 0, np.zeros(1, dtype=bool))],
-        Fraction(4, 5),
-        ("n", "y"),
-        ("x1",),
-    )
-    loaded = dict_to_model(model_to_dict(c)).collective
-    assert loaded.weights is None
+def test_loader_accepts_null_weights_and_rejects_others():
+    payload = model_to_dict(_small_collective())
+    assert payload["weights"] is None
+    dict_to_model(payload)
+    del payload["weights"]
+    dict_to_model(payload)
+    for weights in ([1, 1], [], 0):
+        payload["weights"] = weights
+        with pytest.raises(nr.ModelFormatError, match="'weights' must be null"):
+            dict_to_model(payload)
 
 
 def test_trained_demo_model_round_trips(demo_path, tmp_path):
