@@ -154,13 +154,14 @@ def _cmd_eval(args) -> int:
     if label_column not in header:
         raise DataError(f"label column {label_column!r} missing from {args.data}")
     li = header.index(label_column)
+    codes = {name: code for code, name in enumerate(c.label_names)}
     literals = [row[li] for row in rows]
-    unknown = sorted(set(literals) - set(c.label_names))
+    unknown = sorted(set(literals) - codes.keys())
     if unknown:
         raise DataError(
             f"unknown class literal(s) {unknown}; the model knows {list(c.label_names)}"
         )
-    labels = [c.label_names.index(t) for t in literals]
+    labels = np.fromiter(map(codes.__getitem__, literals), dtype=np.uint8, count=len(literals))
     values = _values_for_model(header, rows, c, args.data)
     metrics = evaluate(c, values, labels)
     print(json.dumps(metrics.to_dict(), indent=2))

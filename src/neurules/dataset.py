@@ -120,18 +120,24 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
 
 def parse_columns(header, rows, picks) -> np.ndarray:
     """Parse the columns at indices ``picks`` into (n, k) float64; a bad cell's
-    DataError names its column and its 1-based data row."""
-    values = np.empty((len(rows), len(picks)), dtype=np.float64)
-    for i, row in enumerate(rows):
-        for k, j in enumerate(picks):
+    DataError names the first bad cell in row order, by its column and its
+    1-based data row."""
+    cells = (row[j] for row in rows for j in picks)
+    try:
+        values = np.fromiter(map(float, cells), dtype=np.float64, count=len(rows) * len(picks))
+    except ValueError:
+        values = None
+    if values is not None and np.isfinite(values).all():
+        return values.reshape(len(rows), len(picks))
+    for i, row in enumerate(rows):   # name the first bad cell in row order
+        for j in picks:
             try:
                 value = float(row[j])
             except ValueError:
                 raise DataError(f"non-numeric value {row[j]!r} in column {header[j]!r}, row {i + 1}") from None
             if not math.isfinite(value):
                 raise DataError(f"non-finite value {row[j]!r} in column {header[j]!r}, row {i + 1}")
-            values[i, k] = value
-    return values
+    raise AssertionError("no bad cell found on the second pass")
 
 
 def load_dataset(path, label_column: str) -> LearningSet:
@@ -154,20 +160,16 @@ def load_dataset(path, label_column: str) -> LearningSet:
     if len(rows) < 2:
         raise DataError("n >= 2 required")
 
-    literals: list[str] = []
-    labels = []
-    for row in rows:
-        lit = row[label_idx]
-        if lit not in literals:
-            literals.append(lit)
-        labels.append(literals.index(lit))
+    codes: dict[str, int] = {}   # literal -> code, in first-occurrence order
+    labels = [codes.setdefault(row[label_idx], len(codes)) for row in rows]
+    literals = list(codes)
     if len(literals) == 1:
         raise DataError(f"single-class dataset: label column {label_column!r} holds only {literals[0]!r}")
     if len(literals) > 2:
         raise DataError(f"label column {label_column!r} has {len(literals)} distinct values: {literals}")
 
     values = parse_columns(header, rows, picks)
-    return LearningSet(values, np.asarray(labels), variable_names, (literals[0], literals[1]))
+    return LearningSet(values, np.array(labels, dtype=np.uint8), variable_names, (literals[0], literals[1]))
 
 
 def save_dataset(ls: LearningSet, path, label_column: str = "label") -> None:
@@ -202,6 +204,23 @@ def split_even(ls: LearningSet, seed: int) -> SplitPair:
     return SplitPair(tuple(sorted(sides[0])), tuple(sorted(sides[1])))
 
 
+def group_rows(bits) -> tuple[np.ndarray, np.ndarray]:
+    """Group the rows of an (n, k) Boolean matrix by bit pattern, for any k >= 1.
+
+    Returns ``(first, inverse)``: the index of one row per distinct pattern,
+    in lexicographic pattern order, and each row's pattern number.  Rows are
+    compared as packed bytes, sorted by one ``np.lexsort``.
+    """
+    packed = np.packbits(np.asarray(bits, dtype=bool), axis=1)
+    order = np.lexsort(packed.T[::-1])   # lexsort's last key is its first
+    ranked = packed[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
+
+
 def contradiction_bound(ls: LearningSet, features) -> int:
     """Minimum error any Boolean function of the given quantized features can reach.
 
@@ -211,16 +230,6 @@ def contradiction_bound(ls: LearningSet, features) -> int:
     """
     if not features:
         raise DataError("no features")
-    columns = np.stack([np.asarray(f.column, dtype=bool) for f in features], axis=1)
-    groups: Counter[tuple] = Counter()
-    for i in range(ls.n):
-        key = (tuple(columns[i].tolist()), int(ls.labels[i]))
-        groups[key] += 1
-    bound = 0
-    seen = set()
-    for (vec, _), _ in groups.items():
-        if vec in seen:
-            continue
-        seen.add(vec)
-        bound += min(groups.get((vec, 0), 0), groups.get((vec, 1), 0))
-    return bound
+    first, inverse = group_rows(np.stack([f.column for f in features], axis=1))
+    counts = np.bincount(2 * inverse + ls.labels, minlength=2 * len(first)).reshape(-1, 2)
+    return int(counts.min(axis=1).sum())

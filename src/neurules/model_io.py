@@ -75,7 +75,7 @@ def dict_to_model(data: dict) -> LoadedModel:
     if data.get("weights") is not None:
         raise ModelFormatError("vote weights are not supported: 'weights' must be null")
     try:
-        variable_names = tuple(data["variable_names"])
+        variable_names = _names(data["variable_names"], "variable_names")
         pool = [
             QuantizedFeature(
                 source=_source(f["source"], len(variable_names)),
@@ -109,16 +109,25 @@ def dict_to_model(data: dict) -> LoadedModel:
             neurons=neurons,
             pool=pool,
             chi0=Fraction(data["chi0"]),
-            label_names=tuple(data["label_names"]),
+            label_names=_names(data["label_names"], "label_names"),
             variable_names=variable_names,
         )
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
-    if len(collective.label_names) != 2:
+    if len(set(collective.label_names)) != 2:
         raise ModelFormatError("model must name exactly two classes")
-    return LoadedModel(collective, dict(data.get("config") or {}), data.get("report"))
+    config = data.get("config") or {}
+    if not isinstance(config, dict):
+        raise ModelFormatError("model config must be a JSON object")
+    return LoadedModel(collective, dict(config), data.get("report"))
+
+
+def _names(data, key: str) -> tuple[str, ...]:
+    if not isinstance(data, list) or not all(isinstance(name, str) for name in data):
+        raise ModelFormatError(f"{key} must be a list of strings")
+    return tuple(data)
 
 
 def _source(data, m: int) -> tuple[int, ...]:

@@ -7,10 +7,14 @@ they check.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 
 import numpy as np
+from hypothesis import strategies as st
 
 import neurules as nr
+from neurules.errors import DataError
 from neurules.model_io import model_to_dict
 
 
@@ -164,3 +168,47 @@ def golden_model_text(ls: nr.LearningSet, config: nr.SynthesisConfig) -> str:
     collective, report = nr.synthesize(ls, config)
     payload = model_to_dict(collective, report=report.to_dict(), config=config.to_dict())
     return json.dumps(payload, indent=2) + "\n"
+
+
+def parse_cells_per_cell(header, rows, picks) -> np.ndarray:
+    """Reference CSV cell parser: one ``float()`` per cell, in row order, and
+    the first bad cell named by its column and 1-based data row."""
+    values = np.empty((len(rows), len(picks)), dtype=np.float64)
+    for i, row in enumerate(rows):
+        for k, j in enumerate(picks):
+            try:
+                value = float(row[j])
+            except ValueError:
+                raise DataError(f"non-numeric value {row[j]!r} in column {header[j]!r}, row {i + 1}") from None
+            if not math.isfinite(value):
+                raise DataError(f"non-finite value {row[j]!r} in column {header[j]!r}, row {i + 1}")
+            values[i, k] = value
+    return values
+
+
+def counter_contradiction_bound(labels, columns) -> int:
+    """Reference contradiction floor: count (bit row, label) pairs with a
+    Counter over tuples, then sum the minority count of each bit row."""
+    groups: Counter = Counter()
+    for i, y in enumerate(labels):
+        groups[(tuple(bool(c[i]) for c in columns), int(y))] += 1
+    rows = {vec for vec, _ in groups}
+    return sum(min(groups[(vec, 0)], groups[(vec, 1)]) for vec in rows)
+
+
+# float() accepts each of these; each bad cell is non-numeric or non-finite
+GOOD_CELLS = (" 1.5 ", "1_0", "+3", "1E-5", ".5", "6.", "-0.0", "1e308")
+BAD_CELLS = ("abc", "", "nan", "inf", "-Infinity", "1e999", " NaN ", "1__0")
+
+
+@st.composite
+def cell_tables(draw, min_rows=1, min_bad=0):
+    """Rows of 1-4 numeric text cells (float reprs and the GOOD_CELLS forms),
+    with ``min_bad``-3 BAD_CELLS written over cells at random positions."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(min_rows, 8))
+    good = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), st.sampled_from(GOOD_CELLS))
+    rows = draw(st.lists(st.lists(good, min_size=k, max_size=k), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(min_bad, 3))):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, k - 1))] = draw(st.sampled_from(BAD_CELLS))
+    return rows

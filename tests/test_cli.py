@@ -1,15 +1,28 @@
+import copy
 import csv
 import io
 import json
 import shutil
 import subprocess
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from functools import reduce
+from operator import getitem
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neurules as nr
 from neurules.cli import main
+from neurules.errors import ModelFormatError
+from neurules.model_io import dict_to_model
+
+from helpers import cell_tables, parse_cells_per_cell
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _train(demo_path, tmp_path, *extra):
@@ -278,3 +291,114 @@ def test_saved_models_refuse_non_finite_numbers(tmp_path):
     )
     with pytest.raises(ValueError, match="not JSON compliant"):
         nr.save_model(tmp_path / "m.json", collective)
+
+
+def _run(argv) -> tuple[int, str, str]:
+    """main(argv) with its stdout and stderr captured, for hypothesis tests."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+@pytest.fixture(scope="module")
+def cell_models(tmp_path_factory):
+    """A directory, and a model over variables c0..c{k-1} for each k in 1-4."""
+    tmp = tmp_path_factory.mktemp("cells")
+    models = {}
+    for k in range(1, 5):
+        rows = [[str(i * (j + 1)) for j in range(k)] + ["ab"[i >= 3]] for i in range(6)]
+        _write_csv(tmp / "train.csv", [f"c{j}" for j in range(k)] + ["label"], rows)
+        models[k] = tmp / f"model{k}.json"
+        code, _, _ = _run(["train", "--data", str(tmp / "train.csv"), "--label", "label", "--out", str(models[k])])
+        assert code == 0
+    return tmp, models
+
+
+@settings(max_examples=60, deadline=None)
+@given(cells=cell_tables(min_rows=2, min_bad=1), data=st.data())
+def test_train_predict_and_eval_name_the_reference_bad_cell(cell_models, cells, data):
+    tmp, models = cell_models
+    k = len(cells[0])
+    at = data.draw(st.integers(0, k))
+    names = [f"c{j}" for j in range(k)]
+    header = names[:at] + ["label"] + names[at:]
+    rows = [row[:at] + ["ab"[i % 2]] + row[at:] for i, row in enumerate(cells)]
+    with pytest.raises(nr.DataError) as reference:
+        parse_cells_per_cell(header, rows, [header.index(v) for v in names])
+    path = tmp / "data.csv"
+    _write_csv(path, header, rows)
+    for argv in (
+        ["train", "--data", str(path), "--label", "label", "--out", str(tmp / "fresh.json")],
+        ["predict", "--model", str(models[k]), "--data", str(path)],
+        ["eval", "--model", str(models[k]), "--data", str(path)],
+    ):
+        assert _run(argv) == (2, "", f"error: {reference.value}\n"), argv[0]
+
+
+# replacement values for a mutated model field: every JSON type, huge and
+# non-finite numbers, and indices just outside any pool or variable list
+_ODD_VALUES = (None, True, False, 0, -1, 1.5, 10**400, -(10**400), float("nan"), float("inf"),
+               float("-inf"), "", "x", "4/5", [], [0], {}, {"a": 1})
+
+
+def _paths(node, path=()):
+    """Every path into a JSON tree, except the inside of the training report."""
+    yield path
+    if path[:1] == ("report",):
+        return
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield from _paths(child, path + (key,))
+    elif isinstance(node, list):
+        for i, child in enumerate(node):
+            yield from _paths(child, path + (i,))
+
+
+@st.composite
+def _mutated_model(draw, payload):
+    """The payload after 1-3 mutations: a deleted key or item, a value
+    swapped for one of another type, or a number pushed out of range."""
+    payload = copy.deepcopy(payload)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from([p for p in _paths(payload) if p]))
+        parent, key = reduce(getitem, path[:-1], payload), path[-1]
+        action = draw(st.sampled_from(["delete", "swap", "shift"]))
+        if action == "delete":
+            del parent[key]
+        elif action == "shift" and type(parent[key]) in (int, float):
+            parent[key] += draw(st.sampled_from([-(10**6), -7, -1, 1, 7, 10**6]))
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+    return json.loads(json.dumps(payload))   # as a model file would read back
+
+
+_GOLDEN_PAYLOADS = {p.stem: json.loads(p.read_text(encoding="utf-8")) for p in sorted(GOLDEN.glob("*.json"))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mutated_golden_models_fail_only_with_model_format_errors(cell_models, data):
+    tmp, _ = cell_models
+    name = data.draw(st.sampled_from(sorted(_GOLDEN_PAYLOADS)))
+    payload = data.draw(_mutated_model(_GOLDEN_PAYLOADS[name]))
+    try:
+        dict_to_model(payload)
+        accepted = True
+    except ModelFormatError:
+        accepted = False
+    model, rows = tmp / "mutated.json", tmp / "rows.csv"
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    _write_csv(rows, [f"x{j}" for j in range(1, 7)], [["0.5", "-1", "2", "3", "0", "1"]] * 3)
+    for argv in (["predict", "--model", str(model), "--data", str(rows)], ["rules", "--model", str(model)]):
+        code, out, err = _run(argv)
+        if accepted:
+            assert code in (0, 2) and err.count("\n") <= 1, (argv[0], err)
+        else:
+            assert (code, out) == (4, ""), argv[0]
+            assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -237,6 +237,44 @@ def test_evaluate_votes_like_classify_per_row_and_after_a_round_trip(golden_mode
     assert nr.evaluate(reloaded, rows, labels).verdicts == expected
 
 
+def _random_expression(rng, k):
+    """A random tree over 1-4 leaves that always holds the first and last
+    pool bits, so both ends of the packed pattern matter."""
+    leaves = [0, k - 1] + [int(j) for j in rng.integers(0, k, size=int(rng.integers(0, 3)))]
+    expr = leaves[0]
+    for leaf in leaves[1:]:
+        name = str(rng.choice(list(nr.CONNECTIVES)))
+        expr = (name, expr, leaf) if rng.random() < 0.5 else (name, leaf, expr)
+    return expr
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17])
+def test_evaluate_matches_per_row_classify_for_any_pool_width(width, seed):
+    rng = np.random.default_rng(100 * width + seed)
+    size = int(rng.choice([1, 3, 4, 5, 7]))
+    chi0 = (Fraction(1, 2), Fraction(3, 5), Fraction(4, 5), Fraction(1))[seed % 4]
+    c = _collective([_random_expression(rng, width) for _ in range(size)], k=width, chi0=chi0)
+    # few distinct bit rows, many differing only in the last pool bit
+    n = int(rng.integers(1, 120))
+    base = rng.integers(0, 2, size=(5, width))
+    bits = base[rng.integers(0, 5, size=n)]
+    bits[:, -1] ^= rng.integers(0, 2, size=n)
+    values = bits + rng.uniform(-0.4, 0.4, size=bits.shape)
+    labels = rng.integers(0, 2, size=n)
+    expected = [nr.classify(c, x) for x in values]
+    metrics = nr.evaluate(c, values, labels)
+    assert metrics.verdicts == expected
+    assert metrics.refusals == sum(v.refused for v in expected)
+    per_class = {name: 0 for name in c.label_names}
+    for v, y in zip(expected, labels):
+        if not v.refused and v.decision != c.label_names[y]:
+            per_class[c.label_names[y]] += 1
+    assert metrics.per_class_errors == per_class
+    assert metrics.errors == sum(per_class.values())
+    assert metrics.mean_chi == sum(v.chi for v in expected) / n
+
+
 def test_evaluate_set_remaps_label_literals(demo_path):
     ls = nr.load_dataset(demo_path, "sex")
     c, _ = nr.synthesize(ls)

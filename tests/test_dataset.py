@@ -5,9 +5,16 @@ from hypothesis import strategies as st
 
 import neurules as nr
 from neurules.cli import main
-from neurules.dataset import read_table
+from neurules.dataset import parse_columns, read_table
 
-from helpers import contradiction_set, random_set
+from helpers import (
+    cell_tables,
+    contradiction_set,
+    counter_contradiction_bound,
+    golden_cases,
+    parse_cells_per_cell,
+    random_set,
+)
 
 
 def test_load_demo_shapes_and_names(demo_path):
@@ -185,6 +192,75 @@ def test_bound_never_exceeds_any_feature_errors():
         bound = nr.contradiction_bound(ls, features)
         assert all(bound <= f.errors for f in features)
 
+
+
+def _bound_pair(ls, features):
+    columns = [f.column for f in features]
+    return nr.contradiction_bound(ls, features), counter_contradiction_bound(ls.labels, columns)
+
+
+def test_contradiction_bound_matches_the_counter_reference_on_random_and_golden_pools():
+    for seed in range(10):
+        ls = random_set(seed)
+        got, expected = _bound_pair(ls, [nr.quantize_source(ls, (j,)) for j in range(ls.m)])
+        assert got == expected
+        ls, k = contradiction_set(seed)
+        got, expected = _bound_pair(ls, [nr.quantize_source(ls, (j,)) for j in range(ls.m)])
+        assert got == expected == k
+    for name, ls, config in golden_cases():
+        c, _ = nr.synthesize(ls, config)
+        got, expected = _bound_pair(ls, c.pool)
+        assert got == expected, name
+
+
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17, 20])
+def test_contradiction_bound_matches_the_counter_reference_on_wide_pools(width):
+    # few distinct bit rows, some differing only in the last pool bit, so
+    # collisions are many and a dropped byte or bit would merge groups
+    rng = np.random.default_rng(width)
+    for _ in range(5):
+        n = int(rng.integers(2, 80))
+        base = rng.integers(0, 2, size=(4, width)).astype(bool)
+        bits = base[rng.integers(0, 4, size=n)]
+        bits[:, -1] ^= rng.random(n) < 0.5
+        labels = rng.integers(0, 2, size=n).astype(np.uint8)
+        labels[:2] = 0, 1
+        ls = nr.from_arrays(bits.astype(float), labels)
+        pool = [nr.QuantizedFeature((j,), 0.5, "ge", 0, bits[:, j]) for j in range(width)]
+        got, expected = _bound_pair(ls, pool)
+        assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=cell_tables(), data=st.data())
+def test_parse_columns_agrees_with_the_per_cell_reference(cells, data):
+    # the label column sits anywhere; picks come in any order
+    k = len(cells[0])
+    at = data.draw(st.integers(0, k))
+    names = [f"c{j}" for j in range(k)]
+    header = names[:at] + ["label"] + names[at:]
+    rows = [row[:at] + ["a"] + row[at:] for row in cells]
+    picks = data.draw(st.permutations([j for j in range(k + 1) if j != at]))
+    try:
+        expected = parse_cells_per_cell(header, rows, picks)
+    except nr.DataError as exc:
+        with pytest.raises(nr.DataError) as got:
+            parse_columns(header, rows, picks)
+        assert str(got.value) == str(exc)
+    else:
+        values = parse_columns(header, rows, picks)
+        assert values.shape == expected.shape and values.tobytes() == expected.tobytes()
+
+
+def test_labels_are_encoded_in_first_occurrence_order(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text("a,cls\n1,yes\n2,no\n3,yes\n4,no\n")
+    ls = nr.load_dataset(p, "cls")
+    assert ls.label_names == ("yes", "no")
+    assert ls.labels.tolist() == [0, 1, 0, 1]
+    p.write_text("a,cls\n1,x\n2,y\n3,z\n4,x\n")
+    with pytest.raises(nr.DataError, match=r"3 distinct values: \['x', 'y', 'z'\]"):
+        nr.load_dataset(p, "cls")
 
 
 def test_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path, capsys):
