@@ -21,7 +21,6 @@ from .collective import (
 from .dataset import (
     LearningSet,
     SplitPair,
-    contradiction_bound,
     from_arrays,
     load_dataset,
     save_dataset,
@@ -37,13 +36,13 @@ from .features import (
 )
 from .model_io import FORMAT_VERSION, LoadedModel, load_model, save_model
 from .neurons import CONNECTIVES, Neuron, SplitScores, apply_connective, eval_expr
-from .quantization import GE, LT, QuantizedFeature, quantize, quantize_source
+from .quantization import GE, LT, QuantizedFeature, contradiction_bound, quantize, quantize_source
 from .rules import NeuronRule, extract_rules, render_rules
 from .synthesis import (
     CandidateLayer,
     LayerTrace,
-    SplitFits,
     StopDecision,
+    Survivors,
     SynthesisConfig,
     SynthesisReport,
     admit,
@@ -77,12 +76,12 @@ __all__ = [
     "Neuron",
     "NeuronRule",
     "QuantizedFeature",
-    "SplitFits",
     "SplitPair",
     "SplitScores",
     "StopDecision",
     "SynthesisConfig",
     "SynthesisReport",
+    "Survivors",
     "Verdict",
     "admit",
     "admit_generalized",

@@ -136,13 +136,20 @@ def coherence_table(c: Collective) -> CoherenceTable:
     k = len(c.pool)
     if k > 20:
         raise ValueError(f"table too large: 2^{k} combinations")
-    rows: dict[tuple[int, ...], Fraction] = {}
-    refused = 0
-    for bits in product((0, 1), repeat=k):
-        verdict = vote(c, bits)
-        rows[bits] = verdict.chi
-        refused += verdict.refused
-    return CoherenceTable(rows, Fraction(refused, 2 ** k))
+    patterns = list(product((0, 1), repeat=k))
+    verdicts = _pattern_verdicts(c, np.array(patterns, dtype=bool).T)
+    rows = {bits: verdict.chi for bits, verdict in zip(patterns, verdicts)}
+    return CoherenceTable(rows, Fraction(sum(v.refused for v in verdicts), 2 ** k))
+
+
+def _pattern_verdicts(c: Collective, columns: np.ndarray) -> list[Verdict]:
+    """One verdict per pool-bit pattern, from the columns ``(|pool|, patterns)``:
+    each neuron is evaluated once over all the patterns."""
+    # called through its module, not this one's name: the benchmark's tracer
+    # wraps that name as the per-row vote, and its self-check swaps vote out
+    # and deletes the name to simulate a refactor of the vote alone
+    votes = np.array([neurons.eval_expr(n.expression, columns) for n in c.neurons], dtype=np.uint8)
+    return [_tally(c, tuple(pattern_votes)) for pattern_votes in votes.T.tolist()]
 
 
 def evaluate(c: Collective, values, labels) -> EvalMetrics:
@@ -164,12 +171,7 @@ def evaluate(c: Collective, values, labels) -> EvalMetrics:
         raise DataError(f"{n} labels required, each 0 or 1")
     bits = quantize_input(c, values)
     first, inverse = group_rows(bits)
-    columns = bits[first].T
-    # called through its module, not this one's name: the benchmark's tracer
-    # wraps that name as the per-row vote, and its self-check swaps vote out
-    # and deletes the name to simulate a refactor of the vote alone
-    votes = np.array([neurons.eval_expr(n.expression, columns) for n in c.neurons], dtype=np.uint8)
-    distinct = [_tally(c, tuple(pattern_votes)) for pattern_votes in votes.T.tolist()]
+    distinct = _pattern_verdicts(c, bits[first].T)
     # rows per (pattern, label): a few dozen patterns stand for all n rows
     counts = np.bincount(2 * inverse + labels.astype(np.intp), minlength=2 * len(distinct))
     errors = 0

@@ -1,4 +1,4 @@
-"""Labeled learning-set ingestion, validation, partitioning, and error floors.
+"""Labeled learning-set ingestion, validation, partitioning, and row grouping.
 
 The learning set is a small table of quantitative measurements with a binary
 teacher label.  It is immutable after construction, so any number of workers
@@ -11,7 +11,6 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -99,15 +98,18 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
     """Read a headered CSV into (header, rows).  Raises FileNotFoundError as-is.
 
     A leading UTF-8 byte-order mark is dropped; repeated column names are a
-    DataError, since a column could then not be told from its namesake.
+    DataError, since a column could then not be told from its namesake, and
+    so are bytes that are not UTF-8 and a cell beyond csv's field size limit.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            rows = [row for row in reader if row]
         except StopIteration:
             raise DataError(f"empty file: {path}") from None
-        rows = [row for row in reader if row]
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path} is not a readable UTF-8 CSV table: {exc}") from None
     repeated = sorted(name for name, count in Counter(header).items() if count > 1)
     if repeated:
         raise DataError(f"duplicate column name(s) {repeated} in {path}")
@@ -148,7 +150,7 @@ def load_dataset(path, label_column: str) -> LearningSet:
     """
     header, rows = read_table(path)
     if label_column not in header:
-        raise DataError(f"missing label column {label_column!r} (columns: {', '.join(header)})")
+        raise DataError(f"missing label column {label_column!r} (columns: {', '.join(map(repr, header))})")
     label_idx = header.index(label_column)
     picks = [j for j in range(len(header)) if j != label_idx]
     variable_names = tuple(header[j] for j in picks)
@@ -220,16 +222,3 @@ def group_rows(bits) -> tuple[np.ndarray, np.ndarray]:
     inverse[order] = np.cumsum(starts) - 1
     return order[starts], inverse
 
-
-def contradiction_bound(ls: LearningSet, features) -> int:
-    """Minimum error any Boolean function of the given quantized features can reach.
-
-    Instances sharing one quantized feature vector but carrying both labels
-    force errors regardless of the function; the bound sums the minority label
-    count over such collision groups.
-    """
-    if not features:
-        raise DataError("no features")
-    first, inverse = group_rows(np.stack([f.column for f in features], axis=1))
-    counts = np.bincount(2 * inverse + ls.labels, minlength=2 * len(first)).reshape(-1, 2)
-    return int(counts.min(axis=1).sum())

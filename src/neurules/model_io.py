@@ -3,7 +3,8 @@
 The file stores everything inference needs: the feature pool's cuts, the
 neuron expressions, the voting threshold, and an echo of the training
 configuration (including the label column name, which ``eval`` reuses).
-Training columns are not stored; a loaded model quantizes fresh inputs.
+The model types hold no training columns, so a loaded model is exactly
+what its file stores.
 """
 from __future__ import annotations
 
@@ -12,17 +13,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .collective import Collective
 from .errors import ModelFormatError
 from .neurons import Neuron, expr_from_json, expr_to_json
 from .quantization import GE, LT, QuantizedFeature
 
 FORMAT_VERSION = 1
-
-_EMPTY = np.zeros(0, dtype=bool)
-_EMPTY.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,6 @@ def dict_to_model(data: dict) -> LoadedModel:
                 threshold=float(f["threshold"]),
                 polarity=str(f["polarity"]),
                 errors=int(f["errors"]),
-                column=_EMPTY,
                 constant=bool(f.get("constant", False)),
             )
             for f in data["pool"]
@@ -97,7 +92,6 @@ def dict_to_model(data: dict) -> LoadedModel:
                 expression=expr_from_json(n["expression"]),
                 layer=int(n["layer"]),
                 errors=int(n["errors"]),
-                column=_EMPTY,
             )
             for n in data["neurons"]
         ]
@@ -158,4 +152,6 @@ def load_model(path) -> LoadedModel:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ModelFormatError(f"model file {path} is not UTF-8 text: {exc}") from None
     return dict_to_model(data)

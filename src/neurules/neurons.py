@@ -91,17 +91,17 @@ class SplitScores:
 
 @dataclass(eq=False)
 class Neuron:
-    """A Boolean expression over pool features, with its cached training column.
+    """A Boolean expression over pool features, with its training scores.
 
     ``layer`` equals the expression's connective depth; layer 0 neurons are
     bare quantized features, produced when the pool alone already satisfies a
-    stopping rule.
+    stopping rule.  Its output on any rows is ``eval_expr(expression, bits)``
+    on their pool bits.
     """
 
     expression: Expr
     layer: int
     errors: int
-    column: np.ndarray
     criteria: SplitScores | None = None
 
     @property

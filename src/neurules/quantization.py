@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LearningSet
+from .dataset import LearningSet, group_rows
+from .errors import DataError
 
 GE = "ge"   # output 1 when value >= threshold
 LT = "lt"   # output 1 when value <  threshold
@@ -18,18 +19,18 @@ LT = "lt"   # output 1 when value <  threshold
 
 @dataclass(frozen=True, eq=False)
 class QuantizedFeature:
-    """A Boolean feature cached on the learning set.
+    """A threshold cut on one variable or on a product of variables.
 
     ``source`` lists the 0-based variable indices that feed the feature: a
     single index for a plain variable, two or more for a product feature.
-    ``errors`` is the Hamming distance between ``column`` and the labels.
+    ``errors`` counts the training rows where ``apply`` disagrees with the
+    labels, and ``constant`` marks a cut that gave one value on every row.
     """
 
     source: tuple[int, ...]
     threshold: float
     polarity: str
     errors: int
-    column: np.ndarray
     constant: bool = False
 
     def apply(self, values: np.ndarray) -> np.ndarray:
@@ -55,8 +56,6 @@ def product_values(values: np.ndarray, source) -> np.ndarray:
 
 def source_values(ls: LearningSet, source) -> np.ndarray:
     """Learning-set values of a single variable or of a product of variables."""
-    if isinstance(source, (int, np.integer)):
-        source = (int(source),)
     return product_values(ls.values, source)
 
 
@@ -100,9 +99,8 @@ def quantize(values, labels, source: tuple[int, ...] = ()) -> QuantizedFeature:
 
     _, u, polarity, errors = best
     column = values >= u if polarity == GE else values < u
-    column.setflags(write=False)
     constant = bool(column.all() or not column.any())
-    return QuantizedFeature(tuple(source), u, polarity, int(errors), column, constant)
+    return QuantizedFeature(tuple(source), u, polarity, int(errors), constant)
 
 
 def quantize_source(ls: LearningSet, source) -> QuantizedFeature:
@@ -114,3 +112,18 @@ def quantize_source(ls: LearningSet, source) -> QuantizedFeature:
 def hamming(column: np.ndarray, labels: np.ndarray) -> int:
     """Disagreement count between a Boolean column and 0/1 labels."""
     return int(np.count_nonzero(np.asarray(column, dtype=bool) != (np.asarray(labels) != 0)))
+
+
+def contradiction_bound(ls: LearningSet, features) -> int:
+    """Minimum error any Boolean function of the given quantized features can reach.
+
+    Instances sharing one quantized feature vector but carrying both labels
+    force errors regardless of the function; the bound sums the minority label
+    count over such collision groups.
+    """
+    if not features:
+        raise DataError("no features")
+    bits = np.stack([f.apply(source_values(ls, f.source)) for f in features], axis=1)
+    first, inverse = group_rows(bits)
+    counts = np.bincount(2 * inverse + ls.labels, minlength=2 * len(first)).reshape(-1, 2)
+    return int(counts.min(axis=1).sum())

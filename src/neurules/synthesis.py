@@ -16,13 +16,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import neurons
 from .collective import DEFAULT_CHI0, Collective
 from .dataset import LearningSet, SplitPair, split_even
 from .errors import DataError, DegenerateSplitError
 from .features import overlapping_factors, search_products, substitute
 from .neurons import CONNECTIVES, Expr, Neuron, SplitScores, eval_expr
 from .neurons import apply_connective  # noqa: F401  (bench/tracing.py wraps this name here)
-from .quantization import QuantizedFeature, hamming, product_values, quantize, quantize_source
+from .quantization import QuantizedFeature, hamming, product_values, quantize, quantize_source, source_values
 
 MODE_STATEMENT1 = "statement1"
 MODE_SPLIT = "split"
@@ -89,15 +90,15 @@ def _as_fraction(value) -> Fraction:
 
 
 @dataclass(frozen=True)
-class SplitFits:
-    """Split mode's packed A-fit and B-fit output columns, of every pool
-    feature and of one layer's operands (row i for operand i): training-only
-    state that never reaches the collective."""
+class Survivors:
+    """Training-only operands of a layer: neuron i with its bit-packed training
+    column ``packed[i]`` and, in split mode, its packed outputs ``fit_a[i]``
+    and ``fit_b[i]`` under the subset-A and subset-B refits of the pool."""
 
-    pool_a: np.ndarray
-    pool_b: np.ndarray
-    operand_a: np.ndarray
-    operand_b: np.ndarray
+    neurons: list[Neuron]
+    packed: np.ndarray              # (S, bytes)
+    fit_a: np.ndarray | None = None
+    fit_b: np.ndarray | None = None
 
 
 @dataclass
@@ -105,46 +106,44 @@ class CandidateLayer:
     """One layer's candidates as parallel arrays: deduplicated, in generation order.
 
     Candidate i applies connective ``connective[i]`` (an index into
-    CONNECTIVES) to operand ``operand[i]`` and pool feature ``feature[i]``.
-    The operands are the pool features at layer 1 and the previous layer's
-    survivors later; ``operands`` holds their expressions.
+    CONNECTIVES) to operand ``operand[i]`` of ``parents`` and pool feature
+    ``feature[i]``.  The parents are the pool at layer 1 and the previous
+    layer's survivors later.
     """
 
     layer: int
     rows: int                   # training rows: the length of an unpacked column
-    operands: list
+    pool: Survivors
+    parents: Survivors
     packed: np.ndarray          # (N, bytes) bit-packed training columns
     errors: np.ndarray
     parent_errors: np.ndarray   # the operand's error count, per candidate
     operand: np.ndarray
     feature: np.ndarray
     connective: np.ndarray
-    fits: SplitFits | None = None            # split mode only
-    unbiasedness: np.ndarray | None = None
+    unbiasedness: np.ndarray | None = None   # split mode only
     regularity: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.errors)
 
-    def neurons(self, positions) -> list[Neuron]:
-        """Neurons for the candidates at ``positions``; only their columns are unpacked."""
+    def survivors(self, positions) -> Survivors:
+        """The candidates at ``positions``, in that order, as the next layer's operands."""
         positions = np.asarray(positions, dtype=np.int64)
-        columns = np.unpackbits(self.packed[positions], axis=-1, count=self.rows).view(bool)
         out = []
-        for i, column in zip(positions.tolist(), columns):
-            connective, operand = _CONNECTIVE_NAMES[self.connective[i]], self.operands[self.operand[i]]
-            expression = (connective, operand, int(self.feature[i]))
+        for i in positions.tolist():
+            connective = _CONNECTIVE_NAMES[self.connective[i]]
+            expression = (connective, self.parents.neurons[self.operand[i]].expression, int(self.feature[i]))
             criteria = None if self.unbiasedness is None else SplitScores(
                 int(self.unbiasedness[i]), int(self.regularity[i]))
-            out.append(Neuron(expression, self.layer, int(self.errors[i]), column, criteria))
-        return out
-
-    def survivor_fits(self, positions) -> SplitFits:
-        """The split fits with the candidates at ``positions`` as operands, as in ``neurons``."""
-        f, pad = self.fits, _pack(np.ones(self.rows, dtype=bool))
+            out.append(Neuron(expression, self.layer, int(self.errors[i]), criteria))
+        if self.pool.fit_a is None:
+            return Survivors(out, self.packed[positions])
+        pad = _pack(np.ones(self.rows, dtype=bool))
         op, k, truth = self.operand[positions], self.feature[positions], _TRUTH[self.connective[positions]]
         grow = lambda fit, pool_fit: np.einsum("kv,vkw->kw", truth, _minterms(fit[op], pool_fit[k], pad))
-        return SplitFits(f.pool_a, f.pool_b, grow(f.operand_a, f.pool_a), grow(f.operand_b, f.pool_b))
+        return Survivors(out, self.packed[positions],
+                         grow(self.parents.fit_a, self.pool.fit_a), grow(self.parents.fit_b, self.pool.fit_b))
 
 
 @dataclass
@@ -217,63 +216,59 @@ def _first_occurrences(keys: np.ndarray, taken: np.ndarray | None = None) -> np.
 
 
 def generate_candidates(
-    pool: list[QuantizedFeature],
-    survivors: list[Neuron] | None,
+    pool: Survivors,
+    survivors: Survivors | None,
     r: int,
     labels: np.ndarray,
-    fits: SplitFits | None = None,
 ) -> tuple[int, CandidateLayer]:
     """Expand one layer's operand pairs through every reference connective.
 
-    Layer 1 takes all unordered pairs of distinct pool features; later layers
-    pair each survivor with every pool feature it does not already use.  All
-    pairs are expanded in one numpy step on bit-packed columns, in the order
-    (operand, feature, connective).  A candidate whose column repeats a
-    survivor's or an earlier candidate's is dropped: the first occurrence of
-    a column is kept.  In split mode every kept candidate is scored from
-    ``fits``, whose operand rows follow ``survivors`` (or the pool at layer 1).
-    Returns the pair count and the candidates.
+    ``pool`` holds pool feature i as bare-leaf neuron i.  Layer 1 takes all
+    unordered pairs of distinct pool features; later layers pair each of
+    ``survivors`` with every pool feature it does not already use.  All pairs
+    are expanded in one numpy step on packed columns, in the order (operand,
+    feature, connective).  A candidate whose column repeats a survivor's or
+    an earlier candidate's is dropped: the first occurrence is kept.  In
+    split mode every kept candidate is scored from the A/B fits.  Returns the
+    pair count and the candidates.
     """
-    if not pool:
+    if not pool.neurons:
         raise DataError("no features")
-    if r == 1 and survivors:
-        raise ValueError("layer 1 takes no survivors")
+    if (r == 1) != (survivors is None):
+        raise ValueError("layer 1 takes no survivors; every later layer takes the previous one's")
     n = len(labels)
     pad = _pack(np.ones(n, dtype=bool))
     target = _pack(labels)
-    packed = _pack([f.column for f in pool])
+    parents = pool if r == 1 else survivors
     if r == 1:
-        operands, parents, left = list(range(len(pool))), pool, packed
-        fresh = np.triu(np.ones((len(pool), len(pool)), dtype=bool), 1)
+        fresh = np.triu(np.ones((len(pool.neurons),) * 2, dtype=bool), 1)
     else:
-        parents = survivors or []
-        operands = [s.expression for s in parents]
-        left = _pack(np.reshape([s.column for s in parents], (-1, n)))
-        fresh = np.ones((len(parents), len(pool)), dtype=bool)
-        for i, s in enumerate(parents):
+        fresh = np.ones((len(parents.neurons), len(pool.neurons)), dtype=bool)
+        for i, s in enumerate(parents.neurons):
             fresh[i, list(s.leaves)] = False
     operand, feature = np.nonzero(fresh)
     pairs = len(operand)
     # split scores come from minterm popcounts, before the training block exists
-    scores = _pair_split_scores(fits, operand, feature, pad, target) if fits is not None else None
-    planes = _minterms(left[operand], packed[feature], pad)
+    split = pool.fit_a is not None
+    scores = _pair_split_scores(pool, parents, operand, feature, pad, target) if split else None
+    planes = _minterms(parents.packed[operand], pool.packed[feature], pad)
     errors = _plane_errors(planes, target)
     # every connective of each pair: (K * 10, bytes) in (pair, connective) order
     block = np.einsum("cv,vkw->kcw", _TRUTH, planes).reshape(-1, len(pad))
     del planes
-    first = _first_occurrences(_keys(block), _keys(left) if r > 1 else None)
+    first = _first_occurrences(_keys(block), _keys(parents.packed) if r > 1 else None)
     pair, connective = np.divmod(first, len(_CONNECTIVE_NAMES))
     layer = CandidateLayer(
         layer=r,
         rows=n,
-        operands=operands,
+        pool=pool,
+        parents=parents,
         packed=block[first],
         errors=errors.ravel()[first],
-        parent_errors=np.array([p.errors for p in parents], dtype=np.int64)[operand[pair]],
+        parent_errors=np.array([p.errors for p in parents.neurons], dtype=np.int64)[operand[pair]],
         operand=operand[pair],
         feature=feature[pair],
         connective=connective,
-        fits=fits,
     )
     if scores is not None:
         layer.unbiasedness, layer.regularity = (s.ravel()[first] for s in scores)
@@ -359,13 +354,14 @@ def _plane_errors(planes: np.ndarray, target: np.ndarray) -> np.ndarray:
     return int(_popcount(target)) + excess.T @ _SELECTS
 
 
-def _pair_split_scores(fits: SplitFits, operand, feature, pad: np.ndarray, target: np.ndarray) -> tuple:
+def _pair_split_scores(pool: Survivors, parents: Survivors, operand, feature,
+                       pad: np.ndarray, target: np.ndarray) -> tuple:
     """Unbiasedness and regularity of every connective of each (operand,
     feature) pair, (K, 10) each, from the pairs' A-fit and B-fit minterm
     planes.  Unbiasedness counts the rows of each (A plane, B plane) meeting
     whose outputs differ."""
-    planes_a = _minterms(fits.operand_a[operand], fits.pool_a[feature], pad)
-    planes_b = _minterms(fits.operand_b[operand], fits.pool_b[feature], pad)
+    planes_a = _minterms(parents.fit_a[operand], pool.fit_a[feature], pad)
+    planes_b = _minterms(parents.fit_b[operand], pool.fit_b[feature], pad)
     joint = np.stack([_popcount(planes_a[v] & planes_b) for v in range(4)])   # (4, 4, K)
     unbiasedness = joint.reshape(16, -1).T @ _DIFFER
     return unbiasedness, _plane_errors(planes_a, target) + _plane_errors(planes_b, target)
@@ -462,9 +458,10 @@ class SynthesisReport:
         }
 
 
-def _majority_misfits(members: list[Neuron], labels: np.ndarray) -> tuple[int, ...]:
-    """Instances the collective's majority vote misses or cannot decide."""
-    n1 = np.sum([m.column for m in members], axis=0)
+def _majority_misfits(members: list[Neuron], bits: np.ndarray, labels: np.ndarray) -> tuple[int, ...]:
+    """Instances the majority vote of ``members`` on pool bits ``(|pool|, n)`` misses or cannot decide."""
+    # through its module: bench/tracing.py tags this module's eval_expr as split-criteria scoring
+    n1 = np.sum([neurons.eval_expr(m.expression, bits) for m in members], axis=0)
     n0 = len(members) - n1
     return tuple(np.flatnonzero((n1 == n0) | ((n1 > n0) != (labels == 1))).tolist())
 
@@ -483,35 +480,34 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
     if ls.m >= 2 and max_p >= 2:
         admitted_products = search_products(ls, base, max_p, prune=config.prune_products)
     pool = substitute(base, admitted_products)
-
-    fits: SplitFits | None = None
-    if config.mode == MODE_SPLIT:
+    # the pool's training bits, (|pool|, n): every layer grows from these
+    bits = np.array([f.apply(source_values(ls, f.source)) for f in pool])
+    split_mode = config.mode == MODE_SPLIT
+    fits, criteria = (None, None), [None] * len(pool)
+    if split_mode:
         split = split_even(ls, config.seed)
-        pool_a = _pack(_subset_fit_columns(pool, split.subset_a, ls))
-        pool_b = _pack(_subset_fit_columns(pool, split.subset_b, ls))
-        fits = SplitFits(pool_a, pool_b, pool_a, pool_b)
+        fits = tuple(_pack(_subset_fit_columns(pool, s, ls)) for s in (split.subset_a, split.subset_b))
+        fit_a, fit_b = fits
         target = _pack(labels)
-        pool_scores = (_popcount(pool_a ^ pool_b), _popcount(pool_a ^ target) + _popcount(pool_b ^ target))
+        regularity = _popcount(fit_a ^ target) + _popcount(fit_b ^ target)
+        criteria = list(map(SplitScores, _popcount(fit_a ^ fit_b).tolist(), regularity.tolist()))
+    leaves = Survivors([Neuron(i, 0, f.errors, c) for i, (f, c) in enumerate(zip(pool, criteria))],
+                       _pack(bits), *fits)
 
     # layer 0: the pool itself, deduplicated by output column
-    layer0 = [
-        Neuron(i, 0, pool[i].errors, pool[i].column,
-               SplitScores(int(pool_scores[0][i]), int(pool_scores[1][i])) if fits is not None else None)
-        for i in _first_occurrences(_keys(_pack([f.column for f in pool]))).tolist()
-    ]
-
+    layer0 = [leaves.neurons[i] for i in _first_occurrences(_keys(leaves.packed)).tolist()]
     trace0 = LayerTrace(0, expanded=len(pool), admitted=len(layer0), survivors=layer0,
                         min_errors=min(f.errors for f in pool),
-                        min_cr=min(n.criteria.cr for n in layer0) if fits is not None else None)
+                        min_cr=min(n.criteria.cr for n in layer0) if split_mode else None)
     traces = [trace0]
     best_errors = trace0.min_errors
     decision = should_stop(traces, config.mode, config.delta, config.max_layers)
 
     pool_errors = np.array([f.errors for f in pool], dtype=np.int64)
+    survivors: Survivors | None = None
     while not decision.stop:
         r = traces[-1].index + 1
-        parents = traces[-1].survivors if r > 1 else None
-        pairs, layer = generate_candidates(pool, parents, r, labels, fits)
+        pairs, layer = generate_candidates(leaves, survivors, r, labels)
         if config.mode == MODE_STATEMENT1:
             # one admit call per candidate: bench/tracing.py counts admissions per call
             admitted = list(map(admit, layer.errors.tolist(), layer.parent_errors.tolist(),
@@ -521,13 +517,13 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
             kept = np.arange(len(layer))
         trace = LayerTrace(index=r, pairs=pairs, expanded=len(layer), admitted=len(kept))
         if len(kept):
-            cr = (layer.unbiasedness + layer.regularity)[kept] if fits is not None else None
+            cr = (layer.unbiasedness + layer.regularity)[kept] if split_mode else None
             chosen = kept[select_survivors(layer.errors[kept], default_f_cap(pairs, config.f_ratio), cr)]
-            trace.survivors = layer.neurons(chosen)
+            survivors = layer.survivors(chosen)
+            trace.survivors = survivors.neurons
             trace.min_errors = min(n.errors for n in trace.survivors)
-            if fits is not None:
+            if split_mode:
                 trace.min_cr = min(n.criteria.cr for n in trace.survivors)
-                fits = layer.survivor_fits(chosen)
             best_errors = min(best_errors, trace.min_errors)
         traces.append(trace)
         # let the layer's candidate arrays go before the next layer is built
@@ -549,7 +545,7 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
 
     doubtful: tuple[int, ...] = ()
     if decision.cause == STOP_NO_ADMISSIONS and final_errors > 0:
-        doubtful = _majority_misfits(members, labels)
+        doubtful = _majority_misfits(members, bits, labels)
 
     report = SynthesisReport(
         mode=config.mode,

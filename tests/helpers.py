@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import neurules as nr
 from neurules.errors import DataError
 from neurules.model_io import model_to_dict
+from neurules.quantization import source_values
 
 
 def random_set(seed: int) -> nr.LearningSet:
@@ -69,6 +70,18 @@ def xor_set(rng: np.random.Generator) -> nr.LearningSet:
         rows.extend([[a, b]] * cnt)
         labels.extend([a ^ b] * cnt)
     return nr.from_arrays(np.array(rows, dtype=float), np.array(labels, dtype=np.uint8))
+
+
+def pool_bits(pool, ls: nr.LearningSet) -> np.ndarray:
+    """A pool's training bits, (|pool|, n): each cut applied to its source values."""
+    return np.array([f.apply(source_values(ls, f.source)) for f in pool])
+
+
+def leaf_operands(pool, ls: nr.LearningSet) -> nr.Survivors:
+    """A pool as ``generate_candidates`` takes it in statement-1 mode: feature i
+    as bare-leaf neuron i, with its packed training column."""
+    neurons = [nr.Neuron(i, 0, f.errors) for i, f in enumerate(pool)]
+    return nr.Survivors(neurons, np.packbits(pool_bits(pool, ls), axis=-1))
 
 
 def brute_best_cut_errors(values, labels) -> int:

@@ -34,6 +34,8 @@ from helpers import (
     brute_best_cut_errors,
     contradiction_set,
     eval_bits,
+    leaf_operands,
+    pool_bits,
     random_set,
     xor_set,
 )
@@ -159,7 +161,7 @@ def test_acceptance_5_search_space_combinatorics(monkeypatch, capsys):
             labels[0], labels[1] = 0, 1
             ls = nr.from_arrays(values, labels)
             pool = [nr.quantize_source(ls, (j,)) for j in range(m)]
-            pairs, _ = generate_candidates(pool, None, 1, ls.labels)
+            pairs, _ = generate_candidates(leaf_operands(pool, ls), None, 1, ls.labels)
             assert pairs == m * (m - 1) // 2
 
         assert default_f_cap(10) == 4
@@ -194,9 +196,8 @@ def test_acceptance_5_search_space_combinatorics(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 
 def _toy_collective(exprs, k, chi0):
-    col = np.zeros(1, dtype=bool)
-    pool = [nr.QuantizedFeature((j,), 0.5, "ge", 0, col) for j in range(k)]
-    neurons = [nr.Neuron(e, 1, 0, col) for e in exprs]
+    pool = [nr.QuantizedFeature((j,), 0.5, "ge", 0) for j in range(k)]
+    neurons = [nr.Neuron(e, 1, 0) for e in exprs]
     names = tuple(f"x{j + 1}" for j in range(k))
     return nr.Collective(neurons, pool, chi0, ("no", "yes"), names)
 
@@ -240,14 +241,13 @@ def test_acceptance_6_coherence_thresholds(capsys):
 def test_acceptance_7_round_trip_and_rule_fidelity(demo_path, tmp_path, capsys):
     with criterion(capsys, 7, "saved models vote identically; rules replay training"):
         # a 12-feature pool exercised on every one of its 4096 inputs
-        col = np.zeros(1, dtype=bool)
-        pool = [nr.QuantizedFeature((j,), j + 0.5, "ge", 0, col) for j in range(12)]
+        pool = [nr.QuantizedFeature((j,), j + 0.5, "ge", 0) for j in range(12)]
         neurons = [
-            nr.Neuron(("XOR", ("AND", 0, 1), ("OR", 2, 3)), 2, 0, col),
-            nr.Neuron(("IMPLIES", ("NAND", 4, 5), ("NOR", 6, 7)), 2, 0, col),
-            nr.Neuron(("XNOR", ("NIMPLIES", 8, 9), ("NIMPLIED_BY", 10, 11)), 2, 0, col),
-            nr.Neuron(("AND", 5, ("OR", 7, 11)), 2, 0, col),
-            nr.Neuron(0, 1, 0, col),
+            nr.Neuron(("XOR", ("AND", 0, 1), ("OR", 2, 3)), 2, 0),
+            nr.Neuron(("IMPLIES", ("NAND", 4, 5), ("NOR", 6, 7)), 2, 0),
+            nr.Neuron(("XNOR", ("NIMPLIES", 8, 9), ("NIMPLIED_BY", 10, 11)), 2, 0),
+            nr.Neuron(("AND", 5, ("OR", 7, 11)), 2, 0),
+            nr.Neuron(0, 1, 0),
         ]
         names = tuple(f"x{j + 1}" for j in range(12))
         original = nr.Collective(neurons, pool, Fraction(4, 5), ("no", "yes"), names)
@@ -267,10 +267,10 @@ def test_acceptance_7_round_trip_and_rule_fidelity(demo_path, tmp_path, capsys):
         sets = [nr.load_dataset(demo_path, "sex"), random_set(3), random_set(7)]
         for ls in sets:
             collective, _ = nr.synthesize(ls)
-            pool_bits = np.column_stack([f.column for f in collective.pool])
+            bits = pool_bits(collective.pool, ls)
             for rule, neuron in zip(nr.extract_rules(collective), collective.neurons):
-                replayed = np.array([rule.matches(row) for row in pool_bits])
-                assert np.array_equal(replayed, neuron.column)
+                replayed = np.array([rule.matches(row) for row in bits.T])
+                assert np.array_equal(replayed, nr.eval_expr(neuron.expression, bits))
 
 
 # ---------------------------------------------------------------------------

@@ -10,19 +10,20 @@ from functools import reduce
 from operator import getitem
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neurules as nr
 from neurules.cli import main
 from neurules.errors import ModelFormatError
 from neurules.model_io import dict_to_model
+from neurules.synthesis import STALL_DIAGNOSTIC
 
 from helpers import cell_tables, parse_cells_per_cell
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+DEMO = (Path(__file__).resolve().parent.parent / "data" / "demo.csv").read_bytes()
 
 
 def _train(demo_path, tmp_path, *extra):
@@ -82,10 +83,9 @@ def test_predict_ignores_extra_columns_and_column_order(demo_path, tmp_path, cap
 
 
 def test_predict_marks_refusals(tmp_path, capsys):
-    col = np.zeros(1, dtype=bool)
-    pool = [nr.QuantizedFeature((0,), 1.0, "ge", 0, col)]
+    pool = [nr.QuantizedFeature((0,), 1.0, "ge", 0)]
     torn = nr.Collective(
-        [nr.Neuron(0, 0, 0, col), nr.Neuron(("NAND", 0, 0), 1, 0, col)],
+        [nr.Neuron(0, 0, 0), nr.Neuron(("NAND", 0, 0), 1, 0)],
         pool,
         Fraction(4, 5),
         ("lo", "hi"),
@@ -281,10 +281,52 @@ def test_untrusted_model_files_exit_4_with_one_line(demo_path, tmp_path, capsys,
     assert message in captured.err and "Traceback" not in captured.err
 
 
+_UNREADABLE_CSV = {
+    "non-utf8-byte": (b"a,b,y\n1,2,no\n3,\xff4,yes\n5,6,no\n", "can't decode byte 0xff"),
+    "over-long-cell": (b"a,b,y\n1,2,no\n3," + b"4" * 200_000 + b",yes\n5,6,no\n", "field limit"),
+}
+
+
+@pytest.mark.parametrize("content, message", list(_UNREADABLE_CSV.values()), ids=list(_UNREADABLE_CSV))
+@pytest.mark.parametrize("command", ["train", "predict", "eval"])
+def test_unreadable_csv_exits_2_with_one_line(tmp_path, capsys, content, message, command):
+    model = tmp_path / "model.json"
+    data = tmp_path / "good.csv"
+    data.write_text("a,b,y\n1,2,no\n3,4,no\n5,6,yes\n7,8,yes\n", encoding="utf-8")
+    assert main(["train", "--data", str(data), "--label", "y", "--out", str(model)]) == 0
+    data.write_bytes(content)
+    capsys.readouterr()
+    if command == "train":
+        args = ["--data", str(data), "--label", "y", "--out", str(tmp_path / "again.json")]
+    else:
+        args = ["--model", str(model), "--data", str(data)]
+    assert main([command, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {data} is not a readable UTF-8 CSV table: ")
+    assert captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("command", ["predict", "rules", "eval"])
+def test_undecodable_model_exits_4_with_one_line(demo_path, tmp_path, capsys, command):
+    _, out = _train(demo_path, tmp_path)
+    text = out.read_bytes()
+    at = text.index(b'"label_names"') + 3
+    out.write_bytes(text[:at] + b"\xff" + text[at:])
+    capsys.readouterr()
+    args = ["--model", str(out)] + (["--data", str(demo_path)] if command != "rules" else [])
+    assert main([command, *args]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: model file {out} is not UTF-8 text")
+    assert captured.err.count("\n") == 1
+
+
 def test_saved_models_refuse_non_finite_numbers(tmp_path):
     collective = nr.Collective(
-        neurons=[nr.Neuron(0, 0, 0, np.zeros(2, dtype=bool))],
-        pool=[nr.QuantizedFeature((0,), float("nan"), "ge", 0, np.zeros(2, dtype=bool))],
+        neurons=[nr.Neuron(0, 0, 0)],
+        pool=[nr.QuantizedFeature((0,), float("nan"), "ge", 0)],
         chi0=Fraction(4, 5),
         label_names=("a", "b"),
         variable_names=("x",),
@@ -402,3 +444,53 @@ def test_mutated_golden_models_fail_only_with_model_format_errors(cell_models, d
         else:
             assert (code, out) == (4, ""), argv[0]
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+# bytes a CSV mutation draws: non-ASCII ones, NUL, quotes, commas, newlines and digits
+_MUTATION_BYTES = st.one_of(
+    st.integers(0x80, 0xFF).map(lambda b: bytes([b])),
+    st.sampled_from([b"\x00", b'"', b",", b"\n", b"\r", *(str(d).encode() for d in range(10))]),
+)
+
+
+@st.composite
+def _mutated_csv(draw):
+    """data/demo.csv after 1-3 byte insertions, deletions or replacements."""
+    content = DEMO
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(content) - 1))
+        action = draw(st.sampled_from(["insert", "delete", "replace"]))
+        new = b"" if action == "delete" else draw(_MUTATION_BYTES)
+        content = content[:at] + new + content[at + (action != "insert"):]
+    return content
+
+
+@pytest.fixture(scope="module")
+def demo_model(demo_path, tmp_path_factory):
+    """A directory, and a model trained on the intact demo table."""
+    tmp = tmp_path_factory.mktemp("demo")
+    model = tmp / "demo.json"
+    assert _run(["train", "--data", str(demo_path), "--label", "sex", "--out", str(model)])[0] == 0
+    return tmp, model
+
+
+@settings(max_examples=150, deadline=None)
+@example(content=DEMO.replace(b"1.50", b"1" * 200_000, 1))   # beyond the csv field size limit
+@given(content=_mutated_csv())
+def test_mutated_csv_bytes_exit_with_a_documented_code(demo_model, content):
+    tmp, model = demo_model
+    data = tmp / "mutated.csv"
+    data.write_bytes(content)
+    for argv in (
+        ["train", "--data", str(data), "--label", "sex", "--out", str(tmp / "fresh.json")],
+        ["predict", "--model", str(model), "--data", str(data)],
+        ["eval", "--model", str(model), "--data", str(data)],
+    ):
+        code, _, err = _run(argv)
+        assert code in (0, 2, 3, 4), (argv[0], code, err)
+        if code in (2, 4):
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv[0], err)
+        elif code == 3:
+            warning, doubtful = err.splitlines()
+            assert warning == f"warning: {STALL_DIAGNOSTIC}", err
+            assert doubtful.startswith("doubtful instances (0-based data rows): ["), err

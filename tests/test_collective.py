@@ -16,13 +16,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def _feature(j, threshold=0.5):
-    col = np.zeros(2, dtype=bool)
-    return nr.QuantizedFeature((j,), threshold, "ge", 0, col)
+    return nr.QuantizedFeature((j,), threshold, "ge", 0)
 
 
 def _collective(exprs, k=2, chi0=Fraction(4, 5), names=None):
-    col = np.zeros(2, dtype=bool)
-    neurons = [nr.Neuron(e, 1, 0, col) for e in exprs]
+    neurons = [nr.Neuron(e, 1, 0) for e in exprs]
     pool = [_feature(j) for j in range(k)]
     return nr.Collective(
         neurons=neurons,
@@ -101,12 +99,11 @@ def test_quantize_input_errors():
 
 
 def test_quantize_input_respects_thresholds_and_products():
-    col = np.zeros(2, dtype=bool)
     pool = [
-        nr.QuantizedFeature((0,), 2.0, "ge", 0, col),
-        nr.QuantizedFeature((0, 1), 6.0, "lt", 0, col),
+        nr.QuantizedFeature((0,), 2.0, "ge", 0),
+        nr.QuantizedFeature((0, 1), 6.0, "lt", 0),
     ]
-    c = nr.Collective([nr.Neuron(0, 0, 0, col)], pool, Fraction(4, 5), ("a", "b"), ("x1", "x2"))
+    c = nr.Collective([nr.Neuron(0, 0, 0)], pool, Fraction(4, 5), ("a", "b"), ("x1", "x2"))
     assert quantize_input(c, [3.0, 1.0]).tolist() == [True, True]   # 3 >= 2; 3*1 < 6
     assert quantize_input(c, [1.0, 7.0]).tolist() == [False, False]   # 1 < 2; 7 >= 6
     # a matrix quantizes row by row
@@ -135,6 +132,19 @@ def test_unanimous_identical_neurons_fill_the_table_with_ones():
     table = coherence_table(c)
     assert set(table.rows.values()) == {Fraction(1)}
     assert table.refused_fraction == 0
+
+
+def test_coherence_table_equals_per_pattern_vote_on_golden_models():
+    # the bulk table evaluates each neuron once over all 2^k patterns; it
+    # must give what the per-row vote gives on every pattern
+    for path in sorted(GOLDEN.glob("*.json")):
+        c = nr.load_model(path).collective
+        table = coherence_table(c)
+        verdicts = {bits: vote(c, bits) for bits in product((0, 1), repeat=len(c.pool))}
+        assert list(table.rows) == list(verdicts), path.stem
+        assert table.rows == {bits: v.chi for bits, v in verdicts.items()}, path.stem
+        refused = sum(v.refused for v in verdicts.values())
+        assert table.refused_fraction == Fraction(refused, len(verdicts)), path.stem
 
 
 def test_coherence_table_size_guard():

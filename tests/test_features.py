@@ -20,8 +20,7 @@ from helpers import random_set
 
 
 def _candidate(errors, factor_errors):
-    col = np.zeros(4, dtype=bool)
-    feature = nr.QuantizedFeature(tuple(factor_errors), 0.5, "ge", errors, col)
+    feature = nr.QuantizedFeature(tuple(factor_errors), 0.5, "ge", errors)
     return GeneralizedFeature(feature, MappingProxyType(dict(factor_errors)))
 
 
@@ -57,9 +56,7 @@ def test_constant_product_column_is_never_admitted(monkeypatch, demo_path):
     base = [nr.quantize_source(ls, (j,)) for j in range(ls.m)]
 
     def fake_quantize(values, labels, source=()):
-        col = np.zeros(len(values), dtype=bool)
-        col.setflags(write=False)
-        return nr.QuantizedFeature(tuple(source), 0.0, "lt", 0, col, constant=True)
+        return nr.QuantizedFeature(tuple(source), 0.0, "lt", 0, constant=True)
 
     monkeypatch.setattr(neurules.features, "quantize", fake_quantize)
     assert search_products(ls, base, max_p=2) == []
@@ -152,13 +149,11 @@ def test_substitute_identity_without_admissions():
 
 
 def test_substitute_orders_products_by_size_then_source():
-    cols = np.zeros(4, dtype=bool)
-
     def gf(source):
-        f = nr.QuantizedFeature(source, 0.5, "ge", 0, cols)
+        f = nr.QuantizedFeature(source, 0.5, "ge", 0)
         return GeneralizedFeature(f, MappingProxyType({i: 1 for i in source}))
 
-    base = [nr.QuantizedFeature((j,), 0.5, "ge", 1, cols) for j in range(5)]
+    base = [nr.QuantizedFeature((j,), 0.5, "ge", 1) for j in range(5)]
     pool = substitute(base, [gf((0, 2, 3)), gf((1, 4)), gf((0, 2))])
     assert [f.source for f in pool] == [(0, 2), (1, 4), (0, 2, 3)]
 
@@ -175,10 +170,8 @@ def test_pool_features_never_worse_than_what_they_replace():
 
 
 def test_overlapping_factors_reported():
-    cols = np.zeros(2, dtype=bool)
-
     def gf(source):
-        f = nr.QuantizedFeature(source, 0.5, "ge", 0, cols)
+        f = nr.QuantizedFeature(source, 0.5, "ge", 0)
         return GeneralizedFeature(f, MappingProxyType({i: 1 for i in source}))
 
     assert overlapping_factors([gf((0, 1)), gf((2, 3))]) == ()

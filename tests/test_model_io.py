@@ -2,7 +2,6 @@ import json
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
 import pytest
 
 import neurules as nr
@@ -10,15 +9,14 @@ from neurules.model_io import FORMAT_VERSION, dict_to_model, model_to_dict
 
 
 def _small_collective():
-    col = np.zeros(3, dtype=bool)
     pool = [
-        nr.QuantizedFeature((0,), 1.55, "ge", 2, col),
-        nr.QuantizedFeature((1,), 60.0, "lt", 1, col),
-        nr.QuantizedFeature((0, 1), 118.44, "ge", 0, col, constant=False),
+        nr.QuantizedFeature((0,), 1.55, "ge", 2),
+        nr.QuantizedFeature((1,), 60.0, "lt", 1),
+        nr.QuantizedFeature((0, 1), 118.44, "ge", 0, constant=False),
     ]
     neurons = [
-        nr.Neuron(2, 0, 0, col),
-        nr.Neuron(("AND", 0, ("OR", 1, 2)), 2, 1, col),
+        nr.Neuron(2, 0, 0),
+        nr.Neuron(("AND", 0, ("OR", 1, 2)), 2, 1),
     ]
     return nr.Collective(
         neurons=neurons,
@@ -48,9 +46,8 @@ def test_dict_round_trip_preserves_everything():
 
 
 def test_file_round_trip_keeps_awkward_thresholds(tmp_path):
-    col = np.zeros(1, dtype=bool)
-    pool = [nr.QuantizedFeature((0,), 0.1 + 0.2, "ge", 0, col)]
-    c = nr.Collective([nr.Neuron(0, 0, 0, col)], pool, Fraction(9, 10), ("a", "b"), ("x1",))
+    pool = [nr.QuantizedFeature((0,), 0.1 + 0.2, "ge", 0)]
+    c = nr.Collective([nr.Neuron(0, 0, 0)], pool, Fraction(9, 10), ("a", "b"), ("x1",))
     path = tmp_path / "m.json"
     nr.save_model(path, c, report={"stop_cause": "CR=0"})
     loaded = nr.load_model(path)

@@ -102,7 +102,6 @@ def test_split_scores_convolution():
 
 
 def test_neuron_leaves_property():
-    col = np.array([True, False])
-    n = Neuron(("XOR", 0, 2), layer=1, errors=1, column=col)
+    n = Neuron(("XOR", 0, 2), layer=1, errors=1)
     assert n.leaves == frozenset({0, 2})
     assert n.criteria is None

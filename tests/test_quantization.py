@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ def test_perfectly_separable_column():
     # sorted: 1(0) 2(0) | 3(1) 4(1) 5(1)  ->  cut at the midpoint 2.5
     f = quantize([5, 1, 4, 2, 3], [1, 0, 1, 0, 1])
     assert (f.threshold, f.polarity, f.errors) == (2.5, GE, 0)
-    assert f.column.tolist() == [True, False, True, False, True]
+    assert f.apply([5, 1, 4, 2, 3]).tolist() == [True, False, True, False, True]
     assert not f.constant
 
 
@@ -31,7 +33,7 @@ def test_tie_broken_by_gap_then_threshold_then_polarity():
 def test_constant_input_column_quantizes_to_constant_feature():
     f = quantize([3, 3, 3, 3], [0, 1, 1, 1])
     assert (f.threshold, f.polarity, f.errors) == (3.0, GE, 1)
-    assert f.constant and f.column.all()
+    assert f.constant and f.apply([3, 3, 3, 3]).all()
 
 
 def test_constant_column_can_beat_every_midpoint():
@@ -45,13 +47,13 @@ def test_errors_match_column_label_disagreement():
     values = [2.0, 7.0, 4.0, 9.0, 1.0, 6.0]
     labels = [0, 1, 0, 1, 0, 0]
     f = quantize(values, labels)
-    assert f.errors == hamming(f.column, np.array(labels))
+    assert f.errors == hamming(f.apply(values), np.array(labels))
 
 
 def test_apply_reproduces_training_column_and_extends():
     values = np.array([2.0, 7.0, 4.0])
     f = quantize(values, [0, 1, 1])
-    assert np.array_equal(f.apply(values), f.column)
+    assert f.apply(values).tolist() == [False, True, True]
     fresh = f.apply(np.array([0.0, 100.0]))
     assert fresh.tolist() == [False, True]
 
@@ -82,10 +84,10 @@ def test_quantize_rejects_short_input():
         quantize([1.0], [0])
 
 
-def test_column_is_read_only():
+def test_feature_is_immutable():
     f = quantize([1, 2, 3, 4], [0, 0, 1, 1])
-    with pytest.raises(ValueError):
-        f.column[0] = True
+    with pytest.raises(FrozenInstanceError):
+        f.threshold = 0.0
 
 
 def test_demo_single_variables_cannot_separate(demo_path):
@@ -111,7 +113,7 @@ def test_quantize_is_globally_optimal(values, data):
     f = quantize(values, labels)
     assert f.errors == brute_best_cut_errors(values, labels)
     # the returned column really achieves the reported count
-    assert f.errors == sum(c != bool(y) for c, y in zip(f.column.tolist(), labels))
+    assert f.errors == sum(c != bool(y) for c, y in zip(f.apply(values).tolist(), labels))
 
 
 @settings(max_examples=100, deadline=None)

@@ -13,7 +13,7 @@ from neurules.rules import (
     prime_implicants,
 )
 
-from helpers import eval_bits
+from helpers import eval_bits, pool_bits
 
 
 def test_merge_only_on_single_position_difference():
@@ -47,11 +47,11 @@ def test_covers_checks_fixed_positions_only():
 
 
 def _feature(j, threshold, polarity="ge"):
-    return nr.QuantizedFeature((j,), threshold, polarity, 0, np.zeros(1, dtype=bool))
+    return nr.QuantizedFeature((j,), threshold, polarity, 0)
 
 
 def _collective_for(exprs, pool, names):
-    neurons = [nr.Neuron(e, 1, 0, np.zeros(1, dtype=bool)) for e in exprs]
+    neurons = [nr.Neuron(e, 1, 0) for e in exprs]
     return nr.Collective(neurons, pool, Fraction(4, 5), ("no", "yes"), names)
 
 
@@ -132,7 +132,7 @@ def test_rendered_block_ends_with_vote_footer(demo_path):
 def test_rules_reproduce_training_columns(demo_path):
     ls = nr.load_dataset(demo_path, "sex")
     c, _ = nr.synthesize(ls)
-    pool_bits = np.column_stack([f.column for f in c.pool])
+    bits = pool_bits(c.pool, ls)
     for rule, neuron in zip(nr.extract_rules(c), c.neurons):
-        got = np.array([rule.matches(row) for row in pool_bits])
-        assert np.array_equal(got, neuron.column)
+        got = np.array([rule.matches(row) for row in bits.T])
+        assert np.array_equal(got, nr.eval_expr(neuron.expression, bits))

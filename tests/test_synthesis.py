@@ -19,16 +19,32 @@ from neurules.synthesis import (
     split_criteria,
 )
 
-from helpers import brute_best_cut_errors, conjunction_set, contradiction_set, golden_cases, random_set, xor_set
+from helpers import (
+    brute_best_cut_errors,
+    conjunction_set,
+    contradiction_set,
+    golden_cases,
+    leaf_operands,
+    pool_bits,
+    random_set,
+    xor_set,
+)
 
 
 def _pool(m, n=8, seed=0):
-    """m single-variable features with distinct non-constant columns."""
+    """m single-variable features with distinct non-constant columns, as
+    generate_candidates takes them, and their pool bits."""
     rng = np.random.default_rng(seed)
     values = rng.uniform(0, 1, size=(n, m))
     labels = np.array([0, 1] * (n // 2), dtype=np.uint8)
     ls = nr.from_arrays(values, labels)
-    return [nr.quantize_source(ls, (j,)) for j in range(m)], labels
+    pool = [nr.quantize_source(ls, (j,)) for j in range(m)]
+    return leaf_operands(pool, ls), labels, pool_bits(pool, ls)
+
+
+def _columns(packed, n):
+    """Unpacked training columns of packed rows."""
+    return np.unpackbits(packed, axis=-1, count=n).view(bool)
 
 
 # ---------------------------------------------------------------------------
@@ -37,19 +53,20 @@ def _pool(m, n=8, seed=0):
 
 def test_layer1_pair_counts():
     for m in range(2, 9):
-        pool, labels = _pool(m)
+        pool, labels, _ = _pool(m)
         pairs, _ = generate_candidates(pool, None, 1, labels)
         assert pairs == m * (m - 1) // 2
 
 
 def test_later_layer_pairs_survivor_with_fresh_features():
-    pool, labels = _pool(4)
+    pool, labels, _ = _pool(4)
     _, layer = generate_candidates(pool, None, 1, labels)
-    survivor = layer.neurons([0])[0]
+    carried = layer.survivors([0])
+    survivor = carried.neurons[0]
     assert survivor.leaves == frozenset({0, 1})
-    pairs, layer2 = generate_candidates(pool, [survivor], 2, labels)
+    pairs, layer2 = generate_candidates(pool, carried, 2, labels)
     assert pairs == 2  # features 2 and 3 only
-    for neuron in layer2.neurons(np.arange(len(layer2))):
+    for neuron in layer2.survivors(np.arange(len(layer2))).neurons:
         name, left, right = neuron.expression
         assert left == survivor.expression
         assert right in (2, 3)
@@ -57,28 +74,30 @@ def test_later_layer_pairs_survivor_with_fresh_features():
 
 
 def test_candidates_duplicating_a_survivor_column_are_dropped():
-    pool, labels = _pool(3)
+    pool, labels, bits = _pool(3)
     _, layer = generate_candidates(pool, None, 1, labels)
-    survivor = layer.neurons([0])[0]
-    _, layer2 = generate_candidates(pool, [survivor], 2, labels)
-    key = survivor.column.tobytes()
-    assert all(n.column.tobytes() != key for n in layer2.neurons(np.arange(len(layer2))))
+    carried = layer.survivors([0])
+    _, layer2 = generate_candidates(pool, carried, 2, labels)
+    key = nr.eval_expr(carried.neurons[0].expression, bits).tobytes()
+    neurons = layer2.survivors(np.arange(len(layer2))).neurons
+    assert neurons and all(nr.eval_expr(n.expression, bits).tobytes() != key for n in neurons)
 
 
-def _reference_layer(pool, parents, r):
-    """Expressions and columns of one layer, by a plain loop: every (operand,
-    fresh feature, connective) in generation order, keeping the first
-    occurrence of each column and no operand's own column."""
+def _reference_layer(bits, parents, r):
+    """Expressions and columns of one layer, by a plain loop over the pool
+    bits: every (operand, fresh feature, connective) in generation order,
+    keeping the first occurrence of each column and no operand's own column."""
     if r == 1:
-        parents = [nr.Neuron(j, 0, f.errors, f.column) for j, f in enumerate(pool)]
-    taken = set() if r == 1 else {p.column.tobytes() for p in parents}
+        parents = [nr.Neuron(j, 0, 0) for j in range(len(bits))]
+    columns = [nr.eval_expr(p.expression, bits) for p in parents]
+    taken = set() if r == 1 else {column.tobytes() for column in columns}
     out = {}
-    for p in parents:
-        for k in range(len(pool)):
+    for p, left in zip(parents, columns):
+        for k in range(len(bits)):
             if k in p.leaves or (r == 1 and k <= p.expression):
                 continue
             for name in nr.CONNECTIVES:
-                column = nr.apply_connective(name, p.column, pool[k].column)
+                column = nr.apply_connective(name, left, bits[k])
                 key = column.tobytes()
                 if key not in taken and key not in out:
                     out[key] = ((name, p.expression, k), column)
@@ -89,8 +108,8 @@ def _recorded_layers(monkeypatch):
     """Run ``synthesize`` with every generated layer recorded as (parents, layer)."""
     layers = []
 
-    def recording(pool, survivors, r, labels, fits=None):
-        pairs, layer = generate_candidates(pool, survivors, r, labels, fits)
+    def recording(pool, survivors, r, labels):
+        pairs, layer = generate_candidates(pool, survivors, r, labels)
         layers.append((survivors, layer))
         return pairs, layer
 
@@ -103,13 +122,15 @@ def test_duplicate_columns_keep_the_first_occurrence(monkeypatch):
     for seed in (0, 3, 6):
         for mode in ("statement1", "split"):
             layers.clear()
-            c, _ = nr.synthesize(random_set(seed), nr.SynthesisConfig(mode=mode, max_p=1))
+            ls = random_set(seed)
+            c, _ = nr.synthesize(ls, nr.SynthesisConfig(mode=mode, max_p=1))
+            bits = pool_bits(c.pool, ls)
             assert layers
             for parents, layer in layers:
-                neurons = layer.neurons(np.arange(len(layer)))
-                reference = _reference_layer(c.pool, parents, layer.layer)
+                neurons = layer.survivors(np.arange(len(layer))).neurons
+                reference = _reference_layer(bits, parents and parents.neurons, layer.layer)
                 assert [n.expression for n in neurons] == [expr for expr, _ in reference]
-                assert all(np.array_equal(n.column, col) for n, (_, col) in zip(neurons, reference))
+                assert np.array_equal(_columns(layer.packed, ls.n), np.reshape([col for _, col in reference], (-1, ls.n)))
 
 
 def test_split_dedup_keys_on_the_training_column_only(monkeypatch):
@@ -121,23 +142,23 @@ def test_split_dedup_keys_on_the_training_column_only(monkeypatch):
     c, _ = nr.synthesize(ls, config)
     split = nr.split_even(ls, config.seed)
     _, layer = layers[0]
-    kept = {n.expression: n for n in layer.neurons(np.arange(len(layer)))}
+    kept = {n.expression: n for n in layer.survivors(np.arange(len(layer))).neurons}
     earlier, later = ("OR", 0, 2), ("OR", 0, 4)
-    assert np.array_equal(
-        nr.apply_connective("OR", c.pool[0].column, c.pool[2].column),
-        nr.apply_connective("OR", c.pool[0].column, c.pool[4].column),
-    )
+    bits = pool_bits(c.pool, ls)
+    assert np.array_equal(nr.eval_expr(earlier, bits), nr.eval_expr(later, bits))
     assert split_criteria(later, c.pool, split, ls) != kept[earlier].criteria
     assert later not in kept
 
 
 def test_generate_rejects_bad_arguments():
-    pool, labels = _pool(3)
+    pool, labels, _ = _pool(3)
     with pytest.raises(nr.DataError, match="no features"):
-        generate_candidates([], None, 1, labels)
+        generate_candidates(nr.Survivors([], pool.packed[:0]), None, 1, labels)
     _, layer = generate_candidates(pool, None, 1, labels)
     with pytest.raises(ValueError, match="layer 1"):
-        generate_candidates(pool, layer.neurons([0]), 1, labels)
+        generate_candidates(pool, layer.survivors([0]), 1, labels)
+    with pytest.raises(ValueError, match="later layer"):
+        generate_candidates(pool, None, 2, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +311,7 @@ def test_bulk_split_criteria_match_the_reference_for_every_candidate(monkeypatch
         c, rep = nr.synthesize(ls, config)
         split = nr.split_even(ls, config.seed)
         depths.append(len(rep.traces) - 1)
-        candidates = [n for _, layer in layers for n in layer.neurons(np.arange(len(layer)))]
+        candidates = [n for _, layer in layers for n in layer.survivors(np.arange(len(layer))).neurons]
         assert len(candidates) == sum(t.expanded for t in rep.traces[1:])
         for neuron in rep.traces[0].survivors + candidates:
             assert neuron.criteria == split_criteria(neuron.expression, c.pool, split, ls)
@@ -298,8 +319,9 @@ def test_bulk_split_criteria_match_the_reference_for_every_candidate(monkeypatch
 
 
 def test_survivor_fits_follow_the_chosen_candidates(monkeypatch):
-    # row i of the next layer's operand fits is the A/B refit output of the
-    # i-th chosen candidate, in any order the positions are given
+    # row i of the survivors' packed column and A/B fits is the training
+    # output and the A/B refit output of the i-th chosen candidate, in any
+    # order the positions are given
     layers = _recorded_layers(monkeypatch)
     ls, config = conjunction_set(2), nr.SynthesisConfig(mode="split", max_p=1, seed=2)
     c, _ = nr.synthesize(ls, config)
@@ -309,11 +331,11 @@ def test_survivor_fits_follow_the_chosen_candidates(monkeypatch):
     assert len(layers) >= 2
     for _, layer in layers:
         positions = np.arange(len(layer))[::-3]
-        fits = layer.survivor_fits(positions)
-        for i, neuron in enumerate(layer.neurons(positions)):
-            for rows, columns in ((fits.operand_a, fit_a), (fits.operand_b, fit_b)):
-                expected = nr.eval_expr(neuron.expression, columns)
-                assert np.array_equal(np.unpackbits(rows[i], count=len(expected)).view(bool), expected)
+        carried = layer.survivors(positions)
+        assert [n.errors for n in carried.neurons] == layer.errors[positions].tolist()
+        for rows, columns in ((carried.packed, pool_bits(c.pool, ls)), (carried.fit_a, fit_a), (carried.fit_b, fit_b)):
+            expected = [nr.eval_expr(n.expression, columns) for n in carried.neurons]
+            assert np.array_equal(_columns(rows, ls.n), expected)
 
 
 def test_every_layer_r_candidate_has_r_plus_one_leaves_and_depth_r(monkeypatch):
@@ -323,7 +345,7 @@ def test_every_layer_r_candidate_has_r_plus_one_leaves_and_depth_r(monkeypatch):
         layers.clear()
         nr.synthesize(ls, config)
         for _, layer in layers:
-            for neuron in layer.neurons(np.arange(len(layer))):
+            for neuron in layer.survivors(np.arange(len(layer))).neurons:
                 assert len(neuron.leaves) == layer.layer + 1
                 assert expr_depth(neuron.expression) == neuron.layer == layer.layer
 
@@ -384,21 +406,23 @@ def test_strict_descent_and_layer_bound():
 def test_neuron_depth_equals_layer_and_columns_match_expressions():
     for seed in (4, 7, 14):
         ls = random_set(seed)
-        _, rep = nr.synthesize(ls)
+        c, rep = nr.synthesize(ls)
+        bits = pool_bits(c.pool, ls)
         for trace in rep.traces:
             for neuron in trace.survivors:
                 assert expr_depth(neuron.expression) == neuron.layer == trace.index
                 assert neuron.errors == int(
-                    np.count_nonzero(neuron.column != (ls.labels != 0))
+                    np.count_nonzero(nr.eval_expr(neuron.expression, bits) != (ls.labels != 0))
                 )
 
 
 def test_no_layer_holds_two_neurons_with_one_column():
     for seed in range(12):
         ls = random_set(seed)
-        _, rep = nr.synthesize(ls)
+        c, rep = nr.synthesize(ls)
+        bits = pool_bits(c.pool, ls)
         for trace in rep.traces:
-            keys = [n.column.tobytes() for n in trace.survivors]
+            keys = [nr.eval_expr(n.expression, bits).tobytes() for n in trace.survivors]
             assert len(keys) == len(set(keys))
 
 
@@ -426,7 +450,7 @@ def test_stalled_run_reports_floor_and_doubtful_rows():
     assert rep.diagnostic == STALL_DIAGNOSTIC
     assert len(rep.doubtful_instances) >= k
     # every listed row really is misclassified (or undecided) by the vote
-    votes = np.sum([n.column for n in c.neurons], axis=0)
+    votes = np.sum([nr.eval_expr(n.expression, pool_bits(c.pool, ls)) for n in c.neurons], axis=0)
     for i in rep.doubtful_instances:
         n1 = int(votes[i])
         n0 = c.size - n1
