@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -35,7 +36,9 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a decimal or fraction: {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="neurules",
         description="Grow a collective of two-input Boolean neurons from a "

@@ -82,10 +82,14 @@ def quantize(values, labels, source: tuple[int, ...] = ()) -> QuantizedFeature:
     total_zeros = n - total_ones
 
     # (threshold, gap) candidates; index t means t instances fall below the cut.
+    # A midpoint that rounds onto the lower sample (adjacent floats) or past the
+    # upper one (overflow) would not split the pair, so the upper sample cuts.
     cuts = [(float(sv[0]), 0.0, 0)]
     for t in range(1, n):
-        if sv[t] != sv[t - 1]:
-            cuts.append(((float(sv[t - 1]) + float(sv[t])) / 2.0, float(sv[t]) - float(sv[t - 1]), t))
+        lo, hi = float(sv[t - 1]), float(sv[t])
+        if hi != lo:
+            mid = (lo + hi) / 2.0
+            cuts.append((mid if lo < mid <= hi else hi, hi - lo, t))
 
     best = None
     for u, gap, t in cuts:

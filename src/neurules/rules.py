@@ -1,8 +1,9 @@
 """Export a collective as human-readable IF-THEN rules.
 
-Each neuron's Boolean expression is re-expressed as a minimal disjunctive
+Each neuron's Boolean expression is re-expressed as a small disjunctive
 normal form over its quantized features: prime implicants are found by
-iterative merging, then a small essential-plus-greedy cover picks terms.
+Quine-McCluskey merging on integer bitmasks, then an essential-plus-greedy
+cover over minterm bitsets picks terms.
 Negated features render by flipping the cut's comparison, so every literal
 reads as a plain threshold test on the original variables.
 """
@@ -21,77 +22,83 @@ from .quantization import GE, QuantizedFeature
 Implicant = tuple  # tuple[int | None, ...]
 
 
-def _merge(a: Implicant, b: Implicant) -> Implicant | None:
-    """Combine two implicants differing in exactly one fixed position."""
-    diff = -1
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x == y:
-            continue
-        if x is None or y is None or diff >= 0:
-            return None
-        diff = i
-    if diff < 0:
-        return None
-    out = list(a)
-    out[diff] = None
-    return tuple(out)
-
-
 def _implicant_key(imp: Implicant) -> tuple:
-    fixed = sum(v is not None for v in imp)
-    return (fixed, tuple(2 if v is None else v for v in imp))
+    return (len(imp) - imp.count(None), tuple([2 if v is None else v for v in imp]))
 
 
 def covers(imp: Implicant, minterm: tuple[int, ...]) -> bool:
     return all(v is None or v == m for v, m in zip(imp, minterm))
 
 
+def _pack(imp: Implicant) -> tuple[int, int]:
+    """(care mask, value): position i of a k-tuple is bit k-1-i, so a minterm's value is its row."""
+    mask = value = 0
+    for v in imp:
+        mask = mask << 1 | (v is not None)
+        value = value << 1 | int(v or 0)
+    return mask, value
+
+
+def _unpack(mask: int, value: int, k: int) -> Implicant:
+    return tuple([value >> s & 1 if mask >> s & 1 else None for s in range(k - 1, -1, -1)])
+
+
 def prime_implicants(minterms: list[tuple[int, ...]]) -> list[Implicant]:
-    """All maximal implicants of the function given by its true rows."""
-    level = {tuple(m) for m in minterms}
-    primes: set[Implicant] = set()
+    """All maximal implicants of the function given by its true rows.
+
+    A level maps each care mask to its values; two values merge when they
+    differ in one cared bit, found by one set lookup per bit: O(L*k).
+    """
+    k = len(minterms[0]) if minterms else 0
+    level = {(1 << k) - 1: {_pack(m)[1] for m in minterms}} if minterms else {}
+    primes: list[tuple[int, int]] = []
     while level:
-        ordered = sorted(level, key=_implicant_key)
-        merged: set[Implicant] = set()
-        next_level: set[Implicant] = set()
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1:]:
-                combined = _merge(a, b)
-                if combined is not None:
-                    next_level.add(combined)
-                    merged.add(a)
-                    merged.add(b)
-        primes |= level - merged
+        next_level: dict[int, set[int]] = {}
+        for mask, values in level.items():
+            merged = set()
+            for s in range(k):
+                bit = 1 << s
+                lows = {v for v in values if not v & bit and v | bit in values} if mask & bit else ()
+                if lows:
+                    next_level.setdefault(mask ^ bit, set()).update(lows)
+                    merged |= lows | {v | bit for v in lows}
+            primes += [(mask, v) for v in values - merged]
         level = next_level
-    return sorted(primes, key=_implicant_key)
+    return sorted([_unpack(mask, value, k) for mask, value in primes], key=_implicant_key)
 
 
-def minimal_cover(
-    minterms: list[tuple[int, ...]],
-    primes: list[Implicant],
-) -> list[Implicant]:
-    """Essential primes first, then greedily cover what remains."""
-    remaining = set(minterms)
-    chosen: list[Implicant] = []
-    for m in sorted(remaining):
-        candidates = [p for p in primes if covers(p, m)]
-        if len(candidates) == 1 and candidates[0] not in chosen:
-            chosen.append(candidates[0])
-    for p in chosen:
-        remaining -= {m for m in remaining if covers(p, m)}
+def _cube(mask: int, value: int, k: int) -> int:
+    """The rows an implicant covers, as a bitset over the 2^k row indices."""
+    rows = 1 << value
+    for s in range(k):
+        if not mask >> s & 1:
+            rows |= rows << (1 << s)
+    return rows
+
+
+def minimal_cover(minterms: list[tuple[int, ...]], primes: list[Implicant]) -> list[Implicant]:
+    """Essential primes first, then greedily cover what remains.
+
+    Minterms and prime coverage are bitsets over row indices, picked by ``bit_count``.
+    """
+    k = len(minterms[0]) if minterms else 0
+    remaining = sum({1 << _pack(m)[1] for m in minterms})   # distinct rows: the sum is their union
+    cubes = [_cube(*_pack(p), k) for p in primes]
+    once = twice = 0
+    for rows in cubes:
+        twice |= once & rows
+        once |= rows
+    sole = remaining & once & ~twice      # minterms exactly one prime covers
+    chosen = {i for i, rows in enumerate(cubes) if rows & sole}
+    for i in chosen:
+        remaining &= ~cubes[i]
+    # most new coverage wins; fewer literals, then position order break ties
+    ties = [(-key[0], tuple(-x for x in key[1])) for key in map(_implicant_key, primes)] if remaining else []
     while remaining:
-        # most new coverage wins; fewer literals, then position order break ties
-        best = max(
-            primes,
-            key=lambda p: (
-                len([m for m in remaining if covers(p, m)]),
-                -_implicant_key(p)[0],
-                tuple(-x for x in _implicant_key(p)[1]),
-            ),
-        )
-        chosen.append(best)
-        remaining -= {m for m in remaining if covers(best, m)}
-    return sorted(chosen, key=_implicant_key)
+        best = max(range(len(primes)), key=lambda i: ((cubes[i] & remaining).bit_count(), ties[i]))
+        chosen.add(best)
+        remaining &= ~cubes[best]
+    return sorted({primes[i] for i in chosen}, key=_implicant_key)
 
 
 @dataclass(frozen=True)
@@ -121,21 +128,14 @@ def _literal(feature: QuantizedFeature, positive: bool, names) -> str:
     return f"({name} {op} {feature.threshold!r})"
 
 
-def _render_dnf(
-    terms: tuple[Implicant, ...],
-    leaf_order: tuple[int, ...],
-    pool: list[QuantizedFeature],
-    names,
-) -> str:
+def _render_dnf(terms: tuple[Implicant, ...], leaf_order: tuple[int, ...],
+                pool: list[QuantizedFeature], names) -> str:
     if not terms:
         return "FALSE"
     rendered = []
     for term in terms:
-        literals = [
-            _literal(pool[leaf_order[i]], bool(v), names)
-            for i, v in enumerate(term)
-            if v is not None
-        ]
+        literals = [_literal(pool[leaf_order[i]], bool(v), names)
+                    for i, v in enumerate(term) if v is not None]
         if not literals:
             return "TRUE"
         rendered.append((" AND ".join(literals), len(literals)))

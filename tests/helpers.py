@@ -209,6 +209,79 @@ def counter_contradiction_bound(labels, columns) -> int:
     return sum(min(groups[(vec, 0)], groups[(vec, 1)]) for vec in rows)
 
 
+def _implicant_key(imp) -> tuple:
+    fixed = sum(v is not None for v in imp)
+    return (fixed, tuple(2 if v is None else v for v in imp))
+
+
+def _covers(imp, minterm) -> bool:
+    return all(v is None or v == m for v, m in zip(imp, minterm))
+
+
+def _merge(a, b):
+    """Combine two implicants differing in exactly one fixed position."""
+    diff = -1
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x == y:
+            continue
+        if x is None or y is None or diff >= 0:
+            return None
+        diff = i
+    if diff < 0:
+        return None
+    out = list(a)
+    out[diff] = None
+    return tuple(out)
+
+
+def reference_prime_implicants(minterms):
+    """Quine-McCluskey by merging every pair of every level, on tuples.
+
+    The tuple-based reference for the bitmask minimiser in ``neurules.rules``:
+    same contract, primes sorted by literal count, then position order.
+    """
+    level = {tuple(m) for m in minterms}
+    primes = set()
+    while level:
+        ordered = sorted(level, key=_implicant_key)
+        merged, next_level = set(), set()
+        for i, a in enumerate(ordered):
+            for b in ordered[i + 1:]:
+                combined = _merge(a, b)
+                if combined is not None:
+                    next_level.add(combined)
+                    merged.add(a)
+                    merged.add(b)
+        primes |= level - merged
+        level = next_level
+    return sorted(primes, key=_implicant_key)
+
+
+def reference_minimal_cover(minterms, primes):
+    """Essential primes first, then greedy, rescanning coverage on every pick."""
+    remaining = set(minterms)
+    chosen = []
+    for m in sorted(remaining):
+        candidates = [p for p in primes if _covers(p, m)]
+        if len(candidates) == 1 and candidates[0] not in chosen:
+            chosen.append(candidates[0])
+    for p in chosen:
+        remaining -= {m for m in remaining if _covers(p, m)}
+    while remaining:
+        # most new coverage wins; fewer literals, then position order break ties
+        best = max(
+            primes,
+            key=lambda p: (
+                len([m for m in remaining if _covers(p, m)]),
+                -_implicant_key(p)[0],
+                tuple(-x for x in _implicant_key(p)[1]),
+            ),
+        )
+        chosen.append(best)
+        remaining -= {m for m in remaining if _covers(best, m)}
+    return sorted(chosen, key=_implicant_key)
+
+
 # float() accepts each of these; each bad cell is non-numeric or non-finite
 GOOD_CELLS = (" 1.5 ", "1_0", "+3", "1E-5", ".5", "6.", "-0.0", "1e308")
 BAD_CELLS = ("abc", "", "nan", "inf", "-Infinity", "1e999", " NaN ", "1__0")

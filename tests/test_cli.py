@@ -223,6 +223,40 @@ def test_bad_fraction_argument_is_a_usage_error(demo_path, tmp_path, capsys):
     assert "not a decimal or fraction" in capsys.readouterr().err
 
 
+def test_parser_reuse_carries_no_value_between_calls(demo_path, tmp_path, capsys):
+    # main builds its parser once per process; each call must parse afresh
+    first = tmp_path / "first"
+    first.mkdir()
+    _, out = _train(demo_path, first, "--chi0", "1", "--f-ratio", "1")
+    assert Fraction(nr.load_model(out).config["chi0"]) == 1
+    code, out = _train(demo_path, tmp_path)
+    config = nr.load_model(out).config
+    assert code == 0
+    assert Fraction(config["chi0"]) == Fraction(4, 5)
+    assert Fraction(config["f_ratio"]) == Fraction(2, 5)
+
+
+def test_usage_error_leaves_the_parser_usable(demo_path, tmp_path, capsys):
+    _, out = _train(demo_path, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["rules", "--model"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["rules", "--model", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("RULE 1: IF (x1*x2 >= 118.44)")
+
+
+def test_help_is_the_same_on_every_call(capsys):
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1]
+    assert "{train,predict,rules,eval}" in texts[0]
+
+
 def test_split_mode_flags_parse_and_train(demo_path, tmp_path, capsys):
     code, out = _train(
         demo_path, tmp_path, "--mode", "split", "--delta", "1", "--seed", "3"

@@ -2,7 +2,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neurules as nr
@@ -128,3 +128,32 @@ def test_errors_never_exceed_minority_class(values, data):
     f = quantize(values, labels)
     ones = sum(labels)
     assert f.errors <= min(ones, len(labels) - ones)
+
+
+# a few ulps above each base: adjacent floats, repeats (ties), and huge pairs
+# whose midpoint overflows
+_BASES = (-1.7e308, -1.0, 0.0, 1.0, 2.5, 1e308, 1.7e308)
+
+
+@st.composite
+def _tight_samples(draw):
+    picks = draw(st.lists(st.tuples(st.sampled_from(_BASES), st.integers(0, 2)), min_size=2, max_size=12))
+    values = []
+    for base, ulps in picks:
+        for _ in range(ulps):
+            base = float(np.nextafter(base, np.inf))
+        values.append(base)
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(values), max_size=len(values)))
+    return values, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tight_samples())
+@example(([1.0, float(np.nextafter(1.0, 2.0))], [0, 1]))
+@example(([1e308, 1.5e308], [0, 1]))
+def test_apply_reproduces_errors_and_constant_on_tight_values(sample):
+    values, labels = sample
+    f = quantize(values, labels)
+    column = f.apply(values)
+    assert f.errors == hamming(column, np.array(labels))
+    assert f.constant == bool(column.all() or not column.any())

@@ -1,7 +1,10 @@
+import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import neurules as nr
@@ -13,7 +16,9 @@ from neurules.rules import (
     prime_implicants,
 )
 
-from helpers import eval_bits, pool_bits
+from helpers import eval_bits, pool_bits, reference_minimal_cover, reference_prime_implicants
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_merge_only_on_single_position_difference():
@@ -38,6 +43,24 @@ def test_cover_drops_redundant_primes():
     assert len(chosen) == 2
     for m in minterms:
         assert any(covers(p, m) for p in chosen)
+
+
+def test_cover_takes_essential_primes_before_greedy():
+    # a'c and b'c' are essential and cover every minterm; greedy alone would
+    # take the redundant a'b' first (most coverage, then position order)
+    minterms = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0)]
+    primes = prime_implicants(minterms)
+    assert primes == [(0, 0, None), (0, None, 1), (None, 0, 0)]
+    assert minimal_cover(minterms, primes) == [(0, None, 1), (None, 0, 0)]
+
+
+def test_cyclic_cover_breaks_greedy_ties_by_position_order():
+    # no prime is essential and every prime covers two minterms, so each
+    # pick is decided by the tie-break alone
+    minterms = [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0)]
+    primes = prime_implicants(minterms)
+    assert len(primes) == 6
+    assert minimal_cover(minterms, primes) == [(0, 1, None), (0, None, 1), (1, 0, None), (1, None, 0)]
 
 
 def test_covers_checks_fixed_positions_only():
@@ -136,3 +159,75 @@ def test_rules_reproduce_training_columns(demo_path):
     for rule, neuron in zip(nr.extract_rules(c), c.neurons):
         got = np.array([rule.matches(row) for row in bits.T])
         assert np.array_equal(got, nr.eval_expr(neuron.expression, bits))
+
+
+def _minterms(expr, leaf_order, width):
+    """True rows of an expression over its leaves, by the independent evaluator."""
+    rows = []
+    for row in product((0, 1), repeat=len(leaf_order)):
+        bits = [0] * width
+        for leaf, bit in zip(leaf_order, row):
+            bits[leaf] = bit
+        if eval_bits(expr, bits):
+            rows.append(row)
+    return rows
+
+
+def _assert_matches_reference(minterms):
+    primes = prime_implicants(minterms)
+    assert primes == reference_prime_implicants(minterms)
+    assert minimal_cover(minterms, primes) == reference_minimal_cover(minterms, primes)
+
+
+def _chain(rng, k, connectives):
+    """A random left/right chain over leaves 0..k-1, each leaf used once."""
+    leaves = [int(v) for v in rng.permutation(k)]
+    expr = leaves[0]
+    for leaf in leaves[1:]:
+        name = connectives[int(rng.integers(len(connectives)))]
+        expr = (name, expr, leaf) if rng.integers(2) else (name, leaf, expr)
+    return expr
+
+
+_ALL = tuple(sorted(CONNECTIVES))
+_XOR_HEAVY = ("XOR", "XNOR", "XOR", "XNOR", "AND", "OR")
+
+
+def test_bitmask_minimiser_matches_the_reference_on_golden_neurons():
+    checked = 0
+    for path in sorted(GOLDEN.glob("*.json")):
+        c = nr.load_model(path).collective
+        for neuron in c.neurons:
+            minterms = _minterms(neuron.expression, tuple(sorted(neuron.leaves)), len(c.pool))
+            if minterms:
+                _assert_matches_reference(minterms)
+                checked += 1
+    assert checked >= 32
+
+
+# (leaves, chains per connective set); these seeds keep every reference run
+# under a second
+@pytest.mark.parametrize("k, count", [(1, 4), (2, 12), (3, 12), (4, 12), (5, 12), (6, 8), (7, 4), (8, 3)])
+def test_bitmask_minimiser_matches_the_reference_on_random_chains(k, count):
+    for connectives in (_ALL, _XOR_HEAVY):
+        for seed in range(count):
+            expr = _chain(np.random.default_rng([k, seed]), k, connectives)
+            minterms = _minterms(expr, tuple(range(k)), k)
+            if minterms:
+                _assert_matches_reference(minterms)
+
+
+def test_eleven_leaf_rules_finish_in_bounded_time():
+    # a layer-10 neuron has 11 leaves; an OR chain has many implicants
+    pool = [_feature(j, float(j)) for j in range(11)]
+    names = tuple(f"x{j}" for j in range(11))
+    exprs = [_chain(np.random.default_rng([11, seed]), 11, _ALL) for seed in range(3)]
+    exprs.append(_chain(np.random.default_rng(11), 11, ("OR",)))
+    c = _collective_for(exprs, pool, names)
+    rng = np.random.default_rng(0)
+    for neuron in c.neurons:
+        start = time.perf_counter()
+        rule = neuron_rule(1, neuron, c)
+        assert time.perf_counter() - start < 5.0
+        for bits in rng.integers(0, 2, size=(64, 11)):
+            assert rule.matches(bits) == bool(eval_bits(neuron.expression, bits))
