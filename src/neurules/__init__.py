@@ -27,16 +27,10 @@ from .dataset import (
     split_even,
 )
 from .errors import DataError, DegenerateSplitError, ModelFormatError
-from .features import (
-    GeneralizedFeature,
-    admit_generalized,
-    overlapping_factors,
-    search_products,
-    substitute,
-)
+from .features import overlapping_factors, search_products, substitute
 from .model_io import FORMAT_VERSION, LoadedModel, load_model, save_model
 from .neurons import CONNECTIVES, Neuron, SplitScores, apply_connective, eval_expr
-from .quantization import GE, LT, QuantizedFeature, contradiction_bound, quantize, quantize_source
+from .quantization import GE, LT, QuantizedFeature, contradiction_bound, pool_bits, quantize, quantize_source
 from .rules import NeuronRule, extract_rules, render_rules
 from .synthesis import (
     CandidateLayer,
@@ -68,7 +62,6 @@ __all__ = [
     "DataError",
     "DegenerateSplitError",
     "EvalMetrics",
-    "GeneralizedFeature",
     "LayerTrace",
     "LearningSet",
     "LoadedModel",
@@ -84,7 +77,6 @@ __all__ = [
     "Survivors",
     "Verdict",
     "admit",
-    "admit_generalized",
     "apply_connective",
     "classify",
     "coherence_table",
@@ -99,6 +91,7 @@ __all__ = [
     "load_dataset",
     "load_model",
     "overlapping_factors",
+    "pool_bits",
     "quantize",
     "quantize_input",
     "quantize_source",

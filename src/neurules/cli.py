@@ -1,8 +1,8 @@
 """Command-line interface: train, predict, rules, eval.
 
-Exit codes: 0 success, 2 bad data, 3 synthesis stalled with errors left (the
-model is still written, with a diagnostic on stderr), 4 file or model-format
-trouble.
+Exit codes: 0 success, 2 bad data or an out-of-range training option, 3
+synthesis stalled with errors left (the model is still written, with a
+diagnostic on stderr), 4 file or model-format trouble.
 """
 from __future__ import annotations
 
@@ -95,16 +95,20 @@ def _values_for_model(header, rows, c: Collective, path) -> np.ndarray:
 
 
 def _cmd_train(args) -> int:
+    try:
+        config = SynthesisConfig(
+            mode=args.mode,
+            delta=args.delta,
+            f_ratio=args.f_ratio,
+            max_layers=args.max_layers,
+            max_p=args.max_p,
+            chi0=args.chi0,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        # an out-of-range option is bad input: say so before reading any data
+        raise DataError(f"bad training option: {exc}") from None
     ls = load_dataset(args.data, args.label)
-    config = SynthesisConfig(
-        mode=args.mode,
-        delta=args.delta,
-        f_ratio=args.f_ratio,
-        max_layers=args.max_layers,
-        max_p=args.max_p,
-        chi0=args.chi0,
-        seed=args.seed,
-    )
     collective, report = synthesize(ls, config)
     echo = config.to_dict()
     echo["label_column"] = args.label

@@ -18,9 +18,15 @@ from . import neurons
 from .dataset import LearningSet, group_rows
 from .errors import DataError
 from .neurons import Neuron, eval_expr
-from .quantization import QuantizedFeature, product_values
+from .quantization import QuantizedFeature, pool_bits
 
 DEFAULT_CHI0 = Fraction(4, 5)
+
+
+def check_chi0(chi0: Fraction) -> None:
+    """Reject a refusal threshold outside [1/2, 1], the range a coherence can take."""
+    if not Fraction(1, 2) <= chi0 <= 1:
+        raise ValueError(f"chi0 must lie in [1/2, 1], got {chi0}")
 
 
 @dataclass
@@ -36,8 +42,7 @@ class Collective:
     def __post_init__(self) -> None:
         if not self.neurons:
             raise ValueError("collective needs at least one neuron")
-        if not Fraction(1, 2) <= self.chi0 <= 1:
-            raise ValueError(f"chi0 must lie in [1/2, 1], got {self.chi0}")
+        check_chi0(self.chi0)
 
     @property
     def size(self) -> int:
@@ -97,9 +102,7 @@ def quantize_input(c: Collective, x) -> np.ndarray:
         raise DataError(f"width mismatch: model expects {m} values, got {x.shape}")
     if not np.isfinite(x).all():
         raise DataError("non-finite value in input vector")
-    rows = x.reshape(-1, m)
-    bits = np.array([f.apply(product_values(rows, f.source)) for f in c.pool]).T
-    return bits.reshape(x.shape[:-1] + (len(c.pool),))
+    return pool_bits(c.pool, x.reshape(-1, m)).T.reshape(x.shape[:-1] + (len(c.pool),))
 
 
 def vote(c: Collective, bits) -> Verdict:

@@ -54,9 +54,9 @@ def product_values(values: np.ndarray, source) -> np.ndarray:
     return np.prod(values[:, list(source)], axis=1)
 
 
-def source_values(ls: LearningSet, source) -> np.ndarray:
-    """Learning-set values of a single variable or of a product of variables."""
-    return product_values(ls.values, source)
+def pool_bits(features, values: np.ndarray) -> np.ndarray:
+    """Each cut applied to its source values of a raw ``(n, m)`` matrix: bits ``(|features|, n)``."""
+    return np.array([f.apply(product_values(values, f.source)) for f in features])
 
 
 def quantize(values, labels, source: tuple[int, ...] = ()) -> QuantizedFeature:
@@ -110,7 +110,7 @@ def quantize(values, labels, source: tuple[int, ...] = ()) -> QuantizedFeature:
 def quantize_source(ls: LearningSet, source) -> QuantizedFeature:
     """Quantize one variable or product variable of a learning set."""
     source = (int(source),) if isinstance(source, (int, np.integer)) else tuple(source)
-    return quantize(source_values(ls, source), ls.labels, source)
+    return quantize(product_values(ls.values, source), ls.labels, source)
 
 
 def hamming(column: np.ndarray, labels: np.ndarray) -> int:
@@ -127,7 +127,6 @@ def contradiction_bound(ls: LearningSet, features) -> int:
     """
     if not features:
         raise DataError("no features")
-    bits = np.stack([f.apply(source_values(ls, f.source)) for f in features], axis=1)
-    first, inverse = group_rows(bits)
+    first, inverse = group_rows(pool_bits(features, ls.values).T)
     counts = np.bincount(2 * inverse + ls.labels, minlength=2 * len(first)).reshape(-1, 2)
     return int(counts.min(axis=1).sum())

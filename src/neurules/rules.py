@@ -79,7 +79,8 @@ def _cube(mask: int, value: int, k: int) -> int:
 def minimal_cover(minterms: list[tuple[int, ...]], primes: list[Implicant]) -> list[Implicant]:
     """Essential primes first, then greedily cover what remains.
 
-    Minterms and prime coverage are bitsets over row indices, picked by ``bit_count``.
+    Minterms and prime coverage are bitsets over row indices, picked by
+    ``bit_count``.  Raises ValueError when the primes leave a minterm uncovered.
     """
     k = len(minterms[0]) if minterms else 0
     remaining = sum({1 << _pack(m)[1] for m in minterms})   # distinct rows: the sum is their union
@@ -88,6 +89,10 @@ def minimal_cover(minterms: list[tuple[int, ...]], primes: list[Implicant]) -> l
     for rows in cubes:
         twice |= once & rows
         once |= rows
+    uncovered = remaining & ~once
+    if uncovered:
+        row = (uncovered & -uncovered).bit_length() - 1
+        raise ValueError(f"no prime covers minterm {_unpack((1 << k) - 1, row, k)}")
     sole = remaining & once & ~twice      # minterms exactly one prime covers
     chosen = {i for i, rows in enumerate(cubes) if rows & sole}
     for i in chosen:

@@ -17,13 +17,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import neurons
-from .collective import DEFAULT_CHI0, Collective
+from .collective import DEFAULT_CHI0, Collective, check_chi0
 from .dataset import LearningSet, SplitPair, split_even
 from .errors import DataError, DegenerateSplitError
 from .features import overlapping_factors, search_products, substitute
 from .neurons import CONNECTIVES, Expr, Neuron, SplitScores, eval_expr
 from .neurons import apply_connective  # noqa: F401  (bench/tracing.py wraps this name here)
-from .quantization import QuantizedFeature, hamming, product_values, quantize, quantize_source, source_values
+from .quantization import QuantizedFeature, hamming, pool_bits, product_values, quantize, quantize_source
 
 MODE_STATEMENT1 = "statement1"
 MODE_SPLIT = "split"
@@ -48,7 +48,6 @@ class SynthesisConfig:
     max_p: int | None = None
     chi0: Fraction = DEFAULT_CHI0
     seed: int = 0
-    prune_products: bool = True
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_STATEMENT1, MODE_SPLIT):
@@ -63,6 +62,7 @@ class SynthesisConfig:
         self.chi0 = _as_fraction(self.chi0)
         if not 0 < self.f_ratio <= 1:
             raise ValueError("f_ratio must lie in (0, 1]")
+        check_chi0(self.chi0)
 
     def to_dict(self) -> dict:
         return {
@@ -73,13 +73,9 @@ class SynthesisConfig:
             "max_p": self.max_p,
             "chi0": str(self.chi0),
             "seed": self.seed,
-            "prune_products": self.prune_products,
+            # format 1 keeps the key: supersets of an admitted product are always skipped
+            "prune_products": True,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SynthesisConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in data.items() if k in known})
 
 
 def _as_fraction(value) -> Fraction:
@@ -476,12 +472,9 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
     labels = ls.labels
     base = [quantize_source(ls, (j,)) for j in range(ls.m)]
     max_p = min(config.max_p, ls.m) if config.max_p is not None else min(ls.m, 4)
-    admitted_products = []
-    if ls.m >= 2 and max_p >= 2:
-        admitted_products = search_products(ls, base, max_p, prune=config.prune_products)
+    admitted_products = search_products(ls, base, max_p) if max_p >= 2 else []
     pool = substitute(base, admitted_products)
-    # the pool's training bits, (|pool|, n): every layer grows from these
-    bits = np.array([f.apply(source_values(ls, f.source)) for f in pool])
+    bits = pool_bits(pool, ls.values)   # every layer grows from the pool's training bits
     split_mode = config.mode == MODE_SPLIT
     fits, criteria = (None, None), [None] * len(pool)
     if split_mode:
@@ -555,11 +548,11 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
         base_errors=[f.errors for f in base],
         products=[
             {
-                "source": list(g.source),
-                "errors": g.feature.errors,
-                "factor_errors": {str(i): v for i, v in g.factor_errors.items()},
+                "source": list(f.source),
+                "errors": f.errors,
+                "factor_errors": {str(i): base[i].errors for i in f.source},
             }
-            for g in admitted_products
+            for f in admitted_products
         ],
         overlap_variables=overlapping_factors(admitted_products),
         pool_description=[f.describe(ls.variable_names) for f in pool],

@@ -6,6 +6,7 @@ they check.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 import neurules as nr
 from neurules.errors import DataError
 from neurules.model_io import model_to_dict
-from neurules.quantization import source_values
 
 
 def random_set(seed: int) -> nr.LearningSet:
@@ -72,16 +72,28 @@ def xor_set(rng: np.random.Generator) -> nr.LearningSet:
     return nr.from_arrays(np.array(rows, dtype=float), np.array(labels, dtype=np.uint8))
 
 
-def pool_bits(pool, ls: nr.LearningSet) -> np.ndarray:
-    """A pool's training bits, (|pool|, n): each cut applied to its source values."""
-    return np.array([f.apply(source_values(ls, f.source)) for f in pool])
-
-
 def leaf_operands(pool, ls: nr.LearningSet) -> nr.Survivors:
     """A pool as ``generate_candidates`` takes it in statement-1 mode: feature i
     as bare-leaf neuron i, with its packed training column."""
     neurons = [nr.Neuron(i, 0, f.errors) for i, f in enumerate(pool)]
-    return nr.Survivors(neurons, np.packbits(pool_bits(pool, ls), axis=-1))
+    return nr.Survivors(neurons, np.packbits(nr.pool_bits(pool, ls.values), axis=-1))
+
+
+def reference_admitted_products(ls: nr.LearningSet, base, max_p: int) -> list[tuple[int, ...]]:
+    """Brute-force product search without skipping: score every subset of
+    2..max_p variables on its own and admit it when its finite, non-constant
+    cut beats every factor's errors.  Sources by size, then lexicographic."""
+    admitted = []
+    for size in range(2, max_p + 1):
+        for subset in itertools.combinations(range(ls.m), size):
+            with np.errstate(over="ignore", invalid="ignore"):
+                values = np.prod(ls.values[:, list(subset)], axis=1)
+            if not np.isfinite(values).all():
+                continue
+            cut = nr.quantize(values, ls.labels, subset)
+            if not cut.constant and cut.errors < min(base[i].errors for i in subset):
+                admitted.append(subset)
+    return admitted
 
 
 def brute_best_cut_errors(values, labels) -> int:

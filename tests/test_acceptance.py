@@ -35,7 +35,6 @@ from helpers import (
     contradiction_set,
     eval_bits,
     leaf_operands,
-    pool_bits,
     random_set,
     xor_set,
 )
@@ -166,15 +165,15 @@ def test_acceptance_5_search_space_combinatorics(monkeypatch, capsys):
 
         assert default_f_cap(10) == 4
 
-        # unpruned product search scores every subset of two or more variables
-        real_quantize = features_mod.quantize
+        # with nothing admitted, product search scores every subset of two or
+        # more variables: a quantizer whose cuts miss every row never admits
         calls: list[tuple[int, ...]] = []
 
-        def counting(values, labels, source=()):
+        def never_admits(values, labels, source=()):
             calls.append(source)
-            return real_quantize(values, labels, source)
+            return nr.QuantizedFeature(tuple(source), 0.0, "ge", len(labels))
 
-        monkeypatch.setattr(features_mod, "quantize", counting)
+        monkeypatch.setattr(features_mod, "quantize", never_admits)
         for m in (2, 3, 4):
             values = rng.uniform(0.5, 2.0, size=(12, m))
             labels = rng.integers(0, 2, size=12).astype(np.uint8)
@@ -182,7 +181,7 @@ def test_acceptance_5_search_space_combinatorics(monkeypatch, capsys):
             ls = nr.from_arrays(values, labels)
             base = [nr.quantize_source(ls, (j,)) for j in range(m)]
             calls.clear()
-            features_mod.search_products(ls, base, max_p=m, prune=False)
+            assert features_mod.search_products(ls, base, max_p=m) == []
             assert len(calls) == 2 ** m - 1 - m
             assert set(calls) == {
                 s
@@ -267,7 +266,7 @@ def test_acceptance_7_round_trip_and_rule_fidelity(demo_path, tmp_path, capsys):
         sets = [nr.load_dataset(demo_path, "sex"), random_set(3), random_set(7)]
         for ls in sets:
             collective, _ = nr.synthesize(ls)
-            bits = pool_bits(collective.pool, ls)
+            bits = nr.pool_bits(collective.pool, ls.values)
             for rule, neuron in zip(nr.extract_rules(collective), collective.neurons):
                 replayed = np.array([rule.matches(row) for row in bits.T])
                 assert np.array_equal(replayed, nr.eval_expr(neuron.expression, bits))

@@ -223,6 +223,30 @@ def test_bad_fraction_argument_is_a_usage_error(demo_path, tmp_path, capsys):
     assert "not a decimal or fraction" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, field", [
+    ("--chi0", "0.3", "chi0"),
+    ("--chi0", "2", "chi0"),
+    ("--f-ratio", "0", "f_ratio"),
+    ("--delta", "-1", "delta"),
+    ("--max-layers", "0", "max_layers"),
+    ("--max-p", "0", "max_p"),
+])
+def test_out_of_range_training_option_exits_2_before_training(
+        demo_path, tmp_path, capsys, monkeypatch, option, value, field):
+    def no_training(*args, **kwargs):
+        raise AssertionError("training ran")
+
+    monkeypatch.setattr("neurules.cli.load_dataset", no_training)
+    monkeypatch.setattr("neurules.cli.synthesize", no_training)
+    code, out = _train(demo_path, tmp_path, option, value)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not out.exists()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad training option: {field}")
+    assert captured.err.count("\n") == 1
+
+
 def test_parser_reuse_carries_no_value_between_calls(demo_path, tmp_path, capsys):
     # main builds its parser once per process; each call must parse afresh
     first = tmp_path / "first"

@@ -13,7 +13,6 @@ from helpers import (
     counter_contradiction_bound,
     golden_cases,
     parse_cells_per_cell,
-    pool_bits,
     random_set,
 )
 
@@ -196,7 +195,7 @@ def test_bound_never_exceeds_any_feature_errors():
 
 
 def _bound_pair(ls, features):
-    return nr.contradiction_bound(ls, features), counter_contradiction_bound(ls.labels, pool_bits(features, ls))
+    return nr.contradiction_bound(ls, features), counter_contradiction_bound(ls.labels, nr.pool_bits(features, ls.values))
 
 
 def test_contradiction_bound_matches_the_counter_reference_on_random_and_golden_pools():

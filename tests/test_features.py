@@ -1,33 +1,43 @@
 import warnings
 from itertools import combinations
-from types import MappingProxyType
 
 import numpy as np
 import pytest
 
 import neurules as nr
 import neurules.features
-from neurules.features import (
-    GeneralizedFeature,
-    admit_generalized,
-    overlapping_factors,
-    search_products,
-    substitute,
-)
+from neurules.features import overlapping_factors, search_products, substitute
 from neurules.quantization import quantize
 
-from helpers import random_set
+from helpers import reference_admitted_products, random_set
 
 
-def _candidate(errors, factor_errors):
-    feature = nr.QuantizedFeature(tuple(factor_errors), 0.5, "ge", errors)
-    return GeneralizedFeature(feature, MappingProxyType(dict(factor_errors)))
+def _cut(source, errors=0):
+    return nr.QuantizedFeature(tuple(source), 0.5, "ge", errors)
 
 
-def test_admission_is_strict_improvement_over_every_factor():
-    assert admit_generalized(_candidate(0, {0: 1, 1: 1}))
-    assert not admit_generalized(_candidate(1, {0: 1, 1: 2}))
-    assert admit_generalized(_candidate(2, {0: 3, 1: 4, 2: 3}))
+def _stub_quantize(monkeypatch, errors_by_source, calls=None):
+    """Product search sees a cut with the listed errors for each listed
+    subset and, for any other subset, a cut that misses every row."""
+    def fake(values, labels, source=()):
+        if calls is not None:
+            calls.append(tuple(source))
+        return _cut(source, errors_by_source.get(tuple(source), len(labels)))
+
+    monkeypatch.setattr(neurules.features, "quantize", fake)
+
+
+def test_admission_is_strict_improvement_over_every_factor(monkeypatch):
+    ls = nr.from_arrays(np.arange(1.0, 13.0).reshape(4, 3), [0, 0, 1, 1])
+    base = [_cut((j,), e) for j, e in enumerate((1, 2, 3))]
+    # (0, 1) beats both factors; (0, 2) only ties factor 0; (1, 2) beats both
+    _stub_quantize(monkeypatch, {(0, 1): 0, (0, 2): 1, (1, 2): 1})
+    assert [f.source for f in search_products(ls, base, max_p=3)] == [(0, 1), (1, 2)]
+    # every pair ties its best factor; the triple beats all three
+    base = [_cut((j,), e) for j, e in enumerate((3, 4, 3))]
+    _stub_quantize(monkeypatch, {(0, 1): 3, (0, 2): 3, (1, 2): 3, (0, 1, 2): 2})
+    admitted = search_products(ls, base, max_p=3)
+    assert [(f.source, f.errors) for f in admitted] == [((0, 1, 2), 2)]
 
 
 def test_demo_product_admitted_with_zero_errors(demo_path):
@@ -35,10 +45,10 @@ def test_demo_product_admitted_with_zero_errors(demo_path):
     base = [nr.quantize_source(ls, (j,)) for j in range(ls.m)]
     admitted = search_products(ls, base, max_p=2)
     assert len(admitted) == 1
-    g = admitted[0]
-    assert g.source == (0, 1) and g.p == 2
-    assert g.feature.errors == 0
-    assert dict(g.factor_errors) == {0: 3, 1: 1}
+    f = admitted[0]
+    assert isinstance(f, nr.QuantizedFeature)
+    assert f.source == (0, 1) and f.errors == 0 and not f.constant
+    assert [b.errors for b in base] == [3, 1]
 
 
 def test_nothing_admitted_when_base_is_perfect():
@@ -72,33 +82,29 @@ def test_max_p_bounds_enforced(demo_path):
 
 
 def test_unpruned_call_count_is_all_subsets(monkeypatch):
-    for m in (2, 3, 4):
+    # a quantizer that never admits leaves nothing to skip: every subset of
+    # two or more variables is scored once, smallest first
+    for m in (2, 3, 4, 5):
         rng = np.random.default_rng(m)
         ls = nr.from_arrays(rng.uniform(1, 9, size=(12, m)), [0, 1] * 6)
         base = [nr.quantize_source(ls, (j,)) for j in range(m)]
         calls = []
-        real = quantize
-        monkeypatch.setattr(
-            neurules.features, "quantize", lambda *a, **k: calls.append(1) or real(*a, **k)
-        )
-        search_products(ls, base, max_p=m, prune=False)
+        _stub_quantize(monkeypatch, {}, calls)
+        assert search_products(ls, base, max_p=m) == []
         assert len(calls) == 2**m - 1 - m
+        assert calls == [s for p in range(2, m + 1) for s in combinations(range(m), p)]
 
 
 def test_pruning_keeps_exactly_the_minimal_admitted_subsets():
+    pruned_sets = 0
     for seed in range(12):
         ls = random_set(seed)
-        if ls.m > 4:
-            continue
         base = [nr.quantize_source(ls, (j,)) for j in range(ls.m)]
-        pruned = search_products(ls, base, max_p=ls.m, prune=True)
-        full = search_products(ls, base, max_p=ls.m, prune=False)
-        minimal = [
-            g.source
-            for g in full
-            if not any(set(h.source) < set(g.source) for h in full)
-        ]
-        assert [g.source for g in pruned] == minimal
+        every = reference_admitted_products(ls, base, ls.m)
+        minimal = [s for s in every if not any(set(t) < set(s) for t in every)]
+        assert [f.source for f in search_products(ls, base, max_p=ls.m)] == minimal
+        pruned_sets += minimal != every
+    assert pruned_sets > 0   # some seed would admit a superset of an admitted subset
 
 
 def test_superset_of_admitted_subset_is_skipped(monkeypatch, demo_path):
@@ -114,8 +120,8 @@ def test_superset_of_admitted_subset_is_skipped(monkeypatch, demo_path):
     monkeypatch.setattr(
         neurules.features, "quantize", lambda *a, **k: calls.append(a[2]) or real(*a, **k)
     )
-    admitted = search_products(ls, base, max_p=3, prune=True)
-    assert (0, 1) in [g.source for g in admitted]
+    admitted = search_products(ls, base, max_p=3)
+    assert (0, 1) in [f.source for f in admitted]
     assert (0, 1, 2) not in calls
     assert calls == [(0, 1), (0, 2), (1, 2)]
 
@@ -136,8 +142,7 @@ def test_substitute_keeps_uncovered_singletons():
     ls = nr.from_arrays(values, [0, 0, 0, 0, 1, 1, 1, 1])
     base = [nr.quantize_source(ls, (j,)) for j in range(3)]
     prod = nr.quantize_source(ls, (0, 1))
-    g = GeneralizedFeature(prod, MappingProxyType({0: base[0].errors, 1: base[1].errors}))
-    pool = substitute(base, [g])
+    pool = substitute(base, [prod])
     assert [f.source for f in pool] == [(0, 1), (2,)]
 
 
@@ -149,12 +154,8 @@ def test_substitute_identity_without_admissions():
 
 
 def test_substitute_orders_products_by_size_then_source():
-    def gf(source):
-        f = nr.QuantizedFeature(source, 0.5, "ge", 0)
-        return GeneralizedFeature(f, MappingProxyType({i: 1 for i in source}))
-
-    base = [nr.QuantizedFeature((j,), 0.5, "ge", 1) for j in range(5)]
-    pool = substitute(base, [gf((0, 2, 3)), gf((1, 4)), gf((0, 2))])
+    base = [_cut((j,), 1) for j in range(5)]
+    pool = substitute(base, [_cut((0, 2, 3)), _cut((1, 4)), _cut((0, 2))])
     assert [f.source for f in pool] == [(0, 2), (1, 4), (0, 2, 3)]
 
 
@@ -170,12 +171,9 @@ def test_pool_features_never_worse_than_what_they_replace():
 
 
 def test_overlapping_factors_reported():
-    def gf(source):
-        f = nr.QuantizedFeature(source, 0.5, "ge", 0)
-        return GeneralizedFeature(f, MappingProxyType({i: 1 for i in source}))
-
-    assert overlapping_factors([gf((0, 1)), gf((2, 3))]) == ()
-    assert overlapping_factors([gf((0, 1)), gf((1, 2))]) == (1,)
+    assert overlapping_factors([_cut((0, 1)), _cut((2, 3))]) == ()
+    assert overlapping_factors([_cut((0, 1)), _cut((1, 2))]) == (1,)
+    assert overlapping_factors([_cut((0, 1, 2)), _cut((1, 2)), _cut((2, 3))]) == (1, 2)
 
 
 def test_overflowing_product_is_skipped_without_a_warning():

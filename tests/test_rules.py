@@ -16,7 +16,7 @@ from neurules.rules import (
     prime_implicants,
 )
 
-from helpers import eval_bits, pool_bits, reference_minimal_cover, reference_prime_implicants
+from helpers import eval_bits, reference_minimal_cover, reference_prime_implicants
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -61,6 +61,15 @@ def test_cyclic_cover_breaks_greedy_ties_by_position_order():
     primes = prime_implicants(minterms)
     assert len(primes) == 6
     assert minimal_cover(minterms, primes) == [(0, 1, None), (0, None, 1), (1, 0, None), (1, None, 0)]
+
+
+def test_cover_with_an_incomplete_prime_set_names_the_uncovered_minterm():
+    with pytest.raises(ValueError, match=r"minterm \(1, 1\)"):
+        minimal_cover([(0, 0), (1, 1)], [(0, 0)])
+    with pytest.raises(ValueError, match=r"minterm \(0, 1, 0\)"):
+        minimal_cover([(1, 1, 1), (0, 1, 0), (0, 1, 1)], [(None, 1, 1)])
+    with pytest.raises(ValueError, match=r"minterm \(1,\)"):
+        minimal_cover([(1,)], [])
 
 
 def test_covers_checks_fixed_positions_only():
@@ -155,7 +164,7 @@ def test_rendered_block_ends_with_vote_footer(demo_path):
 def test_rules_reproduce_training_columns(demo_path):
     ls = nr.load_dataset(demo_path, "sex")
     c, _ = nr.synthesize(ls)
-    bits = pool_bits(c.pool, ls)
+    bits = nr.pool_bits(c.pool, ls.values)
     for rule, neuron in zip(nr.extract_rules(c), c.neurons):
         got = np.array([rule.matches(row) for row in bits.T])
         assert np.array_equal(got, nr.eval_expr(neuron.expression, bits))

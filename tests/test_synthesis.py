@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from helpers import (
     contradiction_set,
     golden_cases,
     leaf_operands,
-    pool_bits,
     random_set,
     xor_set,
 )
@@ -39,7 +39,7 @@ def _pool(m, n=8, seed=0):
     labels = np.array([0, 1] * (n // 2), dtype=np.uint8)
     ls = nr.from_arrays(values, labels)
     pool = [nr.quantize_source(ls, (j,)) for j in range(m)]
-    return leaf_operands(pool, ls), labels, pool_bits(pool, ls)
+    return leaf_operands(pool, ls), labels, nr.pool_bits(pool, ls.values)
 
 
 def _columns(packed, n):
@@ -124,7 +124,7 @@ def test_duplicate_columns_keep_the_first_occurrence(monkeypatch):
             layers.clear()
             ls = random_set(seed)
             c, _ = nr.synthesize(ls, nr.SynthesisConfig(mode=mode, max_p=1))
-            bits = pool_bits(c.pool, ls)
+            bits = nr.pool_bits(c.pool, ls.values)
             assert layers
             for parents, layer in layers:
                 neurons = layer.survivors(np.arange(len(layer))).neurons
@@ -144,7 +144,7 @@ def test_split_dedup_keys_on_the_training_column_only(monkeypatch):
     _, layer = layers[0]
     kept = {n.expression: n for n in layer.survivors(np.arange(len(layer))).neurons}
     earlier, later = ("OR", 0, 2), ("OR", 0, 4)
-    bits = pool_bits(c.pool, ls)
+    bits = nr.pool_bits(c.pool, ls.values)
     assert np.array_equal(nr.eval_expr(earlier, bits), nr.eval_expr(later, bits))
     assert split_criteria(later, c.pool, split, ls) != kept[earlier].criteria
     assert later not in kept
@@ -177,8 +177,6 @@ def test_default_f_cap_rounds_up_and_never_drops_below_one():
     assert default_f_cap(1) == 1
     assert default_f_cap(7) == 3
     assert default_f_cap(0) == 1
-    from fractions import Fraction
-
     assert default_f_cap(5, Fraction(1, 2)) == 3
     assert default_f_cap(10, Fraction("0.4")) == 4
 
@@ -333,7 +331,7 @@ def test_survivor_fits_follow_the_chosen_candidates(monkeypatch):
         positions = np.arange(len(layer))[::-3]
         carried = layer.survivors(positions)
         assert [n.errors for n in carried.neurons] == layer.errors[positions].tolist()
-        for rows, columns in ((carried.packed, pool_bits(c.pool, ls)), (carried.fit_a, fit_a), (carried.fit_b, fit_b)):
+        for rows, columns in ((carried.packed, nr.pool_bits(c.pool, ls.values)), (carried.fit_a, fit_a), (carried.fit_b, fit_b)):
             expected = [nr.eval_expr(n.expression, columns) for n in carried.neurons]
             assert np.array_equal(_columns(rows, ls.n), expected)
 
@@ -407,7 +405,7 @@ def test_neuron_depth_equals_layer_and_columns_match_expressions():
     for seed in (4, 7, 14):
         ls = random_set(seed)
         c, rep = nr.synthesize(ls)
-        bits = pool_bits(c.pool, ls)
+        bits = nr.pool_bits(c.pool, ls.values)
         for trace in rep.traces:
             for neuron in trace.survivors:
                 assert expr_depth(neuron.expression) == neuron.layer == trace.index
@@ -420,7 +418,7 @@ def test_no_layer_holds_two_neurons_with_one_column():
     for seed in range(12):
         ls = random_set(seed)
         c, rep = nr.synthesize(ls)
-        bits = pool_bits(c.pool, ls)
+        bits = nr.pool_bits(c.pool, ls.values)
         for trace in rep.traces:
             keys = [nr.eval_expr(n.expression, bits).tobytes() for n in trace.survivors]
             assert len(keys) == len(set(keys))
@@ -450,7 +448,7 @@ def test_stalled_run_reports_floor_and_doubtful_rows():
     assert rep.diagnostic == STALL_DIAGNOSTIC
     assert len(rep.doubtful_instances) >= k
     # every listed row really is misclassified (or undecided) by the vote
-    votes = np.sum([nr.eval_expr(n.expression, pool_bits(c.pool, ls)) for n in c.neurons], axis=0)
+    votes = np.sum([nr.eval_expr(n.expression, nr.pool_bits(c.pool, ls.values)) for n in c.neurons], axis=0)
     for i in rep.doubtful_instances:
         n1 = int(votes[i])
         n0 = c.size - n1
@@ -525,9 +523,12 @@ def test_config_validation():
         nr.SynthesisConfig(max_p=0)
     with pytest.raises(ValueError, match="max_layers"):
         nr.SynthesisConfig(max_layers=0)
+    for chi0 in ("0.3", 2, "-1/2", "101/100"):
+        with pytest.raises(ValueError, match="chi0"):
+            nr.SynthesisConfig(chi0=chi0)
+    assert nr.SynthesisConfig(chi0="1/2").chi0 == Fraction(1, 2)
+    assert nr.SynthesisConfig(chi0=1).chi0 == 1
     cfg = nr.SynthesisConfig(f_ratio=0.4, chi0="0.8")
-    from fractions import Fraction
-
     assert cfg.f_ratio == Fraction(2, 5)
     assert cfg.chi0 == Fraction(4, 5)
 
