@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from helpers import golden_cases, golden_model_text
+from helpers import deep_cases, golden_cases, golden_model_text
 
 HERE = Path(__file__).resolve().parent
 
 
 def main() -> None:
-    for name, ls, config in golden_cases():
+    for name, ls, config in golden_cases() + deep_cases():
         (HERE / f"{name}.json").write_text(golden_model_text(ls, config), encoding="utf-8")
 
 

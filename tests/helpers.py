@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -186,6 +187,40 @@ def golden_cases() -> list[tuple[str, nr.LearningSet, nr.SynthesisConfig]]:
         config = nr.SynthesisConfig(mode=mode, max_p=max_p, delta=delta, seed=seed)
         cases.append((f"case_{seed:02d}", golden_set(seed), config))
     return cases
+
+
+def deep_set(seed: int, concept: str, noise: float) -> nr.LearningSet:
+    """Seeded set whose concept takes many connective levels: 400 rows of ten
+    normal variables, labelled by the XOR (parity) or the AND of the first
+    four variables' signs, with a fraction ``noise`` of the labels flipped."""
+    rng = np.random.default_rng(4000 + seed)
+    values = rng.normal(size=(400, 10))
+    signs = values[:, :4] > 0
+    labels = np.logical_xor.reduce(signs, axis=1) if concept == "xor" else signs.all(axis=1)
+    labels ^= rng.uniform(size=400) < noise
+    return nr.from_arrays(values, labels.astype(np.uint8))
+
+
+# (seed, concept, noise, mode, f_ratio, max_layers) and the layer each case keeps
+_DEEP = (
+    (22, "xor", 0.04, "statement1", Fraction(2, 5), 10),    # layer 7, four 8-leaf neurons
+    (26, "xor", 0.02, "statement1", Fraction(2, 5), 10),    # layer 6
+    (12, "xor", 0.0, "statement1", Fraction(1, 10), 10),    # layer 6
+    (25, "xor", 0.01, "split", Fraction(2, 5), 10),         # layer 4
+    (18, "xor", 0.0, "split", Fraction(1, 10), 10),         # layer 3
+    (2, "and", 0.02, "statement1", Fraction(2, 5), 3),      # layer 3, stopped by the layer cap
+)
+
+
+def deep_cases() -> list[tuple[str, nr.LearningSet, nr.SynthesisConfig]]:
+    """The deep part of the golden corpus: (name, set, config) for 6 cases
+    that keep a neuron of layer 3-7, without product search.  Their neurons
+    have up to 8 leaves, too many for the pairwise reference minimiser."""
+    return [
+        (f"deep_{i:02d}", deep_set(seed, concept, noise),
+         nr.SynthesisConfig(mode=mode, max_p=1, f_ratio=f_ratio, max_layers=max_layers, seed=seed))
+        for i, (seed, concept, noise, mode, f_ratio, max_layers) in enumerate(_DEEP)
+    ]
 
 
 def golden_model_text(ls: nr.LearningSet, config: nr.SynthesisConfig) -> str:

@@ -1,8 +1,11 @@
 """Golden corpus: retraining each seeded set gives a byte-identical model file.
 
-The files in ``tests/golden/`` were written by ``tests/golden/regenerate.py``.
-A speed-up or refactor of training must leave every one of them unchanged.
+The files in ``tests/golden/`` were written by ``tests/golden/regenerate.py``:
+32 small ``case_*`` sets and 6 ``deep_*`` sets whose kept neurons have
+layer 3-7.  A speed-up or refactor of training must leave every one of them
+unchanged.
 """
+import json
 from pathlib import Path
 
 import numpy as np
@@ -10,25 +13,36 @@ import pytest
 
 import neurules as nr
 
-from helpers import golden_cases, golden_model_text
+from helpers import deep_cases, golden_cases, golden_model_text
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = golden_cases()
+ALL = CASES + deep_cases()
 
 
 def test_corpus_covers_both_modes_with_and_without_products():
     combos = {(config.mode, config.max_p) for _, _, config in CASES}
     assert combos == {("statement1", None), ("statement1", 1), ("split", None), ("split", 1)}
-    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == [name for name, _, _ in CASES]
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == [name for name, _, _ in ALL]
 
 
-@pytest.mark.parametrize("name, ls, config", CASES, ids=[name for name, _, _ in CASES])
+def test_deep_cases_keep_deep_neurons_and_one_stops_at_the_layer_cap():
+    reports = {name: json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))["report"]
+               for name, _, _ in ALL[len(CASES):]}
+    by_mode = {}
+    for report in reports.values():
+        by_mode[report["mode"]] = max(by_mode.get(report["mode"], 0), report["kept_layer"])
+    assert by_mode == {"statement1": 7, "split": 4}
+    assert [name for name, report in reports.items() if report["stop_cause"] == "layer-cap"] == ["deep_05"]
+
+
+@pytest.mark.parametrize("name, ls, config", ALL, ids=[name for name, _, _ in ALL])
 def test_retrained_model_is_byte_identical(name, ls, config):
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert golden_model_text(ls, config) == expected
 
 
-@pytest.mark.parametrize("name, ls, config", CASES, ids=[name for name, _, _ in CASES])
+@pytest.mark.parametrize("name, ls, config", ALL, ids=[name for name, _, _ in ALL])
 def test_pool_bits_reproduce_each_pool_cut_errors_and_constant(name, ls, config):
     # the stored thresholds, applied to the training values, must give back
     # the stored counts: the rounding rule any faster quantizer has to keep

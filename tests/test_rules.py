@@ -203,8 +203,9 @@ _XOR_HEAVY = ("XOR", "XNOR", "XOR", "XNOR", "AND", "OR")
 
 
 def test_bitmask_minimiser_matches_the_reference_on_golden_neurons():
+    # only the small cases: the pairwise reference takes seconds on an 8-leaf neuron
     checked = 0
-    for path in sorted(GOLDEN.glob("*.json")):
+    for path in sorted(GOLDEN.glob("case_*.json")):
         c = nr.load_model(path).collective
         for neuron in c.neurons:
             minterms = _minterms(neuron.expression, tuple(sorted(neuron.leaves)), len(c.pool))

@@ -24,6 +24,7 @@ from helpers import (
     brute_best_cut_errors,
     conjunction_set,
     contradiction_set,
+    deep_cases,
     golden_cases,
     leaf_operands,
     random_set,
@@ -321,25 +322,27 @@ def test_survivor_fits_follow_the_chosen_candidates(monkeypatch):
     # output and the A/B refit output of the i-th chosen candidate, in any
     # order the positions are given
     layers = _recorded_layers(monkeypatch)
-    ls, config = conjunction_set(2), nr.SynthesisConfig(mode="split", max_p=1, seed=2)
-    c, _ = nr.synthesize(ls, config)
-    split = nr.split_even(ls, config.seed)
-    fit_a = _subset_fit_columns(c.pool, split.subset_a, ls)
-    fit_b = _subset_fit_columns(c.pool, split.subset_b, ls)
-    assert len(layers) >= 2
-    for _, layer in layers:
-        positions = np.arange(len(layer))[::-3]
-        carried = layer.survivors(positions)
-        assert [n.errors for n in carried.neurons] == layer.errors[positions].tolist()
-        for rows, columns in ((carried.packed, nr.pool_bits(c.pool, ls.values)), (carried.fit_a, fit_a), (carried.fit_b, fit_b)):
-            expected = [nr.eval_expr(n.expression, columns) for n in carried.neurons]
-            assert np.array_equal(_columns(rows, ls.n), expected)
+    _, deep, deep_config = deep_cases()[3]
+    for ls, config in ((conjunction_set(2), nr.SynthesisConfig(mode="split", max_p=1, seed=2)), (deep, deep_config)):
+        layers.clear()
+        c, _ = nr.synthesize(ls, config)
+        split = nr.split_even(ls, config.seed)
+        fit_a = _subset_fit_columns(c.pool, split.subset_a, ls)
+        fit_b = _subset_fit_columns(c.pool, split.subset_b, ls)
+        assert len(layers) >= 2
+        for _, layer in layers:
+            positions = np.arange(len(layer))[::-3]
+            carried = layer.survivors(positions)
+            assert [n.errors for n in carried.neurons] == layer.errors[positions].tolist()
+            for rows, columns in ((carried.packed, nr.pool_bits(c.pool, ls.values)), (carried.fit_a, fit_a), (carried.fit_b, fit_b)):
+                expected = [nr.eval_expr(n.expression, columns) for n in carried.neurons]
+                assert np.array_equal(_columns(rows, ls.n), expected)
 
 
 def test_every_layer_r_candidate_has_r_plus_one_leaves_and_depth_r(monkeypatch):
     # the invariant that lets selection and dedup ignore leaf counts
     layers = _recorded_layers(monkeypatch)
-    for _, ls, config in golden_cases():
+    for _, ls, config in golden_cases() + deep_cases():
         layers.clear()
         nr.synthesize(ls, config)
         for _, layer in layers:
