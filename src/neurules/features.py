@@ -38,8 +38,7 @@ def search_products(
         for subset in combinations(range(m), size):
             if any(set(f.source) <= set(subset) for f in admitted):
                 continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                values = product_values(ls.values, subset)
+            values = product_values(ls.values, subset)
             if not np.isfinite(values).all():
                 # an overflowing product has no usable cut; skip it like a
                 # constant column

@@ -66,7 +66,7 @@ def dict_to_model(data: dict) -> LoadedModel:
     if not isinstance(data, dict):
         raise ModelFormatError("model file must hold a JSON object")
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version: {version!r}")
     if data.get("weights") is not None:
         raise ModelFormatError("vote weights are not supported: 'weights' must be null")
@@ -75,10 +75,10 @@ def dict_to_model(data: dict) -> LoadedModel:
         pool = [
             QuantizedFeature(
                 source=_source(f["source"], len(variable_names)),
-                threshold=float(f["threshold"]),
+                threshold=float(_typed(f["threshold"], (int, float), "pool threshold must be a number")),
                 polarity=str(f["polarity"]),
-                errors=int(f["errors"]),
-                constant=bool(f.get("constant", False)),
+                errors=_count(f["errors"], "pool errors"),
+                constant=_typed(f.get("constant", False), (bool,), "pool constant must be true or false"),
             )
             for f in data["pool"]
         ]
@@ -90,8 +90,8 @@ def dict_to_model(data: dict) -> LoadedModel:
         neurons = [
             Neuron(
                 expression=expr_from_json(n["expression"]),
-                layer=int(n["layer"]),
-                errors=int(n["errors"]),
+                layer=_count(n["layer"], "neuron layer"),
+                errors=_count(n["errors"], "neuron errors"),
             )
             for n in data["neurons"]
         ]
@@ -102,7 +102,7 @@ def dict_to_model(data: dict) -> LoadedModel:
         collective = Collective(
             neurons=neurons,
             pool=pool,
-            chi0=Fraction(data["chi0"]),
+            chi0=Fraction(_typed(data["chi0"], (str,), 'chi0 must be a fraction string such as "4/5"')),
             label_names=_names(data["label_names"], "label_names"),
             variable_names=variable_names,
         )
@@ -116,6 +116,21 @@ def dict_to_model(data: dict) -> LoadedModel:
     if not isinstance(config, dict):
         raise ModelFormatError("model config must be a JSON object")
     return LoadedModel(collective, dict(config), data.get("report"))
+
+
+def _typed(data, kinds: tuple[type, ...], what: str):
+    """``data`` when its exact type is one of ``kinds``: JSON ``true`` is no
+    number, and a number is no ``chi0`` (0.8 would be its binary image)."""
+    if type(data) not in kinds:
+        raise ValueError(f"{what}, not {data!r}")
+    return data
+
+
+def _count(data, what: str) -> int:
+    """A non-negative JSON integer: ``true``, ``2.9``, ``"7"`` and ``-4`` are refused."""
+    if type(data) is not int or data < 0:
+        raise ValueError(f"{what} must be a non-negative integer, not {data!r}")
+    return data
 
 
 def _names(data, key: str) -> tuple[str, ...]:

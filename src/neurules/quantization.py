@@ -47,11 +47,21 @@ class QuantizedFeature:
 
 
 def product_values(values: np.ndarray, source) -> np.ndarray:
-    """Column (or columns product) of a raw value matrix for a source index set."""
+    """Column (or columns product) of a raw value matrix for a source index set.
+
+    A product that overflows is +-inf, without a warning.  On finite values
+    ``nan`` can only come from ``inf * 0``, and a zero factor makes the exact
+    product 0, so such a row reads 0.
+    """
     source = tuple(source)
     if len(source) == 1:
         return values[:, source[0]]
-    return np.prod(values[:, list(source)], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = values[:, source[0]] * values[:, source[1]]
+        for j in source[2:]:
+            product *= values[:, j]
+    product[np.isnan(product)] = 0.0
+    return product
 
 
 def pool_bits(features, values: np.ndarray) -> np.ndarray:

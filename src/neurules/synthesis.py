@@ -87,14 +87,12 @@ def _as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Survivors:
-    """Training-only operands of a layer: neuron i with its bit-packed training
-    column ``packed[i]`` and, in split mode, its packed outputs ``fit_a[i]``
-    and ``fit_b[i]`` under the subset-A and subset-B refits of the pool."""
+    """Training-only operands of a layer: neuron i with its bit-packed outputs
+    ``packed[:, i]``.  View 0 is the training rows; in split mode views 1 and
+    2 are the outputs under the pool's refits on subset A and on subset B."""
 
     neurons: list[Neuron]
-    packed: np.ndarray              # (S, bytes)
-    fit_a: np.ndarray | None = None
-    fit_b: np.ndarray | None = None
+    packed: np.ndarray              # (views, S, bytes)
 
 
 @dataclass
@@ -111,7 +109,6 @@ class CandidateLayer:
     rows: int                   # training rows: the length of an unpacked column
     pool: Survivors
     parents: Survivors
-    packed: np.ndarray          # (N, bytes) bit-packed training columns
     errors: np.ndarray
     parent_errors: np.ndarray   # the operand's error count, per candidate
     operand: np.ndarray
@@ -133,13 +130,10 @@ class CandidateLayer:
             criteria = None if self.unbiasedness is None else SplitScores(
                 int(self.unbiasedness[i]), int(self.regularity[i]))
             out.append(Neuron(expression, self.layer, int(self.errors[i]), criteria))
-        if self.pool.fit_a is None:
-            return Survivors(out, self.packed[positions])
         pad = _pack(np.ones(self.rows, dtype=bool))
-        op, k, truth = self.operand[positions], self.feature[positions], _TRUTH[self.connective[positions]]
-        grow = lambda fit, pool_fit: np.einsum("kv,vkw->kw", truth, _minterms(fit[op], pool_fit[k], pad))
-        return Survivors(out, self.packed[positions],
-                         grow(self.parents.fit_a, self.pool.fit_a), grow(self.parents.fit_b, self.pool.fit_b))
+        op, k = self.operand[positions], self.feature[positions]
+        planes = _minterms(self.parents.packed[:, op], self.pool.packed[:, k], pad)   # (4, views, K, bytes)
+        return Survivors(out, np.einsum("kv,vjkw->jkw", _TRUTH[self.connective[positions]], planes))
 
 
 @dataclass
@@ -189,7 +183,8 @@ def _keys(packed: np.ndarray) -> np.ndarray:
 
 
 def _minterms(a: np.ndarray, b: np.ndarray, pad: np.ndarray) -> np.ndarray:
-    """The four minterm planes of packed rows ``a[i]``, ``b[i]``: (4, K, bytes).
+    """The four minterm planes of packed rows ``a[..., i, :]``, ``b[..., i, :]``:
+    (4, ..., K, bytes).
 
     The planes are disjoint, so summing the ones a truth table selects is
     their union; ``pad`` clears the padding bits the 00 minterm would set.
@@ -223,10 +218,11 @@ def generate_candidates(
     unordered pairs of distinct pool features; later layers pair each of
     ``survivors`` with every pool feature it does not already use.  All pairs
     are expanded in one numpy step on packed columns, in the order (operand,
-    feature, connective).  A candidate whose column repeats a survivor's or
-    an earlier candidate's is dropped: the first occurrence is kept.  In
-    split mode every kept candidate is scored from the A/B fits.  Returns the
-    pair count and the candidates.
+    feature, connective).  A candidate whose training column repeats a
+    survivor's or an earlier candidate's is dropped: the first occurrence is
+    kept.  Split mode is on when the operands carry three views; every kept
+    candidate is then scored from the A/B refit views.  Returns the pair
+    count and the candidates.
     """
     if not pool.neurons:
         raise DataError("no features")
@@ -244,22 +240,19 @@ def generate_candidates(
             fresh[i, list(s.leaves)] = False
     operand, feature = np.nonzero(fresh)
     pairs = len(operand)
-    # split scores come from minterm popcounts, before the training block exists
-    split = pool.fit_a is not None
-    scores = _pair_split_scores(pool, parents, operand, feature, pad, target) if split else None
-    planes = _minterms(parents.packed[operand], pool.packed[feature], pad)
-    errors = _plane_errors(planes, target)
+    planes = _minterms(parents.packed[:, operand], pool.packed[:, feature], pad)   # (4, views, K, bytes)
+    errors = _plane_errors(planes[:, 0], target)
+    scores = _split_scores(planes[:, 1], planes[:, 2], target) if len(pool.packed) == 3 else None
     # every connective of each pair: (K * 10, bytes) in (pair, connective) order
-    block = np.einsum("cv,vkw->kcw", _TRUTH, planes).reshape(-1, len(pad))
+    block = np.einsum("cv,vkw->kcw", _TRUTH, planes[:, 0]).reshape(-1, len(pad))
     del planes
-    first = _first_occurrences(_keys(block), _keys(parents.packed) if r > 1 else None)
+    first = _first_occurrences(_keys(block), _keys(parents.packed[0]) if r > 1 else None)
     pair, connective = np.divmod(first, len(_CONNECTIVE_NAMES))
     layer = CandidateLayer(
         layer=r,
         rows=n,
         pool=pool,
         parents=parents,
-        packed=block[first],
         errors=errors.ravel()[first],
         parent_errors=np.array([p.errors for p in parents.neurons], dtype=np.int64)[operand[pair]],
         operand=operand[pair],
@@ -297,22 +290,13 @@ def select_survivors(errors: np.ndarray, f_cap: int, cr: np.ndarray | None = Non
 # split-criteria scoring
 # ---------------------------------------------------------------------------
 
-def _subset_fit_columns(
-    pool: list[QuantizedFeature],
-    subset: tuple[int, ...],
-    ls: LearningSet,
-) -> list[np.ndarray]:
-    """Refit every pool feature's cut on one subset; return columns over all of W."""
+def _refit(pool: list[QuantizedFeature], subset: tuple[int, ...], ls: LearningSet) -> list[QuantizedFeature]:
+    """Every pool feature's cut, re-chosen on one subset of the rows."""
     idx = np.asarray(subset, dtype=int)
-    sub_labels = ls.labels[idx]
-    if len(set(sub_labels.tolist())) < 2:
+    values, labels = ls.values[idx], ls.labels[idx]
+    if len(set(labels.tolist())) < 2:
         raise DegenerateSplitError("degenerate split: a subset holds a single class")
-    columns = []
-    for f in pool:
-        values = product_values(ls.values, f.source)
-        refit = quantize(values[idx], sub_labels, f.source)
-        columns.append(refit.apply(values))
-    return columns
+    return [quantize(product_values(values, f.source), labels, f.source) for f in pool]
 
 
 def split_criteria(
@@ -328,8 +312,8 @@ def split_criteria(
     the whole set: unbiasedness counts where the two disagree with each other,
     regularity sums their disagreements with the teacher labels.
     """
-    out_a = eval_expr(expr, _subset_fit_columns(pool, split.subset_a, ls))
-    out_b = eval_expr(expr, _subset_fit_columns(pool, split.subset_b, ls))
+    out_a, out_b = (eval_expr(expr, pool_bits(_refit(pool, s, ls), ls.values))
+                    for s in (split.subset_a, split.subset_b))
     unbiasedness = int(np.count_nonzero(out_a != out_b))
     regularity = hamming(out_a, ls.labels) + hamming(out_b, ls.labels)
     return SplitScores(unbiasedness, regularity)
@@ -350,14 +334,11 @@ def _plane_errors(planes: np.ndarray, target: np.ndarray) -> np.ndarray:
     return int(_popcount(target)) + excess.T @ _SELECTS
 
 
-def _pair_split_scores(pool: Survivors, parents: Survivors, operand, feature,
-                       pad: np.ndarray, target: np.ndarray) -> tuple:
-    """Unbiasedness and regularity of every connective of each (operand,
-    feature) pair, (K, 10) each, from the pairs' A-fit and B-fit minterm
-    planes.  Unbiasedness counts the rows of each (A plane, B plane) meeting
-    whose outputs differ."""
-    planes_a = _minterms(parents.fit_a[operand], pool.fit_a[feature], pad)
-    planes_b = _minterms(parents.fit_b[operand], pool.fit_b[feature], pad)
+def _split_scores(planes_a: np.ndarray, planes_b: np.ndarray, target: np.ndarray) -> tuple:
+    """Unbiasedness and regularity of every connective of each pair, (K, 10)
+    each, from the pairs' minterm planes under the A and the B refit.
+    Unbiasedness counts the rows of each (A plane, B plane) meeting whose
+    outputs differ."""
     joint = np.stack([_popcount(planes_a[v] & planes_b) for v in range(4)])   # (4, 4, K)
     unbiasedness = joint.reshape(16, -1).T @ _DIFFER
     return unbiasedness, _plane_errors(planes_a, target) + _plane_errors(planes_b, target)
@@ -476,19 +457,19 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
     pool = substitute(base, admitted_products)
     bits = pool_bits(pool, ls.values)   # every layer grows from the pool's training bits
     split_mode = config.mode == MODE_SPLIT
-    fits, criteria = (None, None), [None] * len(pool)
+    packed, criteria = _pack([bits]), [None] * len(pool)
     if split_mode:
         split = split_even(ls, config.seed)
-        fits = tuple(_pack(_subset_fit_columns(pool, s, ls)) for s in (split.subset_a, split.subset_b))
-        fit_a, fit_b = fits
+        refits = (pool_bits(_refit(pool, s, ls), ls.values) for s in (split.subset_a, split.subset_b))
+        packed = _pack([bits, *refits])
+        _, on_a, on_b = packed
         target = _pack(labels)
-        regularity = _popcount(fit_a ^ target) + _popcount(fit_b ^ target)
-        criteria = list(map(SplitScores, _popcount(fit_a ^ fit_b).tolist(), regularity.tolist()))
-    leaves = Survivors([Neuron(i, 0, f.errors, c) for i, (f, c) in enumerate(zip(pool, criteria))],
-                       _pack(bits), *fits)
+        regularity = _popcount(on_a ^ target) + _popcount(on_b ^ target)
+        criteria = list(map(SplitScores, _popcount(on_a ^ on_b).tolist(), regularity.tolist()))
+    leaves = Survivors([Neuron(i, 0, f.errors, c) for i, (f, c) in enumerate(zip(pool, criteria))], packed)
 
-    # layer 0: the pool itself, deduplicated by output column
-    layer0 = [leaves.neurons[i] for i in _first_occurrences(_keys(leaves.packed)).tolist()]
+    # layer 0: the pool itself, deduplicated by training column
+    layer0 = [leaves.neurons[i] for i in _first_occurrences(_keys(packed[0])).tolist()]
     trace0 = LayerTrace(0, expanded=len(pool), admitted=len(layer0), survivors=layer0,
                         min_errors=min(f.errors for f in pool),
                         min_cr=min(n.criteria.cr for n in layer0) if split_mode else None)

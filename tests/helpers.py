@@ -75,9 +75,9 @@ def xor_set(rng: np.random.Generator) -> nr.LearningSet:
 
 def leaf_operands(pool, ls: nr.LearningSet) -> nr.Survivors:
     """A pool as ``generate_candidates`` takes it in statement-1 mode: feature i
-    as bare-leaf neuron i, with its packed training column."""
+    as bare-leaf neuron i, with its packed training column as the one view."""
     neurons = [nr.Neuron(i, 0, f.errors) for i, f in enumerate(pool)]
-    return nr.Survivors(neurons, np.packbits(nr.pool_bits(pool, ls.values), axis=-1))
+    return nr.Survivors(neurons, np.packbits(nr.pool_bits(pool, ls.values)[None], axis=-1))
 
 
 def reference_admitted_products(ls: nr.LearningSet, base, max_p: int) -> list[tuple[int, ...]]:

@@ -22,7 +22,7 @@ from neurules.synthesis import (
     LayerTrace,
     STOP_NO_ADMISSIONS,
     STOP_ZERO_ERRORS,
-    _subset_fit_columns,
+    _refit,
     default_f_cap,
     generate_candidates,
     should_stop,
@@ -285,8 +285,8 @@ def test_acceptance_8_split_scores_and_delta_stop(capsys):
         pool = [nr.quantize_source(ls, (j,)) for j in range(3)]
         split = nr.split_even(ls, seed=1)
 
-        fit_a = _subset_fit_columns(pool, split.subset_a, ls)
-        fit_b = _subset_fit_columns(pool, split.subset_b, ls)
+        fit_a = nr.pool_bits(_refit(pool, split.subset_a, ls), ls.values)
+        fit_b = nr.pool_bits(_refit(pool, split.subset_b, ls), ls.values)
         y = [int(t) for t in ls.labels]
         for expr in [0, ("AND", 0, 1), ("XOR", ("OR", 0, 2), 1), ("NAND", 2, 0)]:
             scores = split_criteria(expr, pool, split, ls)

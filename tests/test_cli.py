@@ -82,6 +82,19 @@ def test_predict_ignores_extra_columns_and_column_order(demo_path, tmp_path, cap
     assert rows[2][3] == "F"   # 1.58 * 50 = 79.0
 
 
+def test_predict_on_an_overflowing_product_prints_no_warning(demo_path, tmp_path, capsys):
+    # 1e200 * 1e200 overflows to inf, which passes the demo cut x1*x2 >= 118.44
+    _, out = _train(demo_path, tmp_path)
+    big = tmp_path / "big.csv"
+    big.write_text("x1,x2\n1e200,1e200\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(["predict", "--model", str(out), "--data", str(big)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert list(csv.reader(io.StringIO(captured.out)))[1] == ["1e200", "1e200", "M", "1", "1.000000"]
+    assert captured.err == "classified 1 row(s); 0 refused\n"
+
+
 def test_predict_marks_refusals(tmp_path, capsys):
     pool = [nr.QuantizedFeature((0,), 1.0, "ge", 0)]
     torn = nr.Collective(
@@ -307,6 +320,14 @@ def _set_leaf(payload, value):
     payload["neurons"][0]["expression"] = ["AND", 0, value]
 
 
+def _set_neuron(key, value):
+    return lambda p: p["neurons"][0].__setitem__(key, value)
+
+
+def _set_cut(key, value):
+    return lambda p: p["pool"][0].__setitem__(key, value)
+
+
 _UNTRUSTED = {
     "leaf-beyond-pool": (lambda p: _set_leaf(p, len(p["pool"])), "outside the pool"),
     "negative-leaf": (lambda p: _set_leaf(p, -1), "outside the pool"),
@@ -320,6 +341,20 @@ _UNTRUSTED = {
     "nan-threshold": (lambda p: p["pool"][0].__setitem__("threshold", float("nan")), "non-finite threshold"),
     "infinite-threshold": (lambda p: p["pool"][0].__setitem__("threshold", float("inf")), "non-finite threshold"),
     "vote-weights": (lambda p: p.__setitem__("weights", [1]), "'weights' must be null"),
+    # a JSON number as chi0 would load as its binary image: 0.8 refuses a 4-of-5 vote
+    "number-chi0": (lambda p: p.__setitem__("chi0", 0.8), "chi0 must be a fraction string"),
+    "bool-chi0": (lambda p: p.__setitem__("chi0", True), "chi0 must be a fraction string"),
+    "string-layer": (_set_neuron("layer", "7"), "neuron layer must be a non-negative integer"),
+    "float-layer": (_set_neuron("layer", 2.9), "neuron layer must be a non-negative integer"),
+    "bool-layer": (_set_neuron("layer", True), "neuron layer must be a non-negative integer"),
+    "negative-layer": (_set_neuron("layer", -4), "neuron layer must be a non-negative integer"),
+    "string-errors": (_set_neuron("errors", "7"), "neuron errors must be a non-negative integer"),
+    "negative-errors": (_set_neuron("errors", -4), "neuron errors must be a non-negative integer"),
+    "float-errors": (_set_cut("errors", 2.9), "pool errors must be a non-negative integer"),
+    "bool-errors": (_set_cut("errors", True), "pool errors must be a non-negative integer"),
+    "string-constant": (_set_cut("constant", "no"), "pool constant must be true or false"),
+    "bool-threshold": (_set_cut("threshold", True), "pool threshold must be a number"),
+    "bool-format-version": (lambda p: p.__setitem__("format_version", True), "unsupported model format version"),
 }
 
 

@@ -31,6 +31,19 @@ def _collective(exprs, k=2, chi0=Fraction(4, 5), names=None):
     )
 
 
+def test_overflowing_products_classify_without_a_warning():
+    # on finite inputs x1*x2 overflows to inf, and x1*x2*x3 with x3 = 0 is
+    # inf * 0 = nan in floats, though the exact product 0 lies below 0.5;
+    # both cuts fire, so the vote is unanimous instead of a refused tie
+    pool = [nr.QuantizedFeature((0, 1), 118.44, "ge", 0), nr.QuantizedFeature((0, 1, 2), 0.5, "lt", 0)]
+    c = nr.Collective([nr.Neuron(0, 0, 0), nr.Neuron(1, 0, 0)], pool, Fraction(4, 5),
+                      ("neg", "pos"), ("x1", "x2", "x3"))
+    row = [1e200, 1e200, 0.0]
+    assert quantize_input(c, row).tolist() == [True, True]
+    assert nr.classify(c, row).decision == "pos"
+    assert nr.evaluate(c, [row, [1.0, 2.0, 3.0]], [1, 0]).errors == 0
+
+
 def test_collective_validation():
     with pytest.raises(ValueError, match="at least one neuron"):
         _collective([])

@@ -1,4 +1,5 @@
 from dataclasses import FrozenInstanceError
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -71,6 +72,23 @@ def test_product_values_single_and_multi():
     assert product_values(values, (1,)).tolist() == [3.0, 4.0]
     assert product_values(values, (0, 2)).tolist() == [10.0, 6.0]
     assert product_values(values, (0, 1, 2)).tolist() == [30.0, 24.0]
+
+
+def test_product_values_equal_numpy_prod_bit_for_bit():
+    # the product is taken column by column in source order, which must round
+    # exactly as np.prod along each row, the reference
+    rng = np.random.default_rng(7)
+    values = rng.normal(size=(500, 5)) * rng.uniform(0.1, 1e3, size=5)
+    for size in range(2, 6):
+        for source in combinations(range(5), size):
+            assert np.array_equal(product_values(values, source), np.prod(values[:, list(source)], axis=1))
+
+def test_overflowing_products_read_inf_and_inf_times_zero_reads_zero():
+    # no RuntimeWarning (pytest makes it an error); the exact product with a
+    # zero factor is 0, where float arithmetic gives inf * 0 = nan
+    values = np.array([[1e200, 1e200, 0.0], [-1e200, 1e200, 2.0], [0.0, 1e200, 1e200]])
+    assert product_values(values, (0, 1)).tolist() == [np.inf, -np.inf, 0.0]
+    assert product_values(values, (0, 1, 2)).tolist() == [0.0, -np.inf, 0.0]
 
 
 def test_quantize_source_accepts_scalar_index(demo_path):

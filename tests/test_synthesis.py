@@ -12,7 +12,7 @@ from neurules.quantization import quantize
 from neurules.synthesis import (
     LayerTrace,
     STALL_DIAGNOSTIC,
-    _subset_fit_columns,
+    _refit,
     default_f_cap,
     generate_candidates,
     select_survivors,
@@ -131,7 +131,8 @@ def test_duplicate_columns_keep_the_first_occurrence(monkeypatch):
                 neurons = layer.survivors(np.arange(len(layer))).neurons
                 reference = _reference_layer(bits, parents and parents.neurons, layer.layer)
                 assert [n.expression for n in neurons] == [expr for expr, _ in reference]
-                assert np.array_equal(_columns(layer.packed, ls.n), np.reshape([col for _, col in reference], (-1, ls.n)))
+                packed = layer.survivors(np.arange(len(layer))).packed[0]
+                assert np.array_equal(_columns(packed, ls.n), np.reshape([col for _, col in reference], (-1, ls.n)))
 
 
 def test_split_dedup_keys_on_the_training_column_only(monkeypatch):
@@ -154,7 +155,7 @@ def test_split_dedup_keys_on_the_training_column_only(monkeypatch):
 def test_generate_rejects_bad_arguments():
     pool, labels, _ = _pool(3)
     with pytest.raises(nr.DataError, match="no features"):
-        generate_candidates(nr.Survivors([], pool.packed[:0]), None, 1, labels)
+        generate_candidates(nr.Survivors([], pool.packed[:, :0]), None, 1, labels)
     _, layer = generate_candidates(pool, None, 1, labels)
     with pytest.raises(ValueError, match="layer 1"):
         generate_candidates(pool, layer.survivors([0]), 1, labels)
@@ -282,8 +283,8 @@ def test_subset_fits_minimize_subset_errors():
 
 def test_split_criteria_matches_direct_hamming_recount():
     ls, pool, split = _split_fixture()
-    fit_a = _subset_fit_columns(pool, split.subset_a, ls)
-    fit_b = _subset_fit_columns(pool, split.subset_b, ls)
+    fit_a = nr.pool_bits(_refit(pool, split.subset_a, ls), ls.values)
+    fit_b = nr.pool_bits(_refit(pool, split.subset_b, ls), ls.values)
     for expr in [("AND", 0, 1), ("XOR", ("OR", 0, 2), 1), ("NAND", 2, 0)]:
         scores = split_criteria(expr, pool, split, ls)
         out_a = nr.eval_expr(expr, fit_a).tolist()
@@ -318,7 +319,7 @@ def test_bulk_split_criteria_match_the_reference_for_every_candidate(monkeypatch
 
 
 def test_survivor_fits_follow_the_chosen_candidates(monkeypatch):
-    # row i of the survivors' packed column and A/B fits is the training
+    # row i of each of the survivors' three packed views is the training
     # output and the A/B refit output of the i-th chosen candidate, in any
     # order the positions are given
     layers = _recorded_layers(monkeypatch)
@@ -327,14 +328,15 @@ def test_survivor_fits_follow_the_chosen_candidates(monkeypatch):
         layers.clear()
         c, _ = nr.synthesize(ls, config)
         split = nr.split_even(ls, config.seed)
-        fit_a = _subset_fit_columns(c.pool, split.subset_a, ls)
-        fit_b = _subset_fit_columns(c.pool, split.subset_b, ls)
+        views = [nr.pool_bits(c.pool, ls.values)]
+        views += [nr.pool_bits(_refit(c.pool, s, ls), ls.values) for s in (split.subset_a, split.subset_b)]
         assert len(layers) >= 2
         for _, layer in layers:
             positions = np.arange(len(layer))[::-3]
             carried = layer.survivors(positions)
             assert [n.errors for n in carried.neurons] == layer.errors[positions].tolist()
-            for rows, columns in ((carried.packed, nr.pool_bits(c.pool, ls.values)), (carried.fit_a, fit_a), (carried.fit_b, fit_b)):
+            assert carried.packed.shape[:2] == (3, len(positions))
+            for rows, columns in zip(carried.packed, views):
                 expected = [nr.eval_expr(n.expression, columns) for n in carried.neurons]
                 assert np.array_equal(_columns(rows, ls.n), expected)
 
