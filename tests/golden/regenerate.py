@@ -1,23 +1,31 @@
-"""Rewrite the golden model corpus from the current code.
+"""Rewrite the golden corpus from the current code: each model file, and the
+stdout of ``rules``, ``predict`` and ``eval`` on it under ``outputs/``.
 
     PYTHONPATH=src:tests python tests/golden/regenerate.py
 
-Run it only for a deliberate change of what training produces, and say in the
-change which models moved and why: ``tests/test_golden.py`` exists to catch
-every other change.
+Run it only for a deliberate change of what training or the CLI produces, and
+say in the change which files moved and why: ``tests/test_golden.py`` exists
+to catch every other change.
 """
 from __future__ import annotations
 
+import tempfile
 from pathlib import Path
 
-from helpers import deep_cases, golden_cases, golden_model_text
+from helpers import deep_cases, golden_cases, golden_holdout, golden_model_text, golden_outputs
 
 HERE = Path(__file__).resolve().parent
 
 
 def main() -> None:
-    for name, ls, config in golden_cases() + deep_cases():
-        (HERE / f"{name}.json").write_text(golden_model_text(ls, config), encoding="utf-8")
+    (HERE / "outputs").mkdir(exist_ok=True)
+    for seed, (name, ls, config) in enumerate(golden_cases() + deep_cases()):
+        model = HERE / f"{name}.json"
+        model.write_text(golden_model_text(ls, config), encoding="utf-8")
+        with tempfile.TemporaryDirectory() as workdir:
+            outputs = golden_outputs(model, golden_holdout(seed, ls), workdir)
+        for suffix, text in outputs.items():
+            (HERE / "outputs" / f"{name}.{suffix}").write_text(text, encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -6,16 +6,20 @@ they check.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
 import neurules as nr
+from neurules import cli
 from neurules.errors import DataError
 from neurules.model_io import model_to_dict
 
@@ -228,6 +232,47 @@ def golden_model_text(ls: nr.LearningSet, config: nr.SynthesisConfig) -> str:
     collective, report = nr.synthesize(ls, config)
     payload = model_to_dict(collective, report=report.to_dict(), config=config.to_dict())
     return json.dumps(payload, indent=2) + "\n"
+
+
+def golden_holdout(seed: int, ls: nr.LearningSet) -> nr.LearningSet:
+    """16 distinct training rows picked by a seeded generator, each value moved
+    by a normal step of 5% of its column's spread, so rows near a cut can
+    cross it and the vote can split or refuse."""
+    rng = np.random.default_rng(5000 + seed)
+    picks = rng.choice(ls.n, size=16, replace=False)
+    values = ls.values[picks] + rng.normal(size=(16, ls.m)) * 0.05 * ls.values.std(axis=0)
+    return nr.from_arrays(values, ls.labels[picks], ls.variable_names, ls.label_names)
+
+
+# the pinned file of each command's stdout, under tests/golden/outputs/
+GOLDEN_OUTPUTS = ("rules.txt", "predict.csv", "eval.json")
+
+
+def golden_outputs(model_path, holdout: nr.LearningSet, workdir) -> dict[str, str]:
+    """The stdout of ``rules``, ``predict`` and ``eval`` through ``cli.main``,
+    keyed by GOLDEN_OUTPUTS.  ``predict`` and ``eval`` read ``holdout`` as a CSV
+    whose class column is ``label``; the corpus models do not echo a label
+    column, so ``eval`` reads a copy of the model that records it."""
+    data = Path(workdir) / "holdout.csv"
+    nr.save_dataset(holdout, data, label_column="label")
+    payload = json.loads(Path(model_path).read_text(encoding="utf-8"))
+    payload["config"]["label_column"] = "label"
+    labelled = Path(workdir) / "labelled-model.json"
+    labelled.write_text(json.dumps(payload, indent=2), encoding="utf-8")
+    commands = (
+        ["rules", "--model", str(model_path)],
+        ["predict", "--model", str(model_path), "--data", str(data)],
+        ["eval", "--model", str(labelled), "--data", str(data)],
+    )
+    outputs = {}
+    for suffix, argv in zip(GOLDEN_OUTPUTS, commands):
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        if code != 0:
+            raise AssertionError(f"{argv[0]} on {model_path} exited {code}")
+        outputs[suffix] = out.getvalue()
+    return outputs
 
 
 def parse_cells_per_cell(header, rows, picks) -> np.ndarray:

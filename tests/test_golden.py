@@ -2,7 +2,8 @@
 
 The files in ``tests/golden/`` were written by ``tests/golden/regenerate.py``:
 32 small ``case_*`` sets and 6 ``deep_*`` sets whose kept neurons have
-layer 3-7.  A speed-up or refactor of training must leave every one of them
+layer 3-7, and under ``outputs/`` the stdout of ``rules``, ``predict`` and
+``eval`` on each model.  A speed-up or refactor must leave every one of them
 unchanged.
 """
 import json
@@ -13,7 +14,7 @@ import pytest
 
 import neurules as nr
 
-from helpers import deep_cases, golden_cases, golden_model_text
+from helpers import GOLDEN_OUTPUTS, deep_cases, golden_cases, golden_holdout, golden_model_text, golden_outputs
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = golden_cases()
@@ -52,3 +53,12 @@ def test_pool_bits_reproduce_each_pool_cut_errors_and_constant(name, ls, config)
     for f, column in zip(pool, bits):
         assert f.errors == np.count_nonzero(column != (ls.labels == 1))
         assert f.constant == bool(column.all() or not column.any())
+
+
+@pytest.mark.parametrize("seed", range(len(ALL)), ids=[name for name, _, _ in ALL])
+def test_cli_outputs_match_the_pinned_files(seed, tmp_path):
+    name, ls, _ = ALL[seed]
+    outputs = golden_outputs(GOLDEN / f"{name}.json", golden_holdout(seed, ls), tmp_path)
+    assert list(outputs) == list(GOLDEN_OUTPUTS)
+    for suffix, text in outputs.items():
+        assert text == (GOLDEN / "outputs" / f"{name}.{suffix}").read_text(encoding="utf-8"), suffix
