@@ -108,6 +108,8 @@ def dict_to_model(data: dict) -> LoadedModel:
         )
     except ModelFormatError:
         raise
+    except RecursionError:
+        raise ModelFormatError("malformed model file: an expression is nested too deeply") from None
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
     if len(set(collective.label_names)) != 2:
@@ -115,6 +117,9 @@ def dict_to_model(data: dict) -> LoadedModel:
     config = data.get("config") or {}
     if not isinstance(config, dict):
         raise ModelFormatError("model config must be a JSON object")
+    label_column = config.get("label_column")
+    if "label_column" in config and not (type(label_column) is str and label_column):
+        raise ModelFormatError(f"config label_column must be a non-empty string, not {label_column!r}")
     return LoadedModel(collective, dict(config), data.get("report"))
 
 
@@ -167,6 +172,8 @@ def load_model(path) -> LoadedModel:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelFormatError(f"model file is not valid JSON: {exc}") from exc
+        except RecursionError:
+            raise ModelFormatError(f"model file {path} nests its JSON too deeply") from None
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"model file {path} is not UTF-8 text: {exc}") from None
     return dict_to_model(data)

@@ -3,14 +3,16 @@
 Each neuron's Boolean expression is re-expressed as a small disjunctive
 normal form over its quantized features: prime implicants are found by
 Quine-McCluskey merging on integer bitmasks, then an essential-plus-greedy
-cover over minterm bitsets picks terms.
+cover over minterm bitsets picks terms.  A minterm is the index of a true row
+of the neuron's 2^k truth table, leaf position i being bit k-1-i; a term is a
+``(care mask, value)`` pair of ints and covers each row with
+``row & mask == value``.
 Negated features render by flipping the cut's comparison, so every literal
 reads as a plain threshold test on the original variables.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -18,39 +20,23 @@ from .collective import Collective
 from .neurons import Neuron, eval_expr
 from .quantization import GE, QuantizedFeature
 
-# an implicant fixes each position to 0 or 1, or leaves it free (None)
-Implicant = tuple  # tuple[int | None, ...]
+
+def _term_key(term: tuple[int, int], k: int) -> tuple[int, int]:
+    """Fewer literals first, then position order, in which a fixed 0 sorts
+    before a fixed 1 and a fixed 1 before a free position.  A bit string read
+    in base 4 puts bit s at place s, so position i gets the digit
+    2*free + value at place k-1-i."""
+    mask, value = term
+    return mask.bit_count(), int(f"{(1 << k) - 1 ^ mask:b}", 4) * 2 + int(f"{value:b}", 4)
 
 
-def _implicant_key(imp: Implicant) -> tuple:
-    return (len(imp) - imp.count(None), tuple([2 if v is None else v for v in imp]))
-
-
-def covers(imp: Implicant, minterm: tuple[int, ...]) -> bool:
-    return all(v is None or v == m for v, m in zip(imp, minterm))
-
-
-def _pack(imp: Implicant) -> tuple[int, int]:
-    """(care mask, value): position i of a k-tuple is bit k-1-i, so a minterm's value is its row."""
-    mask = value = 0
-    for v in imp:
-        mask = mask << 1 | (v is not None)
-        value = value << 1 | int(v or 0)
-    return mask, value
-
-
-def _unpack(mask: int, value: int, k: int) -> Implicant:
-    return tuple([value >> s & 1 if mask >> s & 1 else None for s in range(k - 1, -1, -1)])
-
-
-def prime_implicants(minterms: list[tuple[int, ...]]) -> list[Implicant]:
-    """All maximal implicants of the function given by its true rows.
+def prime_implicants(minterms: list[int], k: int) -> list[tuple[int, int]]:
+    """All maximal terms of the k-input function given by its true rows.
 
     A level maps each care mask to its values; two values merge when they
     differ in one cared bit, found by one set lookup per bit: O(L*k).
     """
-    k = len(minterms[0]) if minterms else 0
-    level = {(1 << k) - 1: {_pack(m)[1] for m in minterms}} if minterms else {}
+    level = {(1 << k) - 1: set(minterms)}
     primes: list[tuple[int, int]] = []
     while level:
         next_level: dict[int, set[int]] = {}
@@ -64,11 +50,11 @@ def prime_implicants(minterms: list[tuple[int, ...]]) -> list[Implicant]:
                     merged |= lows | {v | bit for v in lows}
             primes += [(mask, v) for v in values - merged]
         level = next_level
-    return sorted([_unpack(mask, value, k) for mask, value in primes], key=_implicant_key)
+    return sorted(primes, key=lambda term: _term_key(term, k))
 
 
 def _cube(mask: int, value: int, k: int) -> int:
-    """The rows an implicant covers, as a bitset over the 2^k row indices."""
+    """The rows a term covers, as a bitset over the 2^k row indices."""
     rows = 1 << value
     for s in range(k):
         if not mask >> s & 1:
@@ -76,55 +62,49 @@ def _cube(mask: int, value: int, k: int) -> int:
     return rows
 
 
-def minimal_cover(minterms: list[tuple[int, ...]], primes: list[Implicant]) -> list[Implicant]:
+def minimal_cover(minterms: list[int], primes: list[tuple[int, int]], k: int) -> list[tuple[int, int]]:
     """Essential primes first, then greedily cover what remains.
 
     Minterms and prime coverage are bitsets over row indices, picked by
     ``bit_count``.  Raises ValueError when the primes leave a minterm uncovered.
     """
-    k = len(minterms[0]) if minterms else 0
-    remaining = sum({1 << _pack(m)[1] for m in minterms})   # distinct rows: the sum is their union
-    cubes = [_cube(*_pack(p), k) for p in primes]
+    remaining = sum({1 << m for m in minterms})   # distinct rows: the sum is their union
+    cubes = [_cube(mask, value, k) for mask, value in primes]
     once = twice = 0
     for rows in cubes:
         twice |= once & rows
         once |= rows
     uncovered = remaining & ~once
     if uncovered:
-        row = (uncovered & -uncovered).bit_length() - 1
-        raise ValueError(f"no prime covers minterm {_unpack((1 << k) - 1, row, k)}")
+        raise ValueError(f"no prime covers minterm {(uncovered & -uncovered).bit_length() - 1}")
     sole = remaining & once & ~twice      # minterms exactly one prime covers
     chosen = {i for i, rows in enumerate(cubes) if rows & sole}
     for i in chosen:
         remaining &= ~cubes[i]
     # most new coverage wins; fewer literals, then position order break ties
-    ties = [(-key[0], tuple(-x for x in key[1])) for key in map(_implicant_key, primes)] if remaining else []
+    ties = [tuple(-x for x in _term_key(p, k)) for p in primes] if remaining else []
     while remaining:
         best = max(range(len(primes)), key=lambda i: ((cubes[i] & remaining).bit_count(), ties[i]))
         chosen.add(best)
         remaining &= ~cubes[best]
-    return sorted({primes[i] for i in chosen}, key=_implicant_key)
+    return sorted({primes[i] for i in chosen}, key=lambda term: _term_key(term, k))
 
 
 @dataclass(frozen=True)
 class NeuronRule:
     """One neuron's minimized DNF over the pool's Boolean features.
 
-    ``leaf_order`` maps term positions to pool indices; ``terms`` is empty for
-    the constant-false neuron and a lone all-free implicant renders as TRUE.
+    ``leaf_order`` maps term positions to pool indices, position i being bit
+    k-1-i of a term's mask and value; ``terms`` is empty for the
+    constant-false neuron and a lone all-free term renders as TRUE.
     """
 
     index: int
     layer: int
     errors: int
     leaf_order: tuple[int, ...]
-    terms: tuple[Implicant, ...]
+    terms: tuple[tuple[int, int], ...]
     text: str
-
-    def matches(self, bits) -> bool:
-        """Evaluate the DNF on a full pool bit vector."""
-        local = tuple(int(bits[i]) for i in self.leaf_order)
-        return any(covers(term, local) for term in self.terms)
 
 
 def _literal(feature: QuantizedFeature, positive: bool, names) -> str:
@@ -133,14 +113,15 @@ def _literal(feature: QuantizedFeature, positive: bool, names) -> str:
     return f"({name} {op} {feature.threshold!r})"
 
 
-def _render_dnf(terms: tuple[Implicant, ...], leaf_order: tuple[int, ...],
+def _render_dnf(terms: tuple[tuple[int, int], ...], leaf_order: tuple[int, ...],
                 pool: list[QuantizedFeature], names) -> str:
     if not terms:
         return "FALSE"
+    k = len(leaf_order)
     rendered = []
-    for term in terms:
-        literals = [_literal(pool[leaf_order[i]], bool(v), names)
-                    for i, v in enumerate(term) if v is not None]
+    for mask, value in terms:
+        literals = [_literal(pool[leaf], bool(value >> (k - 1 - i) & 1), names)
+                    for i, leaf in enumerate(leaf_order) if mask >> (k - 1 - i) & 1]
         if not literals:
             return "TRUE"
         rendered.append((" AND ".join(literals), len(literals)))
@@ -152,11 +133,11 @@ def _render_dnf(terms: tuple[Implicant, ...], leaf_order: tuple[int, ...],
 def neuron_rule(index: int, neuron: Neuron, c: Collective) -> NeuronRule:
     """Minimize one neuron into a NeuronRule with rendered text."""
     leaf_order = tuple(sorted(neuron.leaves))
-    rows = list(product((0, 1), repeat=len(leaf_order)))
-    enumeration = np.array(rows, dtype=bool)
-    truth = eval_expr(neuron.expression, {leaf: enumeration[:, i] for i, leaf in enumerate(leaf_order)})
-    minterms = [bits for bits, true in zip(rows, truth) if true]
-    terms = tuple(minimal_cover(minterms, prime_implicants(minterms))) if minterms else ()
+    k = len(leaf_order)
+    rows = np.arange(1 << k)
+    columns = {leaf: rows >> (k - 1 - i) & 1 for i, leaf in enumerate(leaf_order)}
+    minterms = np.flatnonzero(eval_expr(neuron.expression, columns)).tolist()
+    terms = tuple(minimal_cover(minterms, prime_implicants(minterms, k), k))
     dnf = _render_dnf(terms, leaf_order, c.pool, c.variable_names)
     text = (
         f"RULE {index}: IF {dnf} "

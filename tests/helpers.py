@@ -301,6 +301,27 @@ def counter_contradiction_bound(labels, columns) -> int:
     return sum(min(groups[(vec, 0)], groups[(vec, 1)]) for vec in rows)
 
 
+def covers(term, row: int) -> bool:
+    """Whether a ``(care mask, value)`` term covers a truth-table row index."""
+    mask, value = term
+    return row & mask == value
+
+
+def matches(rule, bits) -> bool:
+    """Evaluate a NeuronRule's DNF on a full pool bit vector."""
+    row = 0
+    for leaf in rule.leaf_order:
+        row = row << 1 | int(bits[leaf])
+    return any(covers(term, row) for term in rule.terms)
+
+
+def as_tuple(term, k: int) -> tuple:
+    """A ``(care mask, value)`` term in the references' form: a k-tuple of 0,
+    1 and None (free) in position order.  A row index r is the term (2^k-1, r)."""
+    mask, value = term
+    return tuple(value >> s & 1 if mask >> s & 1 else None for s in range(k - 1, -1, -1))
+
+
 def _implicant_key(imp) -> tuple:
     fixed = sum(v is not None for v in imp)
     return (fixed, tuple(2 if v is None else v for v in imp))

@@ -35,6 +35,7 @@ from helpers import (
     contradiction_set,
     eval_bits,
     leaf_operands,
+    matches,
     random_set,
     xor_set,
 )
@@ -268,7 +269,7 @@ def test_acceptance_7_round_trip_and_rule_fidelity(demo_path, tmp_path, capsys):
             collective, _ = nr.synthesize(ls)
             bits = nr.pool_bits(collective.pool, ls.values)
             for rule, neuron in zip(nr.extract_rules(collective), collective.neurons):
-                replayed = np.array([rule.matches(row) for row in bits.T])
+                replayed = np.array([matches(rule, row) for row in bits.T])
                 assert np.array_equal(replayed, nr.eval_expr(neuron.expression, bits))
 
 

@@ -355,18 +355,22 @@ _UNTRUSTED = {
     "string-constant": (_set_cut("constant", "no"), "pool constant must be true or false"),
     "bool-threshold": (_set_cut("threshold", True), "pool threshold must be a number"),
     "bool-format-version": (lambda p: p.__setitem__("format_version", True), "unsupported model format version"),
+    # eval read these as a column name and blamed the data file
+    "number-label-column": (lambda p: p["config"].__setitem__("label_column", 5), "label_column must be a non-empty string"),
+    "list-label-column": (lambda p: p["config"].__setitem__("label_column", ["sex"]), "label_column must be a non-empty string"),
+    "empty-label-column": (lambda p: p["config"].__setitem__("label_column", ""), "label_column must be a non-empty string"),
 }
 
 
 @pytest.mark.parametrize("mutate, message", list(_UNTRUSTED.values()), ids=list(_UNTRUSTED))
-@pytest.mark.parametrize("command", ["predict", "rules"])
+@pytest.mark.parametrize("command", ["predict", "rules", "eval"])
 def test_untrusted_model_files_exit_4_with_one_line(demo_path, tmp_path, capsys, mutate, message, command):
     _, out = _train(demo_path, tmp_path)
     payload = json.loads(out.read_text(encoding="utf-8"))
     mutate(payload)
     out.write_text(json.dumps(payload), encoding="utf-8")   # writes NaN and Infinity literally
     capsys.readouterr()
-    args = ["--model", str(out)] + (["--data", str(demo_path)] if command == "predict" else [])
+    args = ["--model", str(out)] + (["--data", str(demo_path)] if command != "rules" else [])
     assert main([command, *args]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -399,6 +403,34 @@ def test_unreadable_csv_exits_2_with_one_line(tmp_path, capsys, content, message
     assert captured.err.startswith(f"error: {data} is not a readable UTF-8 CSV table: ")
     assert captured.err.count("\n") == 1
     assert message in captured.err
+
+
+def _deep_expression(payload):
+    """The trained model's text with its neuron nested 2,000 connectives deep:
+    written by hand, since ``json.dumps`` itself recurses once per level."""
+    payload["neurons"][0]["expression"] = "EXPRESSION"
+    return json.dumps(payload).replace('"EXPRESSION"', '["XOR", ' * 2000 + "0" + ", 0]" * 2000)
+
+
+_TOO_DEEP = {
+    "nested-brackets": (lambda payload: "[" * 100_000 + "]" * 100_000),
+    "deep-expression": _deep_expression,
+}
+
+
+@pytest.mark.parametrize("text", list(_TOO_DEEP.values()), ids=list(_TOO_DEEP))
+@pytest.mark.parametrize("command", ["predict", "rules", "eval"])
+def test_too_deeply_nested_model_exits_4_with_one_line(demo_path, tmp_path, capsys, text, command):
+    # json.load and the expression parser recurse once per level; RecursionError is exit 4 too
+    _, out = _train(demo_path, tmp_path)
+    out.write_text(text(json.loads(out.read_text(encoding="utf-8"))), encoding="utf-8")
+    capsys.readouterr()
+    args = ["--model", str(out)] + (["--data", str(demo_path)] if command != "rules" else [])
+    assert main([command, *args]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "too deeply" in captured.err
 
 
 @pytest.mark.parametrize("command", ["predict", "rules", "eval"])

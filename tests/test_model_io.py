@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -92,6 +93,11 @@ def test_non_object_payload_is_rejected():
             "malformed",
         ),
         (lambda p: p.__setitem__("label_names", ["only"]), "two classes"),
+        # deeper than the interpreter's recursion limit: one frame per level
+        (
+            lambda p: p["neurons"][0].__setitem__("expression", reduce(lambda e, _: ["XOR", e, 0], range(5000), 0)),
+            "nested too deeply",
+        ),
     ],
 )
 def test_malformed_payloads_raise_model_format_error(breakage, match):

@@ -9,37 +9,36 @@ from hypothesis import given, strategies as st
 
 import neurules as nr
 from neurules.neurons import CONNECTIVES
-from neurules.rules import (
-    covers,
-    minimal_cover,
-    neuron_rule,
-    prime_implicants,
-)
+from neurules.rules import minimal_cover, neuron_rule, prime_implicants
 
-from helpers import eval_bits, reference_minimal_cover, reference_prime_implicants
+from helpers import as_tuple, covers, eval_bits, matches, reference_minimal_cover, reference_prime_implicants
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
+# minterms are row indices and terms (care mask, value) pairs, written in
+# binary: leaf position 0 is the leftmost bit
+
+
 def test_merge_only_on_single_position_difference():
-    assert prime_implicants([(0, 0), (0, 1)]) == [(0, None)]
+    assert prime_implicants([0b00, 0b01], 2) == [(0b10, 0b00)]
     # XOR minterms differ in two positions, so nothing merges
-    assert prime_implicants([(0, 1), (1, 0)]) == [(0, 1), (1, 0)]
+    assert prime_implicants([0b01, 0b10], 2) == [(0b11, 0b01), (0b11, 0b10)]
 
 
 def test_and_or_primes():
-    assert prime_implicants([(1, 1)]) == [(1, 1)]
-    assert set(prime_implicants([(0, 1), (1, 0), (1, 1)])) == {(None, 1), (1, None)}
+    assert prime_implicants([0b11], 2) == [(0b11, 0b11)]
+    assert set(prime_implicants([0b01, 0b10, 0b11], 2)) == {(0b01, 0b01), (0b10, 0b10)}
 
 
 def test_full_square_collapses_to_free_implicant():
-    assert prime_implicants(list(product((0, 1), repeat=2))) == [(None, None)]
+    assert prime_implicants([0b00, 0b01, 0b10, 0b11], 2) == [(0, 0)]
 
 
 def test_cover_drops_redundant_primes():
     # f = a'b + ab' + ab: the consensus term would be redundant
-    minterms = [(0, 1), (1, 0), (1, 1)]
-    chosen = minimal_cover(minterms, prime_implicants(minterms))
+    minterms = [0b01, 0b10, 0b11]
+    chosen = minimal_cover(minterms, prime_implicants(minterms, 2), 2)
     assert len(chosen) == 2
     for m in minterms:
         assert any(covers(p, m) for p in chosen)
@@ -48,34 +47,34 @@ def test_cover_drops_redundant_primes():
 def test_cover_takes_essential_primes_before_greedy():
     # a'c and b'c' are essential and cover every minterm; greedy alone would
     # take the redundant a'b' first (most coverage, then position order)
-    minterms = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0)]
-    primes = prime_implicants(minterms)
-    assert primes == [(0, 0, None), (0, None, 1), (None, 0, 0)]
-    assert minimal_cover(minterms, primes) == [(0, None, 1), (None, 0, 0)]
+    minterms = [0b000, 0b001, 0b011, 0b100]
+    primes = prime_implicants(minterms, 3)
+    assert primes == [(0b110, 0b000), (0b101, 0b001), (0b011, 0b000)]
+    assert minimal_cover(minterms, primes, 3) == [(0b101, 0b001), (0b011, 0b000)]
 
 
 def test_cyclic_cover_breaks_greedy_ties_by_position_order():
     # no prime is essential and every prime covers two minterms, so each
     # pick is decided by the tie-break alone
-    minterms = [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 0)]
-    primes = prime_implicants(minterms)
+    minterms = [0b001, 0b010, 0b011, 0b100, 0b101, 0b110]
+    primes = prime_implicants(minterms, 3)
     assert len(primes) == 6
-    assert minimal_cover(minterms, primes) == [(0, 1, None), (0, None, 1), (1, 0, None), (1, None, 0)]
+    assert minimal_cover(minterms, primes, 3) == [(0b110, 0b010), (0b101, 0b001), (0b110, 0b100), (0b101, 0b100)]
 
 
 def test_cover_with_an_incomplete_prime_set_names_the_uncovered_minterm():
-    with pytest.raises(ValueError, match=r"minterm \(1, 1\)"):
-        minimal_cover([(0, 0), (1, 1)], [(0, 0)])
-    with pytest.raises(ValueError, match=r"minterm \(0, 1, 0\)"):
-        minimal_cover([(1, 1, 1), (0, 1, 0), (0, 1, 1)], [(None, 1, 1)])
-    with pytest.raises(ValueError, match=r"minterm \(1,\)"):
-        minimal_cover([(1,)], [])
+    with pytest.raises(ValueError, match=r"minterm 3$"):
+        minimal_cover([0b00, 0b11], [(0b11, 0b00)], 2)
+    with pytest.raises(ValueError, match=r"minterm 2$"):
+        minimal_cover([0b111, 0b010, 0b011], [(0b011, 0b011)], 3)
+    with pytest.raises(ValueError, match=r"minterm 1$"):
+        minimal_cover([0b1], [], 1)
 
 
 def test_covers_checks_fixed_positions_only():
-    assert covers((None, 1), (0, 1))
-    assert covers((None, 1), (1, 1))
-    assert not covers((None, 1), (1, 0))
+    assert covers((0b01, 0b01), 0b01)
+    assert covers((0b01, 0b01), 0b11)
+    assert not covers((0b01, 0b01), 0b10)
 
 
 def _feature(j, threshold, polarity="ge"):
@@ -102,7 +101,7 @@ def test_rule_dnf_agrees_with_the_expression_everywhere(expr):
     c = _collective_for([expr], pool, ("x1", "x2", "x3"))
     rule = neuron_rule(1, c.neurons[0], c)
     for bits in product((0, 1), repeat=3):
-        assert rule.matches(bits) == bool(eval_bits(expr, bits))
+        assert matches(rule, bits) == bool(eval_bits(expr, bits))
 
 
 def test_literal_flips_comparison_for_negation():
@@ -110,7 +109,7 @@ def test_literal_flips_comparison_for_negation():
     c = _collective_for([("NIMPLIES", 0, 1)], pool, ("u", "v"))
     # a AND NOT b: the negated lt cut flips back to >=
     rule = neuron_rule(1, c.neurons[0], c)
-    assert rule.terms == ((1, 0),)
+    assert rule.terms == ((0b11, 0b10),)
     assert "(u >= 1.5)" in rule.text
     assert "(v >= 2.5)" in rule.text
 
@@ -120,7 +119,7 @@ def test_tautology_renders_true():
     c = _collective_for([("IMPLIES", 0, 0)], pool, ("x1",))
     rule = neuron_rule(1, c.neurons[0], c)
     assert "IF TRUE THEN" in rule.text
-    assert all(rule.matches(bits) for bits in ((0,), (1,)))
+    assert all(matches(rule, bits) for bits in ((0,), (1,)))
 
 
 def test_contradiction_renders_false():
@@ -129,7 +128,7 @@ def test_contradiction_renders_false():
     rule = neuron_rule(1, c.neurons[0], c)
     assert rule.terms == ()
     assert "IF FALSE THEN" in rule.text
-    assert not rule.matches((1,))
+    assert not matches(rule, (1,))
 
 
 def test_multi_literal_terms_get_parentheses():
@@ -166,26 +165,31 @@ def test_rules_reproduce_training_columns(demo_path):
     c, _ = nr.synthesize(ls)
     bits = nr.pool_bits(c.pool, ls.values)
     for rule, neuron in zip(nr.extract_rules(c), c.neurons):
-        got = np.array([rule.matches(row) for row in bits.T])
+        got = np.array([matches(rule, row) for row in bits.T])
         assert np.array_equal(got, nr.eval_expr(neuron.expression, bits))
 
 
 def _minterms(expr, leaf_order, width):
-    """True rows of an expression over its leaves, by the independent evaluator."""
+    """Indices of the true rows of an expression over its leaves, by the
+    independent evaluator."""
     rows = []
-    for row in product((0, 1), repeat=len(leaf_order)):
+    for index, row in enumerate(product((0, 1), repeat=len(leaf_order))):
         bits = [0] * width
         for leaf, bit in zip(leaf_order, row):
             bits[leaf] = bit
         if eval_bits(expr, bits):
-            rows.append(row)
+            rows.append(index)
     return rows
 
 
-def _assert_matches_reference(minterms):
-    primes = prime_implicants(minterms)
-    assert primes == reference_prime_implicants(minterms)
-    assert minimal_cover(minterms, primes) == reference_minimal_cover(minterms, primes)
+def _assert_matches_reference(minterms, k):
+    """The minimiser's terms, as tuples, equal the tuple references' in value and order."""
+    rows = [as_tuple(((1 << k) - 1, m), k) for m in minterms]
+    reference = reference_prime_implicants(rows)
+    primes = prime_implicants(minterms, k)
+    assert [as_tuple(p, k) for p in primes] == reference
+    cover = minimal_cover(minterms, primes, k)
+    assert [as_tuple(p, k) for p in cover] == reference_minimal_cover(rows, reference)
 
 
 def _chain(rng, k, connectives):
@@ -208,9 +212,10 @@ def test_bitmask_minimiser_matches_the_reference_on_golden_neurons():
     for path in sorted(GOLDEN.glob("case_*.json")):
         c = nr.load_model(path).collective
         for neuron in c.neurons:
-            minterms = _minterms(neuron.expression, tuple(sorted(neuron.leaves)), len(c.pool))
+            leaf_order = tuple(sorted(neuron.leaves))
+            minterms = _minterms(neuron.expression, leaf_order, len(c.pool))
             if minterms:
-                _assert_matches_reference(minterms)
+                _assert_matches_reference(minterms, len(leaf_order))
                 checked += 1
     assert checked >= 32
 
@@ -224,7 +229,7 @@ def test_bitmask_minimiser_matches_the_reference_on_random_chains(k, count):
             expr = _chain(np.random.default_rng([k, seed]), k, connectives)
             minterms = _minterms(expr, tuple(range(k)), k)
             if minterms:
-                _assert_matches_reference(minterms)
+                _assert_matches_reference(minterms, k)
 
 
 def test_eleven_leaf_rules_finish_in_bounded_time():
@@ -240,4 +245,4 @@ def test_eleven_leaf_rules_finish_in_bounded_time():
         rule = neuron_rule(1, neuron, c)
         assert time.perf_counter() - start < 5.0
         for bits in rng.integers(0, 2, size=(64, 11)):
-            assert rule.matches(bits) == bool(eval_bits(neuron.expression, bits))
+            assert matches(rule, bits) == bool(eval_bits(neuron.expression, bits))
