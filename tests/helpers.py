@@ -275,6 +275,23 @@ def golden_outputs(model_path, holdout: nr.LearningSet, workdir) -> dict[str, st
     return outputs
 
 
+# a pool of at most this many features gets its coherence table pinned:
+# 2^12 = 4,096 rows at most
+COHERENCE_MAX_POOL = 12
+
+
+def golden_coherence(c: nr.Collective) -> str:
+    """``coherence_table(c)`` as the text of its pin: the refused fraction,
+    then each pool-bit pattern's chi, keyed by the pattern's bits written
+    pool feature 0 first, in the table's own row order."""
+    table = nr.coherence_table(c)
+    payload = {
+        "refused_fraction": str(table.refused_fraction),
+        "rows": {"".join(map(str, bits)): str(chi) for bits, chi in table.rows.items()},
+    }
+    return json.dumps(payload, indent=1) + "\n"
+
+
 def parse_cells_per_cell(header, rows, picks) -> np.ndarray:
     """Reference CSV cell parser: one ``float()`` per cell, in row order, and
     the first bad cell named by its column and 1-based data row."""

@@ -3,7 +3,8 @@
 The files in ``tests/golden/`` were written by ``tests/golden/regenerate.py``:
 32 small ``case_*`` sets and 6 ``deep_*`` sets whose kept neurons have
 layer 3-7, and under ``outputs/`` the stdout of ``rules``, ``predict`` and
-``eval`` on each model.  A speed-up or refactor must leave every one of them
+``eval`` on each model and, for a pool of at most 12 features, its
+``coherence_table``.  A speed-up or refactor must leave every one of them
 unchanged.
 """
 import json
@@ -14,7 +15,8 @@ import pytest
 
 import neurules as nr
 
-from helpers import GOLDEN_OUTPUTS, deep_cases, golden_cases, golden_holdout, golden_model_text, golden_outputs
+from helpers import (COHERENCE_MAX_POOL, GOLDEN_OUTPUTS, deep_cases, golden_coherence, golden_cases, golden_holdout,
+                     golden_model_text, golden_outputs)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = golden_cases()
@@ -25,8 +27,12 @@ def test_corpus_covers_both_modes_with_and_without_products():
     combos = {(config.mode, config.max_p) for _, _, config in CASES}
     assert combos == {("statement1", None), ("statement1", 1), ("split", None), ("split", 1)}
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == [name for name, _, _ in ALL]
-    assert sorted(p.name for p in (GOLDEN / "outputs").iterdir()) == sorted(
-        f"{name}.{suffix}" for name, _, _ in ALL for suffix in GOLDEN_OUTPUTS)
+    pinned = [f"{name}.{suffix}" for name, _, _ in ALL for suffix in GOLDEN_OUTPUTS]
+    pinned += [f"{name}.coherence.json" for name, _, _ in ALL
+               if len(nr.load_model(GOLDEN / f"{name}.json").collective.pool) <= COHERENCE_MAX_POOL]
+    assert sorted(p.name for p in (GOLDEN / "outputs").iterdir()) == sorted(pinned)
+    # every corpus pool is small enough today, so every model's table is pinned
+    assert len(pinned) == len(ALL) * (len(GOLDEN_OUTPUTS) + 1)
 
 
 def test_deep_cases_keep_deep_neurons_and_one_stops_at_the_layer_cap():
@@ -63,3 +69,13 @@ def test_cli_outputs_match_the_pinned_files(seed, tmp_path):
     outputs = golden_outputs(GOLDEN / f"{name}.json", golden_holdout(seed, ls), tmp_path)
     for suffix, text in outputs.items():
         assert text == (GOLDEN / "outputs" / f"{name}.{suffix}").read_text(encoding="utf-8"), suffix
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in ALL])
+def test_coherence_table_matches_the_pinned_file(name):
+    c = nr.load_model(GOLDEN / f"{name}.json").collective
+    pin = GOLDEN / "outputs" / f"{name}.coherence.json"
+    if len(c.pool) > COHERENCE_MAX_POOL:
+        assert not pin.exists()
+        return
+    assert golden_coherence(c) == pin.read_text(encoding="utf-8")
