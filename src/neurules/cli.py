@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 bad data or an out-of-range training option, 3
 synthesis stalled with errors left (the model is still written, with a
-diagnostic on stderr), 4 file or model-format trouble.
+diagnostic on stderr), 4 file or model-format trouble, ``rules`` on a neuron
+of more than ``rules.MAX_RULE_LEAVES`` leaves included.
 """
 from __future__ import annotations
 

@@ -18,6 +18,7 @@ import neurules as nr
 from neurules.cli import main
 from neurules.errors import ModelFormatError
 from neurules.model_io import dict_to_model
+from neurules.rules import MAX_RULE_LEAVES
 from neurules.synthesis import STALL_DIAGNOSTIC
 
 from helpers import cell_tables, parse_cells_per_cell
@@ -619,3 +620,46 @@ def test_mutated_csv_bytes_exit_with_a_documented_code(demo_model, content):
             warning, doubtful = err.splitlines()
             assert warning == f"warning: {STALL_DIAGNOSTIC}", err
             assert doubtful.startswith("doubtful instances (0-based data rows): ["), err
+
+
+def _chain_model(path, leaves: int, connective: str) -> None:
+    """A model file over variables x1..x<leaves> whose one neuron chains a
+    ``>= 0.5`` cut of each variable with ``connective``; eval reads column y."""
+    expr = 0
+    for j in range(1, leaves):
+        expr = (connective, expr, j)
+    collective = nr.Collective(
+        neurons=[nr.Neuron(expr, leaves - 1, 0)],
+        pool=[nr.QuantizedFeature((j,), 0.5, "ge", 0) for j in range(leaves)],
+        chi0=Fraction(4, 5),
+        label_names=("a", "b"),
+        variable_names=tuple(f"x{j + 1}" for j in range(leaves)),
+    )
+    nr.save_model(path, collective, config={"label_column": "y"})
+
+
+def test_rules_refuse_a_neuron_over_the_leaf_cap_while_predict_and_eval_work(tmp_path):
+    # a crafted file: its 40-leaf neuron would take a 2^40-row truth table
+    model, data = tmp_path / "wide.json", tmp_path / "rows.csv"
+    _chain_model(model, 40, "OR")
+    _write_csv(data, [f"x{j + 1}" for j in range(40)] + ["y"], [["0"] * 40 + ["a"], ["0"] * 39 + ["1", "b"]])
+    assert _run(["rules", "--model", str(model)]) == (
+        4, "", f"error: rule 1 has 40 leaves; rules print at most {MAX_RULE_LEAVES}\n")
+    code, out, _ = _run(["predict", "--model", str(model), "--data", str(data)])
+    assert code == 0
+    assert [row[-3] for row in csv.reader(io.StringIO(out))][1:] == ["a", "b"]
+    code, out, _ = _run(["eval", "--model", str(model), "--data", str(data)])
+    assert code == 0
+    assert json.loads(out)["errors"] == 0
+
+
+def test_rules_print_a_neuron_at_the_leaf_cap_and_refuse_one_more(tmp_path):
+    # an AND chain has one true row, so the cap's 2^16-row table is quick to minimise
+    at_cap, over = tmp_path / "at-cap.json", tmp_path / "over.json"
+    _chain_model(at_cap, MAX_RULE_LEAVES, "AND")
+    _chain_model(over, MAX_RULE_LEAVES + 1, "AND")
+    code, out, err = _run(["rules", "--model", str(at_cap)])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0].count(" AND ") == MAX_RULE_LEAVES - 1
+    assert _run(["rules", "--model", str(over)]) == (
+        4, "", f"error: rule 1 has {MAX_RULE_LEAVES + 1} leaves; rules print at most {MAX_RULE_LEAVES}\n")

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import neurules as nr
+import neurules.rules as rules
+from neurules.errors import ModelFormatError
 from neurules.neurons import CONNECTIVES
-from neurules.rules import minimal_cover, neuron_rule, prime_implicants
+from neurules.rules import MAX_RULE_LEAVES, extract_rules, minimal_cover, neuron_rule, prime_implicants
 
 from helpers import as_tuple, covers, eval_bits, matches, reference_minimal_cover, reference_prime_implicants
 
@@ -190,6 +192,8 @@ def _assert_matches_reference(minterms, k):
     assert [as_tuple(p, k) for p in primes] == reference
     cover = minimal_cover(minterms, primes, k)
     assert [as_tuple(p, k) for p in cover] == reference_minimal_cover(rows, reference)
+    # the cover's tie-breaks follow the terms, not the order they come in
+    assert minimal_cover(minterms, primes[::-1], k) == cover
 
 
 def _chain(rng, k, connectives):
@@ -220,6 +224,30 @@ def test_bitmask_minimiser_matches_the_reference_on_golden_neurons():
     assert checked >= 32
 
 
+@st.composite
+def _minterm_lists(draw):
+    """(k, minterms) for k = 1..6: any rows of the 2^k-row table, in any
+    order, repeats allowed."""
+    k = draw(st.integers(1, 6))
+    return k, draw(st.lists(st.integers(0, (1 << k) - 1), max_size=1 << (k + 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@example((4, [0, 2, 3, 8, 11, 13, 15]))   # a greedy pick whose stale count must be refreshed
+@given(_minterm_lists())
+def test_bitset_minimiser_matches_the_reference_on_any_minterm_set(case):
+    k, minterms = case
+    _assert_matches_reference(minterms, k)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_bitset_minimiser_on_the_empty_and_the_full_table(k):
+    _assert_matches_reference([], k)
+    assert prime_implicants([], k) == [] and minimal_cover([], [], k) == []
+    _assert_matches_reference(list(range(1 << k)), k)
+    assert prime_implicants(list(range(1 << k)), k) == [(0, 0)]
+
+
 # (leaves, chains per connective set); these seeds keep every reference run
 # under a second
 @pytest.mark.parametrize("k, count", [(1, 4), (2, 12), (3, 12), (4, 12), (5, 12), (6, 8), (7, 4), (8, 3)])
@@ -243,6 +271,52 @@ def test_eleven_leaf_rules_finish_in_bounded_time():
     for neuron in c.neurons:
         start = time.perf_counter()
         rule = neuron_rule(1, neuron, c)
-        assert time.perf_counter() - start < 5.0
+        assert time.perf_counter() - start < 0.5
         for bits in rng.integers(0, 2, size=(64, 11)):
             assert matches(rule, bits) == bool(eval_bits(neuron.expression, bits))
+
+
+def _shapes_collective():
+    """Neurons of repeated and of distinct shapes: the same expression over
+    other leaves, its mirror, bare leaves, FALSE and TRUE, over ge, lt and
+    product cuts."""
+    pool = [_feature(0, 1.5), _feature(1, -2.0, "lt"), nr.QuantizedFeature((0, 2), 3.25, "lt", 0),
+            _feature(2, 0.5), _feature(3, 7.0, "lt")]
+    exprs = [("NIMPLIES", 0, 1), ("NIMPLIES", 2, 4), ("NIMPLIES", 4, 2), ("NIMPLIES", 1, 0),
+             ("OR", ("XOR", 0, 3), 4), ("OR", ("XOR", 1, 2), 3), ("OR", 3, ("XOR", 1, 2)),
+             3, 1, ("XOR", 2, 2), ("IMPLIES", 0, 0), ("AND", ("XNOR", 3, 1), 0), ("NIMPLIES", 2, 4)]
+    return _collective_for(exprs, pool, ("u", "v", "w", "z"))
+
+
+def test_extract_rules_equals_each_neuron_rule_alone():
+    collectives = [nr.load_model(path).collective for path in sorted(GOLDEN.glob("*.json"))]
+    for c in collectives + [_shapes_collective()]:
+        assert extract_rules(c) == [neuron_rule(i + 1, n, c) for i, n in enumerate(c.neurons)]
+
+
+def test_extract_rules_minimises_each_distinct_shape_once(monkeypatch):
+    calls = {"eval_expr": 0, "prime_implicants": 0}
+    for name in calls:
+        def counted(*args, _name=name, _inner=getattr(rules, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(rules, name, counted)
+    c = _shapes_collective()
+    extract_rules(c)
+    # shapes: NIMPLIES (0, 1) and its mirror, the two OR-XOR nestings, a bare
+    # leaf, XOR and IMPLIES of one leaf, and AND of an XNOR
+    assert calls == {"eval_expr": 8, "prime_implicants": 8}
+
+
+def test_neuron_over_the_leaf_cap_is_refused_before_its_truth_table(monkeypatch):
+    k = MAX_RULE_LEAVES + 1
+    expr = 0
+    for j in range(1, k):
+        expr = ("XOR", j, expr)
+    c = _collective_for([("AND", 0, 1), expr], [_feature(j, float(j)) for j in range(k)],
+                        tuple(f"x{j}" for j in range(k)))
+    tables = []
+    monkeypatch.setattr(rules, "eval_expr", lambda shape, columns: tables.append(shape) or nr.eval_expr(shape, columns))
+    with pytest.raises(ModelFormatError, match=rf"^rule 2 has {k} leaves; rules print at most {MAX_RULE_LEAVES}$"):
+        extract_rules(c)
+    assert tables == [("AND", 0, 1)]   # rule 1's table only
