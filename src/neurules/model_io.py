@@ -154,16 +154,17 @@ def _source(data, m: int) -> tuple[int, ...]:
     return tuple(data)
 
 
-def save_model(
-    path,
-    collective: Collective,
-    report: dict | None = None,
-    config: dict | None = None,
-) -> None:
-    payload = model_to_dict(collective, report=report, config=config)
+def model_text(collective: Collective, report: dict | None = None, config: dict | None = None) -> str:
+    """The model file's text: indented JSON, with NaN and Infinity refused."""
+    return json.dumps(model_to_dict(collective, report=report, config=config), indent=2, allow_nan=False) + "\n"
+
+
+def save_model(path, collective: Collective, report: dict | None = None, config: dict | None = None) -> None:
+    """Write the model file.  Its whole text is built first, so a model that
+    cannot be encoded raises ValueError and leaves an existing file as it was."""
+    text = model_text(collective, report=report, config=config)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path) -> LoadedModel:

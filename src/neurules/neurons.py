@@ -45,19 +45,16 @@ def eval_expr(expr: Expr, columns) -> np.ndarray:
     return apply_connective(name, eval_expr(left, columns), eval_expr(right, columns))
 
 
-def expr_leaves(expr: Expr) -> frozenset[int]:
-    if isinstance(expr, (int, np.integer)):
-        return frozenset((int(expr),))
-    _, left, right = expr
-    return expr_leaves(left) | expr_leaves(right)
-
-
-def expr_depth(expr: Expr) -> int:
-    """Connective levels: 0 for a bare leaf."""
-    if isinstance(expr, (int, np.integer)):
-        return 0
-    _, left, right = expr
-    return 1 + max(expr_depth(left), expr_depth(right))
+def expr_leaves(expr: Expr, leaves: set[int] | None = None) -> set[int]:
+    """The pool indices an expression reads, added to one set in one walk."""
+    if leaves is None:
+        leaves = set()
+    if type(expr) is tuple:
+        expr_leaves(expr[1], leaves)
+        expr_leaves(expr[2], leaves)
+    else:
+        leaves.add(int(expr))
+    return leaves
 
 
 def expr_to_json(expr: Expr):
@@ -105,5 +102,5 @@ class Neuron:
     criteria: SplitScores | None = None
 
     @property
-    def leaves(self) -> frozenset[int]:
+    def leaves(self) -> set[int]:
         return expr_leaves(self.expression)

@@ -21,7 +21,9 @@ from hypothesis import strategies as st
 import neurules as nr
 from neurules import cli
 from neurules.errors import DataError
-from neurules.model_io import model_to_dict
+from neurules.model_io import model_text
+from neurules.quantization import quantize
+from neurules.synthesis import Survivors
 
 
 def random_set(seed: int) -> nr.LearningSet:
@@ -77,11 +79,11 @@ def xor_set(rng: np.random.Generator) -> nr.LearningSet:
     return nr.from_arrays(np.array(rows, dtype=float), np.array(labels, dtype=np.uint8))
 
 
-def leaf_operands(pool, ls: nr.LearningSet) -> nr.Survivors:
+def leaf_operands(pool, ls: nr.LearningSet) -> Survivors:
     """A pool as ``generate_candidates`` takes it in statement-1 mode: feature i
     as bare-leaf neuron i, with its packed training column as the one view."""
     neurons = [nr.Neuron(i, 0, f.errors) for i, f in enumerate(pool)]
-    return nr.Survivors(neurons, np.packbits(nr.pool_bits(pool, ls.values)[None], axis=-1))
+    return Survivors(neurons, np.packbits(nr.pool_bits(pool, ls.values)[None], axis=-1))
 
 
 def reference_admitted_products(ls: nr.LearningSet, base, max_p: int) -> list[tuple[int, ...]]:
@@ -95,7 +97,7 @@ def reference_admitted_products(ls: nr.LearningSet, base, max_p: int) -> list[tu
                 values = np.prod(ls.values[:, list(subset)], axis=1)
             if not np.isfinite(values).all():
                 continue
-            cut = nr.quantize(values, ls.labels, subset)
+            cut = quantize(values, ls.labels, subset)
             if not cut.constant and cut.errors < min(base[i].errors for i in subset):
                 admitted.append(subset)
     return admitted
@@ -134,6 +136,14 @@ def eval_bits(expr, bits) -> int:
         return int(bits[int(expr)])
     name, left, right = expr
     return _TRUTH[name][(eval_bits(expr=left, bits=bits) << 1) | eval_bits(expr=right, bits=bits)]
+
+
+def expr_depth(expr) -> int:
+    """Connective levels: 0 for a bare leaf."""
+    if isinstance(expr, (int, np.integer)):
+        return 0
+    _, left, right = expr
+    return 1 + max(expr_depth(left), expr_depth(right))
 
 
 def golden_set(seed: int) -> nr.LearningSet:
@@ -196,11 +206,16 @@ def golden_cases() -> list[tuple[str, nr.LearningSet, nr.SynthesisConfig]]:
 def deep_set(seed: int, concept: str, noise: float) -> nr.LearningSet:
     """Seeded set whose concept takes many connective levels: 400 rows of ten
     normal variables, labelled by the XOR (parity) or the AND of the first
-    four variables' signs, with a fraction ``noise`` of the labels flipped."""
+    four variables' signs, or (``and6``) by the AND of the first six
+    variables' cuts at the quantile that makes about half the rows positive,
+    with a fraction ``noise`` of the labels flipped."""
     rng = np.random.default_rng(4000 + seed)
     values = rng.normal(size=(400, 10))
-    signs = values[:, :4] > 0
-    labels = np.logical_xor.reduce(signs, axis=1) if concept == "xor" else signs.all(axis=1)
+    if concept == "and6":
+        labels = (values[:, :6] > np.quantile(values[:, :6], 1 - 0.5 ** (1 / 6), axis=0)).all(axis=1)
+    else:
+        signs = values[:, :4] > 0
+        labels = np.logical_xor.reduce(signs, axis=1) if concept == "xor" else signs.all(axis=1)
     labels ^= rng.uniform(size=400) < noise
     return nr.from_arrays(values, labels.astype(np.uint8))
 
@@ -213,11 +228,13 @@ _DEEP = (
     (25, "xor", 0.01, "split", Fraction(2, 5), 10),         # layer 4
     (18, "xor", 0.0, "split", Fraction(1, 10), 10),         # layer 3
     (2, "and", 0.02, "statement1", Fraction(2, 5), 3),      # layer 3, stopped by the layer cap
+    (16, "and6", 0.01, "split", Fraction(2, 5), 10),        # layer 5
+    (5, "xor", 0.02, "statement1", Fraction(1), 10),        # layer 6; every admitted candidate survives
 )
 
 
 def deep_cases() -> list[tuple[str, nr.LearningSet, nr.SynthesisConfig]]:
-    """The deep part of the golden corpus: (name, set, config) for 6 cases
+    """The deep part of the golden corpus: (name, set, config) for 8 cases
     that keep a neuron of layer 3-7, without product search.  Their neurons
     have up to 8 leaves, too many for the pairwise reference minimiser."""
     return [
@@ -230,8 +247,7 @@ def deep_cases() -> list[tuple[str, nr.LearningSet, nr.SynthesisConfig]]:
 def golden_model_text(ls: nr.LearningSet, config: nr.SynthesisConfig) -> str:
     """Train and serialise exactly as ``save_model`` writes a model file."""
     collective, report = nr.synthesize(ls, config)
-    payload = model_to_dict(collective, report=report.to_dict(), config=config.to_dict())
-    return json.dumps(payload, indent=2) + "\n"
+    return model_text(collective, report=report.to_dict(), config=config.to_dict())
 
 
 def golden_holdout(seed: int, ls: nr.LearningSet) -> nr.LearningSet:

@@ -18,6 +18,9 @@ import pytest
 
 import neurules as nr
 import neurules.features as features_mod
+from neurules.collective import vote
+from neurules.dataset import split_even
+from neurules.quantization import quantize_source
 from neurules.synthesis import (
     LayerTrace,
     STOP_NO_ADMISSIONS,
@@ -160,7 +163,7 @@ def test_acceptance_5_search_space_combinatorics(monkeypatch, capsys):
             labels = rng.integers(0, 2, size=16).astype(np.uint8)
             labels[0], labels[1] = 0, 1
             ls = nr.from_arrays(values, labels)
-            pool = [nr.quantize_source(ls, (j,)) for j in range(m)]
+            pool = [quantize_source(ls, (j,)) for j in range(m)]
             pairs, _ = generate_candidates(leaf_operands(pool, ls), None, 1, ls.labels)
             assert pairs == m * (m - 1) // 2
 
@@ -180,7 +183,7 @@ def test_acceptance_5_search_space_combinatorics(monkeypatch, capsys):
             labels = rng.integers(0, 2, size=12).astype(np.uint8)
             labels[0], labels[1] = 0, 1
             ls = nr.from_arrays(values, labels)
-            base = [nr.quantize_source(ls, (j,)) for j in range(m)]
+            base = [quantize_source(ls, (j,)) for j in range(m)]
             calls.clear()
             assert features_mod.search_products(ls, base, max_p=m) == []
             assert len(calls) == 2 ** m - 1 - m
@@ -220,16 +223,16 @@ def test_acceptance_6_coherence_thresholds(capsys):
 
         # chi = 4/5 sits exactly on the 0.8 boundary and under 0.81
         four_fifths = _toy_collective([0, 0, 0, 0, ("NAND", 0, 0)], 1, Fraction("0.8"))
-        verdict = nr.vote(four_fifths, (1,))
+        verdict = vote(four_fifths, (1,))
         assert verdict.chi == Fraction(4, 5) and verdict.decision == "yes"
         tighter = _toy_collective([0, 0, 0, 0, ("NAND", 0, 0)], 1, Fraction("0.81"))
-        assert nr.vote(tighter, (1,)).refused
+        assert vote(tighter, (1,)).refused
 
         # raising chi0 can only grow the refused set
         previous: set = set()
         for chi0 in (Fraction(1, 2), Fraction(3, 5), Fraction(4, 5), Fraction(1)):
             c = _toy_collective(exprs, 3, chi0)
-            now = {b for b in product((0, 1), repeat=3) if nr.vote(c, b).refused}
+            now = {b for b in product((0, 1), repeat=3) if vote(c, b).refused}
             assert previous <= now
             previous = now
 
@@ -255,7 +258,7 @@ def test_acceptance_7_round_trip_and_rule_fidelity(demo_path, tmp_path, capsys):
         nr.save_model(path, original)
         loaded = nr.load_model(path).collective
         for bits in product((0, 1), repeat=12):
-            a, b = nr.vote(original, bits), nr.vote(loaded, bits)
+            a, b = vote(original, bits), vote(loaded, bits)
             assert (a.decision, a.chi, a.refused, a.votes) == (
                 b.decision,
                 b.chi,
@@ -283,8 +286,8 @@ def test_acceptance_8_split_scores_and_delta_stop(capsys):
         values = rng.uniform(0, 10, size=(8, 3))
         labels = np.array([0, 1, 0, 1, 1, 0, 1, 0], dtype=np.uint8)
         ls = nr.from_arrays(values, labels)
-        pool = [nr.quantize_source(ls, (j,)) for j in range(3)]
-        split = nr.split_even(ls, seed=1)
+        pool = [quantize_source(ls, (j,)) for j in range(3)]
+        split = split_even(ls, seed=1)
 
         fit_a = nr.pool_bits(_refit(pool, split.subset_a, ls), ls.values)
         fit_b = nr.pool_bits(_refit(pool, split.subset_b, ls), ls.values)

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import neurules as nr
 from neurules.cli import main
-from neurules.dataset import parse_columns, read_table
+from neurules.dataset import parse_columns, read_table, split_even
+from neurules.quantization import quantize_source
 
 from helpers import (
     cell_tables,
@@ -132,14 +133,14 @@ def test_round_trip_preserves_awkward_floats(tmp_path):
 def test_split_even_minimum_size():
     ls = nr.from_arrays([[1.0], [2.0], [3.0]], [0, 1, 0])
     with pytest.raises(nr.DataError, match="at least 4"):
-        nr.split_even(ls, seed=0)
+        split_even(ls, seed=0)
 
 
 def test_split_even_is_deterministic_per_seed():
     ls = nr.from_arrays([[float(i)] for i in range(10)], [0, 1] * 5)
-    assert nr.split_even(ls, 3) == nr.split_even(ls, 3)
+    assert split_even(ls, 3) == split_even(ls, 3)
     # a different seed reshuffles (10 instances leave room for it)
-    assert any(nr.split_even(ls, 3) != nr.split_even(ls, s) for s in range(4, 10))
+    assert any(split_even(ls, 3) != split_even(ls, s) for s in range(4, 10))
 
 
 @settings(max_examples=60, deadline=None)
@@ -148,7 +149,7 @@ def test_split_even_partitions_evenly(bits, seed):
     if len(set(bits)) < 2:
         bits[0] = 1 - bits[1]
     ls = nr.from_arrays([[float(i)] for i in range(len(bits))], bits)
-    split = nr.split_even(ls, seed)
+    split = split_even(ls, seed)
     a, b = set(split.subset_a), set(split.subset_b)
     assert a.isdisjoint(b)
     assert a | b == set(range(ls.n))
@@ -161,21 +162,21 @@ def test_split_even_partitions_evenly(bits, seed):
 
 def test_contradiction_bound_zero_without_collisions(demo_path):
     ls = nr.load_dataset(demo_path, "sex")
-    features = [nr.quantize_source(ls, (0, 1))]
+    features = [quantize_source(ls, (0, 1))]
     assert nr.contradiction_bound(ls, features) == 0
 
 
 def test_contradiction_bound_counts_minority_per_group():
     # rows 0/2 collide on the quantized vector with opposite labels
     ls = nr.from_arrays([[1.0], [5.0], [1.0], [5.0], [1.0]], [0, 1, 1, 1, 0])
-    f = nr.quantize_source(ls, (0,))
+    f = quantize_source(ls, (0,))
     assert nr.contradiction_bound(ls, [f]) == 1
 
 
 def test_contradiction_bound_matches_injected_pairs():
     for seed in range(6):
         ls, k = contradiction_set(seed)
-        features = [nr.quantize_source(ls, (j,)) for j in range(ls.m)]
+        features = [quantize_source(ls, (j,)) for j in range(ls.m)]
         assert nr.contradiction_bound(ls, features) == k
 
 
@@ -188,7 +189,7 @@ def test_contradiction_bound_requires_features(demo_path):
 def test_bound_never_exceeds_any_feature_errors():
     for seed in range(10):
         ls = random_set(seed)
-        features = [nr.quantize_source(ls, (j,)) for j in range(ls.m)]
+        features = [quantize_source(ls, (j,)) for j in range(ls.m)]
         bound = nr.contradiction_bound(ls, features)
         assert all(bound <= f.errors for f in features)
 
@@ -201,10 +202,10 @@ def _bound_pair(ls, features):
 def test_contradiction_bound_matches_the_counter_reference_on_random_and_golden_pools():
     for seed in range(10):
         ls = random_set(seed)
-        got, expected = _bound_pair(ls, [nr.quantize_source(ls, (j,)) for j in range(ls.m)])
+        got, expected = _bound_pair(ls, [quantize_source(ls, (j,)) for j in range(ls.m)])
         assert got == expected
         ls, k = contradiction_set(seed)
-        got, expected = _bound_pair(ls, [nr.quantize_source(ls, (j,)) for j in range(ls.m)])
+        got, expected = _bound_pair(ls, [quantize_source(ls, (j,)) for j in range(ls.m)])
         assert got == expected == k
     for name, ls, config in golden_cases():
         c, _ = nr.synthesize(ls, config)

@@ -7,7 +7,7 @@ import pytest
 import neurules as nr
 import neurules.features
 from neurules.features import overlapping_factors, search_products, substitute
-from neurules.quantization import quantize
+from neurules.quantization import quantize, quantize_source
 
 from helpers import reference_admitted_products, random_set
 
@@ -42,7 +42,7 @@ def test_admission_is_strict_improvement_over_every_factor(monkeypatch):
 
 def test_demo_product_admitted_with_zero_errors(demo_path):
     ls = nr.load_dataset(demo_path, "sex")
-    base = [nr.quantize_source(ls, (j,)) for j in range(ls.m)]
+    base = [quantize_source(ls, (j,)) for j in range(ls.m)]
     admitted = search_products(ls, base, max_p=2)
     assert len(admitted) == 1
     f = admitted[0]
@@ -54,7 +54,7 @@ def test_demo_product_admitted_with_zero_errors(demo_path):
 def test_nothing_admitted_when_base_is_perfect():
     values = np.array([[1.0, 9.0], [2.0, 8.0], [7.0, 2.0], [8.0, 1.0]])
     ls = nr.from_arrays(values, [0, 0, 1, 1])
-    base = [nr.quantize_source(ls, (j,)) for j in range(ls.m)]
+    base = [quantize_source(ls, (j,)) for j in range(ls.m)]
     assert all(f.errors == 0 for f in base)
     assert search_products(ls, base, max_p=2) == []
 
@@ -63,7 +63,7 @@ def test_constant_product_column_is_never_admitted(monkeypatch, demo_path):
     # a constant column can have few errors on skewed data, but it is no
     # variable; force one and check it cannot evict its factors
     ls = nr.load_dataset(demo_path, "sex")
-    base = [nr.quantize_source(ls, (j,)) for j in range(ls.m)]
+    base = [quantize_source(ls, (j,)) for j in range(ls.m)]
 
     def fake_quantize(values, labels, source=()):
         return nr.QuantizedFeature(tuple(source), 0.0, "lt", 0, constant=True)
@@ -74,7 +74,7 @@ def test_constant_product_column_is_never_admitted(monkeypatch, demo_path):
 
 def test_max_p_bounds_enforced(demo_path):
     ls = nr.load_dataset(demo_path, "sex")
-    base = [nr.quantize_source(ls, (j,)) for j in range(ls.m)]
+    base = [quantize_source(ls, (j,)) for j in range(ls.m)]
     with pytest.raises(ValueError, match="max_p"):
         search_products(ls, base, max_p=1)
     with pytest.raises(ValueError, match="max_p"):
@@ -87,7 +87,7 @@ def test_unpruned_call_count_is_all_subsets(monkeypatch):
     for m in (2, 3, 4, 5):
         rng = np.random.default_rng(m)
         ls = nr.from_arrays(rng.uniform(1, 9, size=(12, m)), [0, 1] * 6)
-        base = [nr.quantize_source(ls, (j,)) for j in range(m)]
+        base = [quantize_source(ls, (j,)) for j in range(m)]
         calls = []
         _stub_quantize(monkeypatch, {}, calls)
         assert search_products(ls, base, max_p=m) == []
@@ -99,7 +99,7 @@ def test_pruning_keeps_exactly_the_minimal_admitted_subsets():
     pruned_sets = 0
     for seed in range(12):
         ls = random_set(seed)
-        base = [nr.quantize_source(ls, (j,)) for j in range(ls.m)]
+        base = [quantize_source(ls, (j,)) for j in range(ls.m)]
         every = reference_admitted_products(ls, base, ls.m)
         minimal = [s for s in every if not any(set(t) < set(s) for t in every)]
         assert [f.source for f in search_products(ls, base, max_p=ls.m)] == minimal
@@ -114,7 +114,7 @@ def test_superset_of_admitted_subset_is_skipped(monkeypatch, demo_path):
     rng = np.random.default_rng(5)
     values = np.column_stack([demo.values, rng.uniform(1, 9, size=demo.n)])
     ls = nr.from_arrays(values, demo.labels)
-    base = [nr.quantize_source(ls, (j,)) for j in range(3)]
+    base = [quantize_source(ls, (j,)) for j in range(3)]
     calls = []
     real = quantize
     monkeypatch.setattr(
@@ -128,7 +128,7 @@ def test_superset_of_admitted_subset_is_skipped(monkeypatch, demo_path):
 
 def test_substitute_replaces_factors(demo_path):
     ls = nr.load_dataset(demo_path, "sex")
-    base = [nr.quantize_source(ls, (j,)) for j in range(ls.m)]
+    base = [quantize_source(ls, (j,)) for j in range(ls.m)]
     admitted = search_products(ls, base, max_p=2)
     pool = substitute(base, admitted)
     assert [f.source for f in pool] == [(0, 1)]
@@ -140,8 +140,8 @@ def test_substitute_keeps_uncovered_singletons():
          [1.6, 80, 1.0], [1.7, 76, 2.0], [1.8, 70, 1.5], [1.76, 72, 2.5]]
     )
     ls = nr.from_arrays(values, [0, 0, 0, 0, 1, 1, 1, 1])
-    base = [nr.quantize_source(ls, (j,)) for j in range(3)]
-    prod = nr.quantize_source(ls, (0, 1))
+    base = [quantize_source(ls, (j,)) for j in range(3)]
+    prod = quantize_source(ls, (0, 1))
     pool = substitute(base, [prod])
     assert [f.source for f in pool] == [(0, 1), (2,)]
 
@@ -149,7 +149,7 @@ def test_substitute_keeps_uncovered_singletons():
 def test_substitute_identity_without_admissions():
     values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
     ls = nr.from_arrays(values, [0, 0, 1, 1])
-    base = [nr.quantize_source(ls, (j,)) for j in range(2)]
+    base = [quantize_source(ls, (j,)) for j in range(2)]
     assert substitute(base, []) == base
 
 
@@ -162,7 +162,7 @@ def test_substitute_orders_products_by_size_then_source():
 def test_pool_features_never_worse_than_what_they_replace():
     for seed in range(10):
         ls = random_set(seed)
-        base = [nr.quantize_source(ls, (j,)) for j in range(ls.m)]
+        base = [quantize_source(ls, (j,)) for j in range(ls.m)]
         admitted = search_products(ls, base, max_p=min(ls.m, 4))
         pool = substitute(base, admitted)
         by_var = {f.source[0]: f.errors for f in base}
@@ -182,7 +182,7 @@ def test_overflowing_product_is_skipped_without_a_warning():
     # product is never quantized or admitted
     values = np.array([[1e200, 1e200], [-1e200, 1e200], [1e200, -1e200], [-1e200, -1e200]])
     ls = nr.from_arrays(values, [1, 0, 0, 1])
-    base = [nr.quantize_source(ls, (j,)) for j in range(ls.m)]
+    base = [quantize_source(ls, (j,)) for j in range(ls.m)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert search_products(ls, base, max_p=2) == []

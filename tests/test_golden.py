@@ -1,7 +1,7 @@
 """Golden corpus: retraining each seeded set gives a byte-identical model file.
 
 The files in ``tests/golden/`` were written by ``tests/golden/regenerate.py``:
-32 small ``case_*`` sets and 6 ``deep_*`` sets whose kept neurons have
+32 small ``case_*`` sets and 8 ``deep_*`` sets whose kept neurons have
 layer 3-7, and under ``outputs/`` the stdout of ``rules``, ``predict`` and
 ``eval`` on each model and, for a pool of at most 12 features, its
 ``coherence_table``.  A speed-up or refactor must leave every one of them
@@ -41,7 +41,7 @@ def test_deep_cases_keep_deep_neurons_and_one_stops_at_the_layer_cap():
     by_mode = {}
     for report in reports.values():
         by_mode[report["mode"]] = max(by_mode.get(report["mode"], 0), report["kept_layer"])
-    assert by_mode == {"statement1": 7, "split": 4}
+    assert by_mode == {"statement1": 7, "split": 5}
     assert [name for name, report in reports.items() if report["stop_cause"] == "layer-cap"] == ["deep_05"]
 
 

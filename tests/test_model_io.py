@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 
 import neurules as nr
-from neurules.model_io import FORMAT_VERSION, dict_to_model, model_to_dict
+from neurules.collective import vote
+from neurules.model_io import FORMAT_VERSION, dict_to_model, model_text, model_to_dict
 
 
 def _small_collective():
@@ -62,7 +63,7 @@ def test_loaded_model_votes_exactly_like_the_original():
     c = _small_collective()
     d = dict_to_model(model_to_dict(c)).collective
     for bits in product((0, 1), repeat=3):
-        a, b = nr.vote(c, bits), nr.vote(d, bits)
+        a, b = vote(c, bits), vote(d, bits)
         assert (a.decision, a.chi, a.refused, a.votes) == (b.decision, b.chi, b.refused, b.votes)
 
 
@@ -144,3 +145,22 @@ def test_trained_demo_model_round_trips(demo_path, tmp_path):
     for i in range(ls.n):
         verdict = nr.classify(loaded.collective, ls.values[i])
         assert verdict.decision == ls.label_names[ls.labels[i]]
+
+
+def test_unencodable_model_leaves_the_existing_file_as_it_was(tmp_path):
+    path = tmp_path / "m.json"
+    nr.save_model(path, _small_collective())
+    before = path.read_bytes()
+    c = _small_collective()
+    c.pool[1] = nr.QuantizedFeature((1,), float("nan"), "lt", 1)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        nr.save_model(path, c)
+    assert path.read_bytes() == before
+
+
+def test_golden_corpus_text_is_what_save_model_writes(tmp_path):
+    # the golden corpus pins model_text; save_model must write exactly that
+    c = _small_collective()
+    path = tmp_path / "m.json"
+    nr.save_model(path, c, report={"stop_cause": "CR=0"}, config={"mode": "split"})
+    assert path.read_text(encoding="utf-8") == model_text(c, report={"stop_cause": "CR=0"}, config={"mode": "split"})

@@ -9,13 +9,12 @@ from neurules.neurons import (
     SplitScores,
     apply_connective,
     eval_expr,
-    expr_depth,
     expr_from_json,
     expr_leaves,
     expr_to_json,
 )
 
-from helpers import eval_bits
+from helpers import eval_bits, expr_depth
 
 
 def test_reference_set_is_the_ten_binary_connectives():

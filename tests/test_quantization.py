@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neurules as nr
-from neurules.quantization import GE, LT, hamming, product_values, quantize
+from neurules.quantization import GE, LT, hamming, product_values, quantize, quantize_source
 
 from helpers import brute_best_cut_errors
 
@@ -93,8 +93,8 @@ def test_overflowing_products_read_inf_and_inf_times_zero_reads_zero():
 
 def test_quantize_source_accepts_scalar_index(demo_path):
     ls = nr.load_dataset(demo_path, "sex")
-    assert nr.quantize_source(ls, 1).source == (1,)
-    assert nr.quantize_source(ls, (0, 1)).source == (0, 1)
+    assert quantize_source(ls, 1).source == (1,)
+    assert quantize_source(ls, (0, 1)).source == (0, 1)
 
 
 def test_quantize_rejects_short_input():
@@ -110,9 +110,9 @@ def test_feature_is_immutable():
 
 def test_demo_single_variables_cannot_separate(demo_path):
     ls = nr.load_dataset(demo_path, "sex")
-    assert nr.quantize_source(ls, 0).errors == 3
-    assert nr.quantize_source(ls, 1).errors == 1
-    assert nr.quantize_source(ls, (0, 1)).errors == 0
+    assert quantize_source(ls, 0).errors == 3
+    assert quantize_source(ls, 1).errors == 1
+    assert quantize_source(ls, (0, 1)).errors == 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,13 +6,16 @@ import pytest
 
 import neurules as nr
 import neurules.synthesis as synthesis
+from neurules.dataset import SplitPair, split_even
 from neurules.model_io import model_to_dict
-from neurules.neurons import expr_depth
-from neurules.quantization import quantize
+from neurules.neurons import apply_connective
+from neurules.quantization import quantize, quantize_source
 from neurules.synthesis import (
     LayerTrace,
     STALL_DIAGNOSTIC,
+    Survivors,
     _refit,
+    admit,
     default_f_cap,
     generate_candidates,
     select_survivors,
@@ -25,6 +28,7 @@ from helpers import (
     conjunction_set,
     contradiction_set,
     deep_cases,
+    expr_depth,
     golden_cases,
     leaf_operands,
     random_set,
@@ -39,7 +43,7 @@ def _pool(m, n=8, seed=0):
     values = rng.uniform(0, 1, size=(n, m))
     labels = np.array([0, 1] * (n // 2), dtype=np.uint8)
     ls = nr.from_arrays(values, labels)
-    pool = [nr.quantize_source(ls, (j,)) for j in range(m)]
+    pool = [quantize_source(ls, (j,)) for j in range(m)]
     return leaf_operands(pool, ls), labels, nr.pool_bits(pool, ls.values)
 
 
@@ -98,7 +102,7 @@ def _reference_layer(bits, parents, r):
             if k in p.leaves or (r == 1 and k <= p.expression):
                 continue
             for name in nr.CONNECTIVES:
-                column = nr.apply_connective(name, left, bits[k])
+                column = apply_connective(name, left, bits[k])
                 key = column.tobytes()
                 if key not in taken and key not in out:
                     out[key] = ((name, p.expression, k), column)
@@ -142,7 +146,7 @@ def test_split_dedup_keys_on_the_training_column_only(monkeypatch):
     _, ls, config = golden_cases()[5]
     assert config.mode == "split"
     c, _ = nr.synthesize(ls, config)
-    split = nr.split_even(ls, config.seed)
+    split = split_even(ls, config.seed)
     _, layer = layers[0]
     kept = {n.expression: n for n in layer.survivors(np.arange(len(layer))).neurons}
     earlier, later = ("OR", 0, 2), ("OR", 0, 4)
@@ -155,7 +159,7 @@ def test_split_dedup_keys_on_the_training_column_only(monkeypatch):
 def test_generate_rejects_bad_arguments():
     pool, labels, _ = _pool(3)
     with pytest.raises(nr.DataError, match="no features"):
-        generate_candidates(nr.Survivors([], pool.packed[:, :0]), None, 1, labels)
+        generate_candidates(Survivors([], pool.packed[:, :0]), None, 1, labels)
     _, layer = generate_candidates(pool, None, 1, labels)
     with pytest.raises(ValueError, match="layer 1"):
         generate_candidates(pool, layer.survivors([0]), 1, labels)
@@ -168,10 +172,10 @@ def test_generate_rejects_bad_arguments():
 # ---------------------------------------------------------------------------
 
 def test_admission_requires_strictly_beating_both_operands():
-    assert nr.admit(1, 2, 3) is True
-    assert nr.admit(2, 2, 5) is False
-    assert nr.admit(0, 1, 1) is True
-    assert nr.admit(3, 9, 3) is False
+    assert admit(1, 2, 3) is True
+    assert admit(2, 2, 5) is False
+    assert admit(0, 1, 1) is True
+    assert admit(3, 9, 3) is False
 
 
 def test_default_f_cap_rounds_up_and_never_drops_below_one():
@@ -265,8 +269,8 @@ def _split_fixture():
     values = rng.uniform(0, 10, size=(8, 3))
     labels = np.array([0, 1, 0, 1, 1, 0, 1, 0], dtype=np.uint8)
     ls = nr.from_arrays(values, labels)
-    pool = [nr.quantize_source(ls, (j,)) for j in range(3)]
-    split = nr.split_even(ls, seed=1)
+    pool = [quantize_source(ls, (j,)) for j in range(3)]
+    split = split_even(ls, seed=1)
     return ls, pool, split
 
 
@@ -309,7 +313,7 @@ def test_bulk_split_criteria_match_the_reference_for_every_candidate(monkeypatch
     for ls, config in sets:
         layers.clear()
         c, rep = nr.synthesize(ls, config)
-        split = nr.split_even(ls, config.seed)
+        split = split_even(ls, config.seed)
         depths.append(len(rep.traces) - 1)
         candidates = [n for _, layer in layers for n in layer.survivors(np.arange(len(layer))).neurons]
         assert len(candidates) == sum(t.expanded for t in rep.traces[1:])
@@ -327,7 +331,7 @@ def test_survivor_fits_follow_the_chosen_candidates(monkeypatch):
     for ls, config in ((conjunction_set(2), nr.SynthesisConfig(mode="split", max_p=1, seed=2)), (deep, deep_config)):
         layers.clear()
         c, _ = nr.synthesize(ls, config)
-        split = nr.split_even(ls, config.seed)
+        split = split_even(ls, config.seed)
         views = [nr.pool_bits(c.pool, ls.values)]
         views += [nr.pool_bits(_refit(c.pool, s, ls), ls.values) for s in (split.subset_a, split.subset_b)]
         assert len(layers) >= 2
@@ -356,8 +360,8 @@ def test_every_layer_r_candidate_has_r_plus_one_leaves_and_depth_r(monkeypatch):
 def test_agreeing_perfect_fits_score_zero():
     # both halves refit to the same separating cut: b_u = 0 and Delta = 0
     ls = nr.from_arrays([[1.0], [2.0], [9.0], [10.0]], [0, 0, 1, 1])
-    split = nr.SplitPair((0, 3), (1, 2))
-    pool = [nr.quantize_source(ls, (0,))]
+    split = SplitPair((0, 3), (1, 2))
+    pool = [quantize_source(ls, (0,))]
     scores = split_criteria(0, pool, split, ls)
     assert scores.unbiasedness == 0
     assert scores.regularity == 0
