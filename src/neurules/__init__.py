@@ -24,7 +24,7 @@ from .collective import (
 from .dataset import LearningSet, from_arrays, load_dataset, save_dataset
 from .errors import DataError, DegenerateSplitError, ModelFormatError
 from .model_io import FORMAT_VERSION, LoadedModel, load_model, save_model
-from .neurons import CONNECTIVES, Neuron, SplitScores, eval_expr
+from .neurons import CONNECTIVES, Neuron, eval_expr
 from .quantization import GE, LT, QuantizedFeature, contradiction_bound, pool_bits
 from .rules import NeuronRule, extract_rules, render_rules
 from .synthesis import SynthesisConfig, SynthesisReport, synthesize
@@ -48,7 +48,6 @@ __all__ = [
     "Neuron",
     "NeuronRule",
     "QuantizedFeature",
-    "SplitScores",
     "SynthesisConfig",
     "SynthesisReport",
     "Verdict",

@@ -3,13 +3,14 @@
 The file stores everything inference needs: the feature pool's cuts, the
 neuron expressions, the voting threshold, and an echo of the training
 configuration (including the label column name, which ``eval`` reuses).
-The model types hold no training columns, so a loaded model is exactly
-what its file stores.
+The model types hold no training columns or scores, so a loaded model is
+exactly what its file stores.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,7 +113,7 @@ def dict_to_model(data: dict) -> LoadedModel:
         raise ModelFormatError("malformed model file: an expression is nested too deeply") from None
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
-    if len(set(collective.label_names)) != 2:
+    if len(collective.label_names) != 2:
         raise ModelFormatError("model must name exactly two classes")
     config = data.get("config") or {}
     if not isinstance(config, dict):
@@ -141,6 +142,9 @@ def _count(data, what: str) -> int:
 def _names(data, key: str) -> tuple[str, ...]:
     if not isinstance(data, list) or not all(isinstance(name, str) for name in data):
         raise ModelFormatError(f"{key} must be a list of strings")
+    repeated = [name for name, k in Counter(data).items() if k > 1]
+    if repeated:
+        raise ModelFormatError(f"{key} names {repeated[0]!r} more than once")
     return tuple(data)
 
 

@@ -2,8 +2,9 @@
 
 The reference set holds exactly the ten binary connectives whose truth table
 is non-constant in each argument; constants and projections add nothing over
-columns already in play.  An expression is either a feature-pool index (leaf)
-or a ``(connective, left, right)`` tuple.
+columns already in play.  An expression is either a ``(connective, left,
+right)`` tuple or a leaf: anything else, read through ``int()`` as a
+feature-pool index.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ def apply_connective(name: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def eval_expr(expr: Expr, columns) -> np.ndarray:
     """Evaluate an expression tree over per-feature Boolean columns."""
-    if isinstance(expr, (int, np.integer)):
+    if type(expr) is not tuple:
         return np.asarray(columns[int(expr)], dtype=bool)
     name, left, right = expr
     return apply_connective(name, eval_expr(left, columns), eval_expr(right, columns))
@@ -58,7 +59,7 @@ def expr_leaves(expr: Expr, leaves: set[int] | None = None) -> set[int]:
 
 
 def expr_to_json(expr: Expr):
-    if isinstance(expr, (int, np.integer)):
+    if type(expr) is not tuple:
         return int(expr)
     name, left, right = expr
     return [name, expr_to_json(left), expr_to_json(right)]
@@ -73,22 +74,10 @@ def expr_from_json(data) -> Expr:
     return (name, expr_from_json(left), expr_from_json(right))
 
 
-@dataclass(frozen=True)
-class SplitScores:
-    """Exterior split criteria of one candidate: disagreement between the two
-    sub-fits on the whole set, and their summed errors against the labels."""
-
-    unbiasedness: int
-    regularity: int
-
-    @property
-    def cr(self) -> int:
-        return self.unbiasedness + self.regularity
-
-
 @dataclass(eq=False)
 class Neuron:
-    """A Boolean expression over pool features, with its training scores.
+    """A Boolean expression over pool features, with its layer and training
+    errors: exactly what a model file stores of it.
 
     ``layer`` equals the expression's connective depth; layer 0 neurons are
     bare quantized features, produced when the pool alone already satisfies a
@@ -99,7 +88,6 @@ class Neuron:
     expression: Expr
     layer: int
     errors: int
-    criteria: SplitScores | None = None
 
     @property
     def leaves(self) -> set[int]:

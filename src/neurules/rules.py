@@ -132,7 +132,7 @@ def _render_dnf(terms: tuple[tuple[int, int], ...], literals: list[tuple[str, st
 def _shape(expr, first: dict[int, int]):
     """The expression with each leaf replaced by its index in order of first
     appearance, which ``first`` records."""
-    if isinstance(expr, tuple):
+    if type(expr) is tuple:
         name, left, right = expr
         return name, _shape(left, first), _shape(right, first)
     return first.setdefault(int(expr), len(first))

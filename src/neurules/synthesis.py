@@ -21,7 +21,7 @@ from .collective import DEFAULT_CHI0, Collective, check_chi0
 from .dataset import LearningSet, SplitPair, split_even
 from .errors import DataError, DegenerateSplitError
 from .features import overlapping_factors, search_products, substitute
-from .neurons import CONNECTIVES, Expr, Neuron, SplitScores, eval_expr
+from .neurons import CONNECTIVES, Expr, Neuron, eval_expr
 from .neurons import apply_connective  # noqa: F401  (bench/tracing.py wraps this name here)
 from .quantization import QuantizedFeature, hamming, pool_bits, product_values, quantize, quantize_source
 
@@ -114,8 +114,7 @@ class CandidateLayer:
     operand: np.ndarray
     feature: np.ndarray
     connective: np.ndarray
-    unbiasedness: np.ndarray | None = None   # split mode only
-    regularity: np.ndarray | None = None
+    cr: np.ndarray | None = None    # split mode only: the exterior criterion b_u + Delta
 
     def __len__(self) -> int:
         return len(self.errors)
@@ -127,9 +126,7 @@ class CandidateLayer:
         for i in positions.tolist():
             connective = _CONNECTIVE_NAMES[self.connective[i]]
             expression = (connective, self.parents.neurons[self.operand[i]].expression, int(self.feature[i]))
-            criteria = None if self.unbiasedness is None else SplitScores(
-                int(self.unbiasedness[i]), int(self.regularity[i]))
-            out.append(Neuron(expression, self.layer, int(self.errors[i]), criteria))
+            out.append(Neuron(expression, self.layer, int(self.errors[i])))
         pad = _pack(np.ones(self.rows, dtype=bool))
         op, k = self.operand[positions], self.feature[positions]
         planes = _minterms(self.parents.packed[:, op], self.pool.packed[:, k], pad)   # (4, views, K, bytes)
@@ -209,30 +206,28 @@ def _first_occurrences(keys: np.ndarray, taken: np.ndarray | None = None) -> np.
 def generate_candidates(
     pool: Survivors,
     survivors: Survivors | None,
-    r: int,
     labels: np.ndarray,
 ) -> tuple[int, CandidateLayer]:
     """Expand one layer's operand pairs through every reference connective.
 
-    ``pool`` holds pool feature i as bare-leaf neuron i.  Layer 1 takes all
-    unordered pairs of distinct pool features; later layers pair each of
-    ``survivors`` with every pool feature it does not already use.  All pairs
-    are expanded in one numpy step on packed columns, in the order (operand,
-    feature, connective).  A candidate whose training column repeats a
-    survivor's or an earlier candidate's is dropped: the first occurrence is
-    kept.  Split mode is on when the operands carry three views; every kept
-    candidate is then scored from the A/B refit views.  Returns the pair
-    count and the candidates.
+    ``pool`` holds pool feature i as bare-leaf neuron i, of layer 0.  With no
+    ``survivors`` the operands are the pool: all unordered pairs of distinct
+    pool features.  Otherwise each of ``survivors`` pairs with every pool
+    feature it does not already use.  The layer's number is one more than its
+    operands' layer.  All pairs are expanded in one numpy step on packed
+    columns, in the order (operand, feature, connective).  A candidate whose
+    training column repeats a survivor's or an earlier candidate's is
+    dropped: the first occurrence is kept.  Split mode is on when the
+    operands carry three views; every kept candidate's CR is then scored from
+    the A/B refit views.  Returns the pair count and the candidates.
     """
     if not pool.neurons:
         raise DataError("no features")
-    if (r == 1) != (survivors is None):
-        raise ValueError("layer 1 takes no survivors; every later layer takes the previous one's")
     n = len(labels)
     pad = _pack(np.ones(n, dtype=bool))
     target = _pack(labels)
-    parents = pool if r == 1 else survivors
-    if r == 1:
+    parents = pool if survivors is None else survivors
+    if survivors is None:
         fresh = np.triu(np.ones((len(pool.neurons),) * 2, dtype=bool), 1)
     else:
         fresh = np.ones((len(parents.neurons), len(pool.neurons)), dtype=bool)
@@ -242,14 +237,14 @@ def generate_candidates(
     pairs = len(operand)
     planes = _minterms(parents.packed[:, operand], pool.packed[:, feature], pad)   # (4, views, K, bytes)
     errors = _plane_errors(planes[:, 0], target)
-    scores = _split_scores(planes[:, 1], planes[:, 2], target) if len(pool.packed) == 3 else None
+    cr = _split_scores(planes[:, 1], planes[:, 2], target) if len(pool.packed) == 3 else None
     # every connective of each pair: (K * 10, bytes) in (pair, connective) order
     block = np.einsum("cv,vkw->kcw", _TRUTH, planes[:, 0]).reshape(-1, len(pad))
     del planes
-    first = _first_occurrences(_keys(block), _keys(parents.packed[0]) if r > 1 else None)
+    first = _first_occurrences(_keys(block), None if survivors is None else _keys(parents.packed[0]))
     pair, connective = np.divmod(first, len(_CONNECTIVE_NAMES))
-    layer = CandidateLayer(
-        layer=r,
+    return pairs, CandidateLayer(
+        layer=parents.neurons[0].layer + 1,
         rows=n,
         pool=pool,
         parents=parents,
@@ -258,10 +253,8 @@ def generate_candidates(
         operand=operand[pair],
         feature=feature[pair],
         connective=connective,
+        cr=None if cr is None else cr.ravel()[first],
     )
-    if scores is not None:
-        layer.unbiasedness, layer.regularity = (s.ravel()[first] for s in scores)
-    return pairs, layer
 
 
 def admit(errors: int, parent_errors: int, leaf_errors: int) -> bool:
@@ -304,19 +297,20 @@ def split_criteria(
     pool: list[QuantizedFeature],
     split: SplitPair,
     ls: LearningSet,
-) -> SplitScores:
-    """Unbiasedness and regularity of one candidate structure.
+) -> tuple[int, int]:
+    """Unbiasedness ``b_u`` and regularity ``Delta`` of one candidate structure.
 
     The candidate's structure is refit twice, on subset A and on subset B
     (thresholds re-chosen, connectives kept), and both refits are evaluated on
     the whole set: unbiasedness counts where the two disagree with each other,
-    regularity sums their disagreements with the teacher labels.
+    regularity sums their disagreements with the teacher labels.  Training
+    carries only their sum, the exterior criterion CR; this is its reference.
     """
     out_a, out_b = (eval_expr(expr, pool_bits(_refit(pool, s, ls), ls.values))
                     for s in (split.subset_a, split.subset_b))
     unbiasedness = int(np.count_nonzero(out_a != out_b))
     regularity = hamming(out_a, ls.labels) + hamming(out_b, ls.labels)
-    return SplitScores(unbiasedness, regularity)
+    return unbiasedness, regularity
 
 
 # (4, 10): whether a connective's truth table selects minterm v, (a << 1) | b
@@ -334,14 +328,13 @@ def _plane_errors(planes: np.ndarray, target: np.ndarray) -> np.ndarray:
     return int(_popcount(target)) + excess.T @ _SELECTS
 
 
-def _split_scores(planes_a: np.ndarray, planes_b: np.ndarray, target: np.ndarray) -> tuple:
-    """Unbiasedness and regularity of every connective of each pair, (K, 10)
-    each, from the pairs' minterm planes under the A and the B refit.
-    Unbiasedness counts the rows of each (A plane, B plane) meeting whose
-    outputs differ."""
+def _split_scores(planes_a: np.ndarray, planes_b: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """CR = b_u + Delta of every connective of each pair, (K, 10), from the
+    pairs' minterm planes under the A and the B refit.  Unbiasedness counts
+    the rows of each (A plane, B plane) meeting whose outputs differ."""
     joint = np.stack([_popcount(planes_a[v] & planes_b) for v in range(4)])   # (4, 4, K)
     unbiasedness = joint.reshape(16, -1).T @ _DIFFER
-    return unbiasedness, _plane_errors(planes_a, target) + _plane_errors(planes_b, target)
+    return unbiasedness + _plane_errors(planes_a, target) + _plane_errors(planes_b, target)
 
 
 # ---------------------------------------------------------------------------
@@ -457,22 +450,22 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
     pool = substitute(base, admitted_products)
     bits = pool_bits(pool, ls.values)   # every layer grows from the pool's training bits
     split_mode = config.mode == MODE_SPLIT
-    packed, criteria = _pack([bits]), [None] * len(pool)
+    packed = _pack([bits])
     if split_mode:
         split = split_even(ls, config.seed)
         refits = (pool_bits(_refit(pool, s, ls), ls.values) for s in (split.subset_a, split.subset_b))
         packed = _pack([bits, *refits])
         _, on_a, on_b = packed
         target = _pack(labels)
-        regularity = _popcount(on_a ^ target) + _popcount(on_b ^ target)
-        criteria = list(map(SplitScores, _popcount(on_a ^ on_b).tolist(), regularity.tolist()))
-    leaves = Survivors([Neuron(i, 0, f.errors, c) for i, (f, c) in enumerate(zip(pool, criteria))], packed)
+        cr0 = _popcount(on_a ^ on_b) + _popcount(on_a ^ target) + _popcount(on_b ^ target)
+    leaves = Survivors([Neuron(i, 0, f.errors) for i, f in enumerate(pool)], packed)
 
     # layer 0: the pool itself, deduplicated by training column
-    layer0 = [leaves.neurons[i] for i in _first_occurrences(_keys(packed[0])).tolist()]
+    first = _first_occurrences(_keys(packed[0]))
+    layer0 = [leaves.neurons[i] for i in first.tolist()]
     trace0 = LayerTrace(0, expanded=len(pool), admitted=len(layer0), survivors=layer0,
                         min_errors=min(f.errors for f in pool),
-                        min_cr=min(n.criteria.cr for n in layer0) if split_mode else None)
+                        min_cr=int(cr0[first].min()) if split_mode else None)
     traces = [trace0]
     best_errors = trace0.min_errors
     decision = should_stop(traces, config.mode, config.delta, config.max_layers)
@@ -480,8 +473,7 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
     pool_errors = np.array([f.errors for f in pool], dtype=np.int64)
     survivors: Survivors | None = None
     while not decision.stop:
-        r = traces[-1].index + 1
-        pairs, layer = generate_candidates(leaves, survivors, r, labels)
+        pairs, layer = generate_candidates(leaves, survivors, labels)
         if config.mode == MODE_STATEMENT1:
             # one admit call per candidate: bench/tracing.py counts admissions per call
             admitted = list(map(admit, layer.errors.tolist(), layer.parent_errors.tolist(),
@@ -489,15 +481,15 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
             kept = np.flatnonzero(np.array(admitted, dtype=bool) & (layer.errors < best_errors))
         else:
             kept = np.arange(len(layer))
-        trace = LayerTrace(index=r, pairs=pairs, expanded=len(layer), admitted=len(kept))
+        trace = LayerTrace(index=layer.layer, pairs=pairs, expanded=len(layer), admitted=len(kept))
         if len(kept):
-            cr = (layer.unbiasedness + layer.regularity)[kept] if split_mode else None
+            cr = layer.cr[kept] if split_mode else None
             chosen = kept[select_survivors(layer.errors[kept], default_f_cap(pairs, config.f_ratio), cr)]
             survivors = layer.survivors(chosen)
             trace.survivors = survivors.neurons
             trace.min_errors = min(n.errors for n in trace.survivors)
             if split_mode:
-                trace.min_cr = min(n.criteria.cr for n in trace.survivors)
+                trace.min_cr = int(layer.cr[chosen].min())
             best_errors = min(best_errors, trace.min_errors)
         traces.append(trace)
         # let the layer's candidate arrays go before the next layer is built

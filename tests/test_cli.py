@@ -342,6 +342,9 @@ _UNTRUSTED = {
     "nan-threshold": (lambda p: p["pool"][0].__setitem__("threshold", float("nan")), "non-finite threshold"),
     "infinite-threshold": (lambda p: p["pool"][0].__setitem__("threshold", float("inf")), "non-finite threshold"),
     "vote-weights": (lambda p: p.__setitem__("weights", [1]), "'weights' must be null"),
+    # predict read one column for both variables; training never writes a repeated name
+    "repeated-variable": (lambda p: p["variable_names"].__setitem__(1, p["variable_names"][0]),
+                          "variable_names names 'x1' more than once"),
     # a JSON number as chi0 would load as its binary image: 0.8 refuses a 4-of-5 vote
     "number-chi0": (lambda p: p.__setitem__("chi0", 0.8), "chi0 must be a fraction string"),
     "bool-chi0": (lambda p: p.__setitem__("chi0", True), "chi0 must be a fraction string"),

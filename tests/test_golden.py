@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import neurules as nr
+from neurules.model_io import dict_to_model, model_text
 
 from helpers import (COHERENCE_MAX_POOL, GOLDEN_OUTPUTS, deep_cases, golden_coherence, golden_cases, golden_holdout,
                      golden_model_text, golden_outputs)
@@ -49,6 +50,16 @@ def test_deep_cases_keep_deep_neurons_and_one_stops_at_the_layer_cap():
 def test_retrained_model_is_byte_identical(name, ls, config):
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert golden_model_text(ls, config) == expected
+
+
+@pytest.mark.parametrize("name, ls, config", ALL, ids=[name for name, _, _ in ALL])
+def test_trained_collective_equals_its_loaded_copy(name, ls, config):
+    # a model type holds what its file stores, so training leaves no field
+    # that the file drops
+    collective, report = nr.synthesize(ls, config)
+    loaded = dict_to_model(json.loads(model_text(collective, report.to_dict(), config.to_dict()))).collective
+    assert [vars(n) for n in collective.neurons] == [vars(n) for n in loaded.neurons]
+    assert [vars(f) for f in collective.pool] == [vars(f) for f in loaded.pool]
 
 
 @pytest.mark.parametrize("name, ls, config", ALL, ids=[name for name, _, _ in ALL])

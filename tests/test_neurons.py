@@ -1,12 +1,14 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import neurules as nr
 from neurules.neurons import (
     CONNECTIVES,
     Neuron,
-    SplitScores,
     apply_connective,
     eval_expr,
     expr_from_json,
@@ -95,12 +97,19 @@ def test_expr_from_json_rejects_unknown_connective():
         expr_from_json(["MAYBE", 0, 1])
 
 
-def test_split_scores_convolution():
-    s = SplitScores(unbiasedness=2, regularity=3)
-    assert s.cr == 5
-
-
 def test_neuron_leaves_property():
     n = Neuron(("XOR", 0, 2), layer=1, errors=1)
     assert n.leaves == frozenset({0, 2})
-    assert n.criteria is None
+
+
+def test_numpy_integer_leaves_read_like_int_leaves():
+    # every expression walker takes a tuple as a node and anything else as a leaf through int()
+    plain, numpy = ("NIMPLIES", ("OR", 0, 2), 1), ("NIMPLIES", ("OR", np.int64(0), np.uint8(2)), np.int32(1))
+    columns = np.array([[0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 0]], dtype=bool)
+    assert np.array_equal(eval_expr(numpy, columns), eval_expr(plain, columns))
+    assert expr_to_json(numpy) == expr_to_json(plain) == ["NIMPLIES", ["OR", 0, 2], 1]
+    assert expr_leaves(numpy) == expr_leaves(plain) == {0, 1, 2}
+    pool = [nr.QuantizedFeature((j,), 0.5, "ge", 0) for j in range(3)]
+    texts = [nr.render_rules(nr.Collective([Neuron(e, 2, 0)], pool, Fraction(4, 5), ("a", "b"), ("x", "y", "z")))
+             for e in (plain, numpy)]
+    assert texts[0] == texts[1]

@@ -59,17 +59,18 @@ def _columns(packed, n):
 def test_layer1_pair_counts():
     for m in range(2, 9):
         pool, labels, _ = _pool(m)
-        pairs, _ = generate_candidates(pool, None, 1, labels)
+        pairs, _ = generate_candidates(pool, None, labels)
         assert pairs == m * (m - 1) // 2
 
 
 def test_later_layer_pairs_survivor_with_fresh_features():
     pool, labels, _ = _pool(4)
-    _, layer = generate_candidates(pool, None, 1, labels)
+    _, layer = generate_candidates(pool, None, labels)
     carried = layer.survivors([0])
     survivor = carried.neurons[0]
     assert survivor.leaves == frozenset({0, 1})
-    pairs, layer2 = generate_candidates(pool, carried, 2, labels)
+    pairs, layer2 = generate_candidates(pool, carried, labels)
+    assert (layer.layer, layer2.layer) == (1, 2)   # one more than the operands' layer
     assert pairs == 2  # features 2 and 3 only
     for neuron in layer2.survivors(np.arange(len(layer2))).neurons:
         name, left, right = neuron.expression
@@ -80,9 +81,9 @@ def test_later_layer_pairs_survivor_with_fresh_features():
 
 def test_candidates_duplicating_a_survivor_column_are_dropped():
     pool, labels, bits = _pool(3)
-    _, layer = generate_candidates(pool, None, 1, labels)
+    _, layer = generate_candidates(pool, None, labels)
     carried = layer.survivors([0])
-    _, layer2 = generate_candidates(pool, carried, 2, labels)
+    _, layer2 = generate_candidates(pool, carried, labels)
     key = nr.eval_expr(carried.neurons[0].expression, bits).tobytes()
     neurons = layer2.survivors(np.arange(len(layer2))).neurons
     assert neurons and all(nr.eval_expr(n.expression, bits).tobytes() != key for n in neurons)
@@ -113,8 +114,8 @@ def _recorded_layers(monkeypatch):
     """Run ``synthesize`` with every generated layer recorded as (parents, layer)."""
     layers = []
 
-    def recording(pool, survivors, r, labels):
-        pairs, layer = generate_candidates(pool, survivors, r, labels)
+    def recording(pool, survivors, labels):
+        pairs, layer = generate_candidates(pool, survivors, labels)
         layers.append((survivors, layer))
         return pairs, layer
 
@@ -141,30 +142,25 @@ def test_duplicate_columns_keep_the_first_occurrence(monkeypatch):
 
 def test_split_dedup_keys_on_the_training_column_only(monkeypatch):
     # a later candidate repeating an earlier training column is dropped even
-    # when its A/B refits, and so its criteria, differ from the kept one's
+    # when its A/B refits, and so its CR, differ from the kept one's
     layers = _recorded_layers(monkeypatch)
     _, ls, config = golden_cases()[5]
     assert config.mode == "split"
     c, _ = nr.synthesize(ls, config)
     split = split_even(ls, config.seed)
     _, layer = layers[0]
-    kept = {n.expression: n for n in layer.survivors(np.arange(len(layer))).neurons}
+    kept = [n.expression for n in layer.survivors(np.arange(len(layer))).neurons]
     earlier, later = ("OR", 0, 2), ("OR", 0, 4)
     bits = nr.pool_bits(c.pool, ls.values)
     assert np.array_equal(nr.eval_expr(earlier, bits), nr.eval_expr(later, bits))
-    assert split_criteria(later, c.pool, split, ls) != kept[earlier].criteria
+    assert sum(split_criteria(later, c.pool, split, ls)) != layer.cr[kept.index(earlier)]
     assert later not in kept
 
 
 def test_generate_rejects_bad_arguments():
     pool, labels, _ = _pool(3)
     with pytest.raises(nr.DataError, match="no features"):
-        generate_candidates(Survivors([], pool.packed[:, :0]), None, 1, labels)
-    _, layer = generate_candidates(pool, None, 1, labels)
-    with pytest.raises(ValueError, match="layer 1"):
-        generate_candidates(pool, layer.survivors([0]), 1, labels)
-    with pytest.raises(ValueError, match="later layer"):
-        generate_candidates(pool, None, 2, labels)
+        generate_candidates(Survivors([], pool.packed[:, :0]), None, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -298,14 +294,12 @@ def test_split_criteria_matches_direct_hamming_recount():
         delta = sum(x != bool(t) for x, t in zip(out_a, y)) + sum(
             x != bool(t) for x, t in zip(out_b, y)
         )
-        assert scores.unbiasedness == b_u
-        assert scores.regularity == delta
-        assert scores.cr == b_u + delta
+        assert scores == (b_u, delta)
 
 
 def test_bulk_split_criteria_match_the_reference_for_every_candidate(monkeypatch):
     # training scores every candidate of a layer in one bulk step from cached
-    # fit columns; each score must equal the per-candidate reference
+    # fit columns; each CR must equal the per-candidate reference's b_u + Delta
     layers = _recorded_layers(monkeypatch)
     sets = [(ls, config) for _, ls, config in golden_cases() if config.mode == "split"]
     sets += [(conjunction_set(seed), nr.SynthesisConfig(mode="split", max_p=1, seed=seed)) for seed in (2, 7)]
@@ -315,10 +309,12 @@ def test_bulk_split_criteria_match_the_reference_for_every_candidate(monkeypatch
         c, rep = nr.synthesize(ls, config)
         split = split_even(ls, config.seed)
         depths.append(len(rep.traces) - 1)
-        candidates = [n for _, layer in layers for n in layer.survivors(np.arange(len(layer))).neurons]
-        assert len(candidates) == sum(t.expanded for t in rep.traces[1:])
-        for neuron in rep.traces[0].survivors + candidates:
-            assert neuron.criteria == split_criteria(neuron.expression, c.pool, split, ls)
+        assert sum(len(layer) for _, layer in layers) == sum(t.expanded for t in rep.traces[1:])
+        for _, layer in layers:
+            neurons = layer.survivors(np.arange(len(layer))).neurons
+            assert layer.cr.tolist() == [sum(split_criteria(n.expression, c.pool, split, ls)) for n in neurons]
+        assert rep.traces[0].min_cr == min(sum(split_criteria(n.expression, c.pool, split, ls))
+                                           for n in rep.traces[0].survivors)
     assert max(depths) >= 3
 
 
@@ -362,10 +358,7 @@ def test_agreeing_perfect_fits_score_zero():
     ls = nr.from_arrays([[1.0], [2.0], [9.0], [10.0]], [0, 0, 1, 1])
     split = SplitPair((0, 3), (1, 2))
     pool = [quantize_source(ls, (0,))]
-    scores = split_criteria(0, pool, split, ls)
-    assert scores.unbiasedness == 0
-    assert scores.regularity == 0
-    assert scores.cr == 0
+    assert split_criteria(0, pool, split, ls) == (0, 0)
 
 
 def test_degenerate_split_raises():
@@ -489,8 +482,6 @@ def test_split_mode_records_criteria_and_keeps_prior_layer():
     assert rep.stop_cause in ("delta-rule", "L_{r+1}=0", "layer-cap")
     crs = [t.min_cr for t in rep.traces if t.min_cr is not None]
     assert crs, "split mode must score layers"
-    for n in c.neurons:
-        assert n.criteria is not None
     if rep.stop_cause == "delta-rule":
         assert rep.kept_layer == rep.traces[-2].index
 
