@@ -12,6 +12,7 @@ import csv
 import functools
 import json
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -50,40 +51,42 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="synthesize a classifier from a CSV table")
     train.add_argument("--data", required=True, help="training CSV (header row required)")
     train.add_argument("--label", required=True, help="name of the class column")
+    # every training option's default is SynthesisConfig's, set below
     train.add_argument(
         "--mode",
         choices=(MODE_STATEMENT1, MODE_SPLIT),
-        default=MODE_STATEMENT1,
         help="admission regime: strict error descent, or split-based criteria",
     )
-    train.add_argument("--delta", type=int, default=0, help="split-mode stop tolerance")
+    train.add_argument("--delta", type=int, help="split-mode stop tolerance")
     train.add_argument(
         "--f-ratio",
         type=_fraction,
-        default=Fraction(2, 5),
-        help="survivor fraction per layer (default 2/5)",
+        help="survivor fraction per layer (default %(default)s)",
     )
-    train.add_argument("--max-p", type=int, default=None, help="largest product size tried")
-    train.add_argument("--max-layers", type=int, default=10, help="hard layer cap")
+    train.add_argument("--max-p", type=int, help="largest product size tried")
+    train.add_argument("--max-layers", type=int, help="hard layer cap")
     train.add_argument(
         "--chi0",
         type=_fraction,
-        default=Fraction(4, 5),
-        help="coherence threshold below which the vote refuses (default 4/5)",
+        help="coherence threshold below which the vote refuses (default %(default)s)",
     )
-    train.add_argument("--seed", type=int, default=0, help="seed for the even split")
+    train.add_argument("--seed", type=int, help="seed for the even split")
     train.add_argument("--out", required=True, help="where to write the model JSON")
+    train.set_defaults(run=_cmd_train, **vars(SynthesisConfig()))
 
     predict = sub.add_parser("predict", help="classify fresh rows with a saved model")
     predict.add_argument("--model", required=True)
     predict.add_argument("--data", required=True)
+    predict.set_defaults(run=_cmd_predict)
 
     rules = sub.add_parser("rules", help="print a model as IF-THEN rules")
     rules.add_argument("--model", required=True)
+    rules.set_defaults(run=_cmd_rules)
 
     evalp = sub.add_parser("eval", help="score a labeled CSV against a saved model")
     evalp.add_argument("--model", required=True)
     evalp.add_argument("--data", required=True)
+    evalp.set_defaults(run=_cmd_eval)
     return parser
 
 
@@ -97,15 +100,7 @@ def _values_for_model(header, rows, c: Collective, path) -> np.ndarray:
 
 def _cmd_train(args) -> int:
     try:
-        config = SynthesisConfig(
-            mode=args.mode,
-            delta=args.delta,
-            f_ratio=args.f_ratio,
-            max_layers=args.max_layers,
-            max_p=args.max_p,
-            chi0=args.chi0,
-            seed=args.seed,
-        )
+        config = SynthesisConfig(**{f.name: getattr(args, f.name) for f in fields(SynthesisConfig)})
     except ValueError as exc:
         # an out-of-range option is bad input: say so before reading any data
         raise DataError(f"bad training option: {exc}") from None
@@ -182,18 +177,10 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "train": _cmd_train,
-    "predict": _cmd_predict,
-    "rules": _cmd_rules,
-    "eval": _cmd_eval,
-}
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except (DataError, DegenerateSplitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

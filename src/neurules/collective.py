@@ -48,10 +48,6 @@ class Collective:
     def size(self) -> int:
         return len(self.neurons)
 
-    @property
-    def errors(self) -> int:
-        return min(n.errors for n in self.neurons)
-
 
 @dataclass(frozen=True)
 class Verdict:

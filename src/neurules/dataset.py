@@ -73,14 +73,6 @@ class LearningSet:
         )
 
 
-@dataclass(frozen=True)
-class SplitPair:
-    """Disjoint index subsets A and B covering the whole set, |A| - |B| in {0, 1}."""
-
-    subset_a: tuple[int, ...]
-    subset_b: tuple[int, ...]
-
-
 def from_arrays(
     values,
     labels,
@@ -185,12 +177,13 @@ def save_dataset(ls: LearningSet, path, label_column: str = "label") -> None:
             writer.writerow(row)
 
 
-def split_even(ls: LearningSet, seed: int) -> SplitPair:
+def split_even(ls: LearningSet, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Partition into two near-equal halves, stratified by class.
 
-    Within each class the (seeded) shuffled indices are dealt alternately onto
-    the two subsets; the dealing order carries over between classes so the
-    overall sizes differ by at most one, with A never smaller than B.
+    Returns the pair ``(A, B)`` of sorted index tuples: disjoint, covering
+    every instance, with |A| - |B| in {0, 1}.  Within each class the (seeded)
+    shuffled indices are dealt alternately onto the two subsets, and the
+    dealing order carries over between classes.
     """
     if ls.n < 4:
         raise DataError("split mode needs at least 4 instances")
@@ -203,7 +196,7 @@ def split_even(ls: LearningSet, seed: int) -> SplitPair:
         for idx in members:
             sides[turn].append(idx)
             turn ^= 1
-    return SplitPair(tuple(sorted(sides[0])), tuple(sorted(sides[1])))
+    return tuple(sorted(sides[0])), tuple(sorted(sides[1]))
 
 
 def group_rows(bits) -> tuple[np.ndarray, np.ndarray]:

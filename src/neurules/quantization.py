@@ -117,9 +117,8 @@ def quantize(values, labels, source: tuple[int, ...] = ()) -> QuantizedFeature:
     return QuantizedFeature(tuple(source), u, polarity, int(errors), constant)
 
 
-def quantize_source(ls: LearningSet, source) -> QuantizedFeature:
-    """Quantize one variable or product variable of a learning set."""
-    source = (int(source),) if isinstance(source, (int, np.integer)) else tuple(source)
+def quantize_source(ls: LearningSet, source: tuple[int, ...]) -> QuantizedFeature:
+    """Quantize the product of the variables ``source`` names: ``(j,)`` is variable j itself."""
     return quantize(product_values(ls.values, source), ls.labels, source)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import neurons
 from .collective import DEFAULT_CHI0, Collective, check_chi0
-from .dataset import LearningSet, SplitPair, split_even
+from .dataset import LearningSet, split_even
 from .errors import DataError, DegenerateSplitError
 from .features import overlapping_factors, search_products, substitute
 from .neurons import CONNECTIVES, Expr, Neuron, eval_expr
@@ -50,6 +50,13 @@ class SynthesisConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("delta", "max_layers", "max_p", "seed"):
+            value = getattr(self, name)
+            if value is None and name == "max_p":
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.mode not in (MODE_STATEMENT1, MODE_SPLIT):
             raise ValueError(f"mode must be {MODE_STATEMENT1!r} or {MODE_SPLIT!r}")
         if self.delta < 0:
@@ -262,7 +269,7 @@ def admit(errors: int, parent_errors: int, leaf_errors: int) -> bool:
     return errors < min(parent_errors, leaf_errors)
 
 
-def default_f_cap(pairs: int, f_ratio: Fraction = Fraction(2, 5)) -> int:
+def default_f_cap(pairs: int, f_ratio: Fraction = SynthesisConfig.f_ratio) -> int:
     """Survivor cap for a layer that examined ``pairs`` operand pairs."""
     return max(1, math.ceil(_as_fraction(f_ratio) * pairs))
 
@@ -295,19 +302,18 @@ def _refit(pool: list[QuantizedFeature], subset: tuple[int, ...], ls: LearningSe
 def split_criteria(
     expr: Expr,
     pool: list[QuantizedFeature],
-    split: SplitPair,
+    split: tuple[tuple[int, ...], tuple[int, ...]],
     ls: LearningSet,
 ) -> tuple[int, int]:
     """Unbiasedness ``b_u`` and regularity ``Delta`` of one candidate structure.
 
-    The candidate's structure is refit twice, on subset A and on subset B
-    (thresholds re-chosen, connectives kept), and both refits are evaluated on
+    The candidate's structure is refit twice, on subset A and on subset B of
+    ``split`` (the pair ``split_even`` returns; thresholds re-chosen, connectives kept), and both refits are evaluated on
     the whole set: unbiasedness counts where the two disagree with each other,
     regularity sums their disagreements with the teacher labels.  Training
     carries only their sum, the exterior criterion CR; this is its reference.
     """
-    out_a, out_b = (eval_expr(expr, pool_bits(_refit(pool, s, ls), ls.values))
-                    for s in (split.subset_a, split.subset_b))
+    out_a, out_b = (eval_expr(expr, pool_bits(_refit(pool, s, ls), ls.values)) for s in split)
     unbiasedness = int(np.count_nonzero(out_a != out_b))
     regularity = hamming(out_a, ls.labels) + hamming(out_b, ls.labels)
     return unbiasedness, regularity
@@ -450,11 +456,11 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
     pool = substitute(base, admitted_products)
     bits = pool_bits(pool, ls.values)   # every layer grows from the pool's training bits
     split_mode = config.mode == MODE_SPLIT
-    packed = _pack([bits])
+    views = [bits]
     if split_mode:
-        split = split_even(ls, config.seed)
-        refits = (pool_bits(_refit(pool, s, ls), ls.values) for s in (split.subset_a, split.subset_b))
-        packed = _pack([bits, *refits])
+        views += [pool_bits(_refit(pool, s, ls), ls.values) for s in split_even(ls, config.seed)]
+    packed = _pack(views)
+    if split_mode:
         _, on_a, on_b = packed
         target = _pack(labels)
         cr0 = _popcount(on_a ^ on_b) + _popcount(on_a ^ target) + _popcount(on_b ^ target)

@@ -289,8 +289,7 @@ def test_acceptance_8_split_scores_and_delta_stop(capsys):
         pool = [quantize_source(ls, (j,)) for j in range(3)]
         split = split_even(ls, seed=1)
 
-        fit_a = nr.pool_bits(_refit(pool, split.subset_a, ls), ls.values)
-        fit_b = nr.pool_bits(_refit(pool, split.subset_b, ls), ls.values)
+        fit_a, fit_b = (nr.pool_bits(_refit(pool, s, ls), ls.values) for s in split)
         y = [int(t) for t in ls.labels]
         for expr in [0, ("AND", 0, 1), ("XOR", ("OR", 0, 2), 1), ("NAND", 2, 0)]:
             scores = split_criteria(expr, pool, split, ls)

@@ -17,7 +17,6 @@ INTERNALS = [
     ("neurules.neurons", "apply_connective"),
     ("neurules.collective", "vote"),
     ("neurules.dataset", "split_even"),
-    ("neurules.dataset", "SplitPair"),
     ("neurules.features", "search_products"),
     ("neurules.features", "substitute"),
     ("neurules.features", "overlapping_factors"),

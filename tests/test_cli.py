@@ -274,6 +274,12 @@ def test_parser_reuse_carries_no_value_between_calls(demo_path, tmp_path, capsys
     assert Fraction(config["f_ratio"]) == Fraction(2, 5)
 
 
+def test_train_without_options_records_the_config_defaults(demo_path, tmp_path, capsys):
+    code, out = _train(demo_path, tmp_path)
+    assert code == 0
+    assert nr.load_model(out).config == {**nr.SynthesisConfig().to_dict(), "label_column": "sex"}
+
+
 def test_usage_error_leaves_the_parser_usable(demo_path, tmp_path, capsys):
     _, out = _train(demo_path, tmp_path)
     with pytest.raises(SystemExit) as exc:

@@ -149,8 +149,7 @@ def test_split_even_partitions_evenly(bits, seed):
     if len(set(bits)) < 2:
         bits[0] = 1 - bits[1]
     ls = nr.from_arrays([[float(i)] for i in range(len(bits))], bits)
-    split = split_even(ls, seed)
-    a, b = set(split.subset_a), set(split.subset_b)
+    a, b = map(set, split_even(ls, seed))
     assert a.isdisjoint(b)
     assert a | b == set(range(ls.n))
     assert len(a) - len(b) in (0, 1)

@@ -91,9 +91,9 @@ def test_overflowing_products_read_inf_and_inf_times_zero_reads_zero():
     assert product_values(values, (0, 1, 2)).tolist() == [0.0, -np.inf, 0.0]
 
 
-def test_quantize_source_accepts_scalar_index(demo_path):
+def test_quantize_source_records_its_source(demo_path):
     ls = nr.load_dataset(demo_path, "sex")
-    assert quantize_source(ls, 1).source == (1,)
+    assert quantize_source(ls, (1,)).source == (1,)
     assert quantize_source(ls, (0, 1)).source == (0, 1)
 
 
@@ -110,8 +110,8 @@ def test_feature_is_immutable():
 
 def test_demo_single_variables_cannot_separate(demo_path):
     ls = nr.load_dataset(demo_path, "sex")
-    assert quantize_source(ls, 0).errors == 3
-    assert quantize_source(ls, 1).errors == 1
+    assert quantize_source(ls, (0,)).errors == 3
+    assert quantize_source(ls, (1,)).errors == 1
     assert quantize_source(ls, (0, 1)).errors == 0
 
 

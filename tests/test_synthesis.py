@@ -6,7 +6,7 @@ import pytest
 
 import neurules as nr
 import neurules.synthesis as synthesis
-from neurules.dataset import SplitPair, split_even
+from neurules.dataset import split_even
 from neurules.model_io import model_to_dict
 from neurules.neurons import apply_connective
 from neurules.quantization import quantize, quantize_source
@@ -272,7 +272,7 @@ def _split_fixture():
 
 def test_subset_fits_minimize_subset_errors():
     ls, pool, split = _split_fixture()
-    for subset in (split.subset_a, split.subset_b):
+    for subset in split:
         idx = np.array(subset)
         for f in pool:
             refit = quantize(ls.values[idx, f.source[0]], ls.labels[idx], f.source)
@@ -283,8 +283,7 @@ def test_subset_fits_minimize_subset_errors():
 
 def test_split_criteria_matches_direct_hamming_recount():
     ls, pool, split = _split_fixture()
-    fit_a = nr.pool_bits(_refit(pool, split.subset_a, ls), ls.values)
-    fit_b = nr.pool_bits(_refit(pool, split.subset_b, ls), ls.values)
+    fit_a, fit_b = (nr.pool_bits(_refit(pool, s, ls), ls.values) for s in split)
     for expr in [("AND", 0, 1), ("XOR", ("OR", 0, 2), 1), ("NAND", 2, 0)]:
         scores = split_criteria(expr, pool, split, ls)
         out_a = nr.eval_expr(expr, fit_a).tolist()
@@ -329,7 +328,7 @@ def test_survivor_fits_follow_the_chosen_candidates(monkeypatch):
         c, _ = nr.synthesize(ls, config)
         split = split_even(ls, config.seed)
         views = [nr.pool_bits(c.pool, ls.values)]
-        views += [nr.pool_bits(_refit(c.pool, s, ls), ls.values) for s in (split.subset_a, split.subset_b)]
+        views += [nr.pool_bits(_refit(c.pool, s, ls), ls.values) for s in split]
         assert len(layers) >= 2
         for _, layer in layers:
             positions = np.arange(len(layer))[::-3]
@@ -356,7 +355,7 @@ def test_every_layer_r_candidate_has_r_plus_one_leaves_and_depth_r(monkeypatch):
 def test_agreeing_perfect_fits_score_zero():
     # both halves refit to the same separating cut: b_u = 0 and Delta = 0
     ls = nr.from_arrays([[1.0], [2.0], [9.0], [10.0]], [0, 0, 1, 1])
-    split = SplitPair((0, 3), (1, 2))
+    split = ((0, 3), (1, 2))
     pool = [quantize_source(ls, (0,))]
     assert split_criteria(0, pool, split, ls) == (0, 0)
 
@@ -531,6 +530,24 @@ def test_config_validation():
     cfg = nr.SynthesisConfig(f_ratio=0.4, chi0="0.8")
     assert cfg.f_ratio == Fraction(2, 5)
     assert cfg.chi0 == Fraction(4, 5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("seed", None), ("seed", "3"), ("max_p", 2.5), ("delta", True), ("max_layers", 2.5),
+])
+def test_config_refuses_non_integer_options(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        nr.SynthesisConfig(mode="split", **{field: value})
+
+
+def test_config_stores_numpy_integers_as_int(demo_path, tmp_path):
+    ls = nr.load_dataset(demo_path, "sex")
+    config = nr.SynthesisConfig(mode="split", seed=np.int64(3), max_layers=np.int32(4), max_p=np.int16(2))
+    c, rep = nr.synthesize(ls, config)
+    echo = config.to_dict()
+    assert [type(echo[k]) for k in ("delta", "max_layers", "max_p", "seed")] == [int] * 4
+    nr.save_model(tmp_path / "model.json", c, report=rep.to_dict(), config=echo)
+    assert nr.load_model(tmp_path / "model.json").config == echo
 
 
 def test_report_serializes_to_plain_json(demo_path):
