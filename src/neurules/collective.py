@@ -103,19 +103,21 @@ def quantize_input(c: Collective, x) -> np.ndarray:
 
 def vote(c: Collective, bits) -> Verdict:
     """Tally the neurons on one row of pool bits and apply the refusal rule."""
-    return _tally(c, tuple(int(eval_expr(n.expression, bits)) for n in c.neurons))
+    votes = tuple(int(eval_expr(n.expression, bits)) for n in c.neurons)
+    return Verdict(*_outcome(c, sum(votes)), votes)
 
 
-def _tally(c: Collective, votes: tuple[int, ...]) -> Verdict:
-    ones = sum(votes)
-    zeros = len(votes) - ones
-    if ones == zeros:
-        return Verdict(None, Fraction(1, 2), votes)
-    winner = int(ones > zeros)
-    chi = Fraction(max(ones, zeros), len(votes))
-    if chi < c.chi0:
-        return Verdict(None, chi, votes)
-    return Verdict(c.label_names[winner], chi, votes)
+def _outcome(c: Collective, ones: int) -> tuple[str | None, Fraction]:
+    """The vote rule on ``ones`` 1-votes of the c.size neurons: (decision, chi).
+
+    chi is the winning share; the decision is None (refused) below chi0, and
+    on an exact tie, which is refused with chi = 1/2 whatever chi0 is.
+    """
+    size = c.size
+    if 2 * ones == size:
+        return None, Fraction(1, 2)
+    chi = Fraction(max(ones, size - ones), size)
+    return (c.label_names[int(2 * ones > size)] if chi >= c.chi0 else None), chi
 
 
 def classify(c: Collective, x) -> Verdict:
@@ -136,19 +138,31 @@ def coherence_table(c: Collective) -> CoherenceTable:
     if k > 20:
         raise ValueError(f"table too large: 2^{k} combinations")
     patterns = list(product((0, 1), repeat=k))
-    verdicts = _pattern_verdicts(c, np.array(patterns, dtype=bool).T)
+    verdicts, _ = _pattern_verdicts(c, np.array(patterns, dtype=bool).T)
     rows = {bits: verdict.chi for bits, verdict in zip(patterns, verdicts)}
     return CoherenceTable(rows, Fraction(sum(v.refused for v in verdicts), 2 ** k))
 
 
-def _pattern_verdicts(c: Collective, columns: np.ndarray) -> list[Verdict]:
-    """One verdict per pool-bit pattern, from the columns ``(|pool|, patterns)``:
-    each neuron is evaluated once over all the patterns."""
+def _pattern_verdicts(c: Collective, columns: np.ndarray) -> tuple[list[Verdict], np.ndarray]:
+    """One verdict and the 1-vote count per pool-bit pattern, from the
+    columns ``(|pool|, patterns)``: each neuron is evaluated once over all the
+    patterns, the vote rule once per count that occurs, and patterns with
+    the same votes share one Verdict."""
     # called through its module, not this one's name: the benchmark's tracer
     # wraps that name as the per-row vote, and its self-check swaps vote out
     # and deletes the name to simulate a refactor of the vote alone
     votes = np.array([neurons.eval_expr(n.expression, columns) for n in c.neurons], dtype=np.uint8)
-    return [_tally(c, tuple(pattern_votes)) for pattern_votes in votes.T.tolist()]
+    counts = votes.sum(axis=0, dtype=np.intp)
+    ones_of = counts.tolist()
+    outcomes = {ones: _outcome(c, ones) for ones in set(ones_of)}
+    shared: dict[tuple[int, ...], Verdict] = {}
+    verdicts = []
+    for pattern_votes, ones in zip(map(tuple, votes.T.tolist()), ones_of):
+        verdict = shared.get(pattern_votes)
+        if verdict is None:
+            verdict = shared[pattern_votes] = Verdict(*outcomes[ones], pattern_votes)
+        verdicts.append(verdict)
+    return verdicts, counts
 
 
 def evaluate(c: Collective, values, labels) -> EvalMetrics:
@@ -157,44 +171,49 @@ def evaluate(c: Collective, values, labels) -> EvalMetrics:
     ``values`` is ``(n, m)`` and ``labels`` holds n entries, each 0 or 1
     against the collective's label_names.  Rows are grouped by their packed
     pool-bit pattern; each neuron is evaluated once over the distinct
-    patterns, and rows sharing a pattern share its verdict.  A mean
-    coherence below chi0 raises the quality-control warning flag: the feature
-    set or the learning set needs revision.
+    patterns, and rows sharing a pattern share its verdict.  The vote rule
+    depends on the 1-vote count alone, so rows are tallied per (count,
+    label), and the mean coherence is one exact division: the winning votes
+    summed over the rows, over N votes per row.  A mean coherence below chi0
+    raises the quality-control warning flag: the feature set or the learning
+    set needs revision.
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
     if values.ndim != 2 or values.shape[0] < 1:
         raise DataError(f"n >= 1 rows of shape (n, m) required, got {values.shape}")
     n = values.shape[0]
-    if labels.shape != (n,) or not np.isin(labels, (0, 1)).all():
+    if labels.shape != (n,) or not ((labels == 0) | (labels == 1)).all():
         raise DataError(f"{n} labels required, each 0 or 1")
     bits = quantize_input(c, values)
     first, inverse = group_rows(bits)
-    distinct = _pattern_verdicts(c, bits[first].T)
-    # rows per (pattern, label): a few dozen patterns stand for all n rows
-    counts = np.bincount(2 * inverse + labels.astype(np.intp), minlength=2 * len(distinct))
-    errors = 0
-    refusals = 0
-    per_class = {name: 0 for name in c.label_names}
-    chi_sum = Fraction(0)
-    for verdict, by_label in zip(distinct, counts.reshape(-1, 2).tolist()):
-        chi_sum += sum(by_label) * verdict.chi
-        if verdict.refused:
-            refusals += sum(by_label)
+    verdicts, counts = _pattern_verdicts(c, bits[first].T)
+    size = c.size
+    # rows per (1-vote count, label): at most N + 1 counts stand for all n rows
+    tally = np.bincount(2 * counts[inverse] + labels.astype(np.intp), minlength=2 * (size + 1))
+    winning = refusals = 0
+    wrong = dict.fromkeys(c.label_names, 0)
+    for ones, by_label in enumerate(tally.reshape(-1, 2).tolist()):
+        rows = sum(by_label)
+        if not rows:
+            continue
+        winning += rows * max(ones, size - ones)
+        decision, _ = _outcome(c, ones)
+        if decision is None:
+            refusals += rows
             continue
         for name, count in zip(c.label_names, by_label):
-            if verdict.decision != name:
-                errors += count
-                per_class[name] += count
-    mean_chi = chi_sum / n
+            if decision != name:
+                wrong[name] += count
+    mean_chi = Fraction(winning, size * n)
     return EvalMetrics(
         total=n,
-        errors=errors,
+        errors=sum(wrong.values()),
         refusals=refusals,
-        per_class_errors=per_class,
+        per_class_errors=wrong,
         mean_chi=mean_chi,
         low_coherence_warning=mean_chi < c.chi0,
-        verdicts=[distinct[i] for i in inverse.tolist()],
+        verdicts=[verdicts[i] for i in inverse.tolist()],
     )
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -176,4 +177,7 @@ def extract_rules(c: Collective) -> list[NeuronRule]:
 def render_rules(c: Collective) -> str:
     footer = (f"DECISION: majority vote of {c.size} rule(s); "
               f"refuse when coherence chi < {c.chi0} (= {float(c.chi0):.2f})")
+    if c.chi0 == Fraction(1, 2) and c.size % 2 == 0:
+        # a tie has chi = 1/2, which is not below this chi0, yet it is refused
+        footer += " or on an exact tie"
     return "\n".join([r.text for r in extract_rules(c)] + [footer])

@@ -271,12 +271,15 @@ def _random_expression(rng, k):
     return expr
 
 
-@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("seed", range(7))
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 16, 17])
 def test_evaluate_matches_per_row_classify_for_any_pool_width(width, seed):
+    # every width takes collectives of 1-7 neurons; sizes 2, 4 and 6 reach
+    # ties, and with 6 voters at chi0 = 2/3 (widths 7 and 17) a 4-to-2 vote
+    # sits exactly on the boundary as an unreduced count
     rng = np.random.default_rng(100 * width + seed)
-    size = int(rng.choice([1, 3, 4, 5, 7]))
-    chi0 = (Fraction(1, 2), Fraction(3, 5), Fraction(4, 5), Fraction(1))[seed % 4]
+    size = seed + 1
+    chi0 = (Fraction(1, 2), Fraction(3, 5), Fraction(2, 3), Fraction(4, 5), Fraction(1))[(width + seed) % 5]
     c = _collective([_random_expression(rng, width) for _ in range(size)], k=width, chi0=chi0)
     # few distinct bit rows, many differing only in the last pool bit
     n = int(rng.integers(1, 120))

@@ -162,6 +162,24 @@ def test_rendered_block_ends_with_vote_footer(demo_path):
     )
 
 
+def test_footer_names_the_tie_only_where_chi0_does_not_refuse_it():
+    pool = [_feature(0, 0.5)]
+    c = nr.Collective([nr.Neuron(0, 0, 0), nr.Neuron(("NAND", 0, 0), 1, 0)], pool, Fraction(1, 2),
+                      ("no", "yes"), ("x1",))
+    # the two neurons always disagree: every input is a tie, refused with chi = 1/2
+    for x in ([0.0], [1.0]):
+        verdict = nr.classify(c, x)
+        assert verdict.refused and verdict.chi == Fraction(1, 2)
+    footer = nr.render_rules(c).splitlines()[-1]
+    assert footer == (
+        "DECISION: majority vote of 2 rule(s); refuse when coherence chi < 1/2 (= 0.50) or on an exact tie"
+    )
+    # above 1/2 the threshold already refuses a tie, and an odd vote cannot tie
+    for chi0, neurons in ((Fraction(3, 5), c.neurons), (Fraction(1, 2), c.neurons + [nr.Neuron(0, 0, 0)])):
+        other = nr.Collective(neurons, pool, chi0, ("no", "yes"), ("x1",))
+        assert not nr.render_rules(other).endswith("tie")
+
+
 def test_rules_reproduce_training_columns(demo_path):
     ls = nr.load_dataset(demo_path, "sex")
     c, _ = nr.synthesize(ls)
