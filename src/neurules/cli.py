@@ -112,10 +112,10 @@ def _cmd_train(args) -> int:
     print(f"model written to {args.out}")
     print(
         f"stop cause: {report.stop_cause}; kept layer {report.kept_layer}; "
-        f"errors {report.final_errors}; collective size {report.collective_size}"
+        f"errors {report.final_errors}; collective size {collective.size}"
     )
-    for line in report.pool_description:
-        print(f"feature: {line}")
+    for f in collective.pool:
+        print(f"feature: {f.describe(collective.variable_names)}")
     if report.diagnostic is not None:
         print(f"warning: {report.diagnostic}", file=sys.stderr)
         print(

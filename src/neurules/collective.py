@@ -8,7 +8,7 @@ float rounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -76,7 +76,6 @@ class EvalMetrics:
     per_class_errors: dict[str, int]
     mean_chi: Fraction
     low_coherence_warning: bool
-    verdicts: list[Verdict] = field(repr=False, default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -138,31 +137,21 @@ def coherence_table(c: Collective) -> CoherenceTable:
     if k > 20:
         raise ValueError(f"table too large: 2^{k} combinations")
     patterns = list(product((0, 1), repeat=k))
-    verdicts, _ = _pattern_verdicts(c, np.array(patterns, dtype=bool).T)
-    rows = {bits: verdict.chi for bits, verdict in zip(patterns, verdicts)}
-    return CoherenceTable(rows, Fraction(sum(v.refused for v in verdicts), 2 ** k))
+    counts = _vote_counts(c, np.array(patterns, dtype=bool).T).tolist()
+    outcomes = {ones: _outcome(c, ones) for ones in set(counts)}
+    rows = {bits: outcomes[ones][1] for bits, ones in zip(patterns, counts)}
+    refused = sum(outcomes[ones][0] is None for ones in counts)
+    return CoherenceTable(rows, Fraction(refused, 2 ** k))
 
 
-def _pattern_verdicts(c: Collective, columns: np.ndarray) -> tuple[list[Verdict], np.ndarray]:
-    """One verdict and the 1-vote count per pool-bit pattern, from the
-    columns ``(|pool|, patterns)``: each neuron is evaluated once over all the
-    patterns, the vote rule once per count that occurs, and patterns with
-    the same votes share one Verdict."""
+def _vote_counts(c: Collective, columns: np.ndarray) -> np.ndarray:
+    """The 1-vote count per pool-bit pattern, from the columns ``(|pool|,
+    patterns)``: each neuron is evaluated once over all the patterns."""
     # called through its module, not this one's name: the benchmark's tracer
     # wraps that name as the per-row vote, and its self-check swaps vote out
     # and deletes the name to simulate a refactor of the vote alone
     votes = np.array([neurons.eval_expr(n.expression, columns) for n in c.neurons], dtype=np.uint8)
-    counts = votes.sum(axis=0, dtype=np.intp)
-    ones_of = counts.tolist()
-    outcomes = {ones: _outcome(c, ones) for ones in set(ones_of)}
-    shared: dict[tuple[int, ...], Verdict] = {}
-    verdicts = []
-    for pattern_votes, ones in zip(map(tuple, votes.T.tolist()), ones_of):
-        verdict = shared.get(pattern_votes)
-        if verdict is None:
-            verdict = shared[pattern_votes] = Verdict(*outcomes[ones], pattern_votes)
-        verdicts.append(verdict)
-    return verdicts, counts
+    return votes.sum(axis=0, dtype=np.intp)
 
 
 def evaluate(c: Collective, values, labels) -> EvalMetrics:
@@ -171,7 +160,7 @@ def evaluate(c: Collective, values, labels) -> EvalMetrics:
     ``values`` is ``(n, m)`` and ``labels`` holds n entries, each 0 or 1
     against the collective's label_names.  Rows are grouped by their packed
     pool-bit pattern; each neuron is evaluated once over the distinct
-    patterns, and rows sharing a pattern share its verdict.  The vote rule
+    patterns, and rows sharing a pattern share its vote count.  The vote rule
     depends on the 1-vote count alone, so rows are tallied per (count,
     label), and the mean coherence is one exact division: the winning votes
     summed over the rows, over N votes per row.  A mean coherence below chi0
@@ -187,7 +176,7 @@ def evaluate(c: Collective, values, labels) -> EvalMetrics:
         raise DataError(f"{n} labels required, each 0 or 1")
     bits = quantize_input(c, values)
     first, inverse = group_rows(bits)
-    verdicts, counts = _pattern_verdicts(c, bits[first].T)
+    counts = _vote_counts(c, bits[first].T)
     size = c.size
     # rows per (1-vote count, label): at most N + 1 counts stand for all n rows
     tally = np.bincount(2 * counts[inverse] + labels.astype(np.intp), minlength=2 * (size + 1))
@@ -213,7 +202,6 @@ def evaluate(c: Collective, values, labels) -> EvalMetrics:
         per_class_errors=wrong,
         mean_chi=mean_chi,
         low_coherence_warning=mean_chi < c.chi0,
-        verdicts=[verdicts[i] for i in inverse.tolist()],
     )
 
 

@@ -40,6 +40,11 @@ class LearningSet:
             raise DataError("at least one input variable required, with one name per column")
         if n < 2 or n != len(labels):
             raise DataError("n >= 2 required")
+        # the names a model file can store
+        for key in ("variable_names", "label_names"):
+            object.__setattr__(self, key, unique_names(getattr(self, key), key))
+        if len(self.label_names) != 2:
+            raise DataError(f"label_names must name two classes, got {self.label_names!r}")
         if not np.all(np.isfinite(values)):
             raise DataError("non-finite value in learning set")
         present = set(labels.tolist())
@@ -51,8 +56,6 @@ class LearningSet:
         labels.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "variable_names", tuple(self.variable_names))
-        object.__setattr__(self, "label_names", tuple(self.label_names))
 
     @property
     def n(self) -> int:
@@ -71,6 +74,19 @@ class LearningSet:
             and np.array_equal(self.values, other.values)
             and np.array_equal(self.labels, other.labels)
         )
+
+
+def unique_names(names, key: str, error: type[Exception] = DataError) -> tuple[str, ...]:
+    """``names`` as a tuple, each a string that no other repeats; else ``error``.
+    A bare string is refused too: its letters would pass for the names."""
+    if not isinstance(names, str):
+        names = tuple(names)
+    if not isinstance(names, tuple) or not all(isinstance(name, str) for name in names):
+        raise error(f"{key} must be a list of strings")
+    repeated = [name for name, k in Counter(names).items() if k > 1]
+    if repeated:
+        raise error(f"{key} names {repeated[0]!r} more than once")
+    return names
 
 
 def from_arrays(
@@ -167,7 +183,13 @@ def load_dataset(path, label_column: str) -> LearningSet:
 
 
 def save_dataset(ls: LearningSet, path, label_column: str = "label") -> None:
-    """Write a LearningSet back to CSV; load_dataset on the result reproduces it."""
+    """Write a LearningSet back to CSV; load_dataset on the result reproduces it.
+
+    ``label_column`` may not repeat a variable's name: the header would then
+    name one column twice, which load_dataset refuses.
+    """
+    if label_column in ls.variable_names:
+        raise DataError(f"label column {label_column!r} is also a variable name")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(ls.variable_names) + [label_column])

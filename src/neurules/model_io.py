@@ -4,17 +4,18 @@ The file stores everything inference needs: the feature pool's cuts, the
 neuron expressions, the voting threshold, and an echo of the training
 configuration (including the label column name, which ``eval`` reuses).
 The model types hold no training columns or scores, so a loaded model is
-exactly what its file stores.
+exactly what its file stores.  The vote is unweighted: a file carries no
+``weights`` key, and one that is not null is refused.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .collective import Collective
+from .dataset import unique_names
 from .errors import ModelFormatError
 from .neurons import Neuron, expr_from_json, expr_to_json
 from .quantization import GE, LT, QuantizedFeature
@@ -57,7 +58,6 @@ def model_to_dict(
             }
             for n in collective.neurons
         ],
-        "weights": None,   # format 1 keeps the key; the vote is unweighted
         "config": dict(config) if config is not None else {},
         "report": report,
     }
@@ -140,12 +140,9 @@ def _count(data, what: str) -> int:
 
 
 def _names(data, key: str) -> tuple[str, ...]:
-    if not isinstance(data, list) or not all(isinstance(name, str) for name in data):
+    if not isinstance(data, list):
         raise ModelFormatError(f"{key} must be a list of strings")
-    repeated = [name for name, k in Counter(data).items() if k > 1]
-    if repeated:
-        raise ModelFormatError(f"{key} names {repeated[0]!r} more than once")
-    return tuple(data)
+    return unique_names(data, key, ModelFormatError)
 
 
 def _source(data, m: int) -> tuple[int, ...]:

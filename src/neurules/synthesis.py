@@ -80,8 +80,6 @@ class SynthesisConfig:
             "max_p": self.max_p,
             "chi0": str(self.chi0),
             "seed": self.seed,
-            # format 1 keeps the key: supersets of an admitted product are always skipped
-            "prune_products": True,
         }
 
 
@@ -151,7 +149,6 @@ class LayerTrace:
     min_errors: int | None = None
     min_cr: int | None = None
     survivors: list[Neuron] = field(default_factory=list, repr=False)
-    stop_cause: str | None = None
 
 
 @dataclass(frozen=True)
@@ -384,34 +381,23 @@ def should_stop(
 
 @dataclass
 class SynthesisReport:
-    mode: str
-    config: dict
-    variable_names: tuple[str, ...]
-    label_names: tuple[str, str]
+    """What training found; the collective and the config hold the rest."""
+
     base_errors: list[int]
     products: list[dict]
     overlap_variables: tuple[int, ...]
-    pool_description: list[str]
-    initial_min_errors: int
     traces: list[LayerTrace]
     stop_cause: str
     kept_layer: int
     final_errors: int
-    collective_size: int
     doubtful_instances: tuple[int, ...]
     diagnostic: str | None
 
     def to_dict(self) -> dict:
         return {
-            "mode": self.mode,
-            "config": dict(self.config),
-            "variable_names": list(self.variable_names),
-            "label_names": list(self.label_names),
             "base_errors": list(self.base_errors),
             "products": [dict(p) for p in self.products],
             "overlap_variables": list(self.overlap_variables),
-            "pool": list(self.pool_description),
-            "initial_min_errors": self.initial_min_errors,
             "layers": [
                 {
                     "layer": t.index,
@@ -421,14 +407,12 @@ class SynthesisReport:
                     "min_errors": t.min_errors,
                     "min_cr": t.min_cr,
                     "survivors": len(t.survivors),
-                    "stop_cause": t.stop_cause,
                 }
                 for t in self.traces
             ],
             "stop_cause": self.stop_cause,
             "kept_layer": self.kept_layer,
             "final_errors": self.final_errors,
-            "collective_size": self.collective_size,
             "doubtful_instances": list(self.doubtful_instances),
             "diagnostic": self.diagnostic,
         }
@@ -502,7 +486,6 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
         del layer, kept
         decision = should_stop(traces, config.mode, config.delta, config.max_layers)
 
-    traces[-1].stop_cause = decision.cause
     kept_layer = decision.keep_layer
     members_pool = traces[kept_layer].survivors
     final_errors = min(n.errors for n in members_pool)
@@ -520,10 +503,6 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
         doubtful = _majority_misfits(members, bits, labels)
 
     report = SynthesisReport(
-        mode=config.mode,
-        config=config.to_dict(),
-        variable_names=ls.variable_names,
-        label_names=ls.label_names,
         base_errors=[f.errors for f in base],
         products=[
             {
@@ -534,13 +513,10 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
             for f in admitted_products
         ],
         overlap_variables=overlapping_factors(admitted_products),
-        pool_description=[f.describe(ls.variable_names) for f in pool],
-        initial_min_errors=trace0.min_errors,
         traces=traces,
         stop_cause=decision.cause,
         kept_layer=kept_layer,
         final_errors=final_errors,
-        collective_size=len(members),
         doubtful_instances=doubtful,
         diagnostic=decision.diagnostic,
     )

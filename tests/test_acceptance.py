@@ -101,7 +101,7 @@ def test_acceptance_2_growth_descends_and_halts(capsys):
             mins = [t.min_errors for t in report.traces if t.survivors]
             assert all(later < earlier for earlier, later in zip(mins, mins[1:]))
             assert report.stop_cause in (STOP_ZERO_ERRORS, STOP_NO_ADMISSIONS)
-            assert report.traces[-1].index <= 1 + report.initial_min_errors
+            assert report.traces[-1].index <= 1 + report.traces[0].min_errors
         assert time.perf_counter() - start < 10.0
 
 

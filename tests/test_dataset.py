@@ -113,6 +113,47 @@ def test_from_arrays_validation():
         nr.from_arrays([[1.0], [2.0]], [0, 2])
 
 
+# a name set LearningSet accepted once trained a model that save_model wrote
+# and load_model refused with exit 4
+_XOR = ([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], [0, 1, 1, 0])
+
+
+def test_repeated_variable_name_rejected():
+    with pytest.raises(nr.DataError, match="^variable_names names 'v' more than once$"):
+        nr.from_arrays(*_XOR, variable_names=("v", "v"))
+
+
+def test_non_string_variable_name_rejected():
+    with pytest.raises(nr.DataError, match="^variable_names must be a list of strings$"):
+        nr.from_arrays(*_XOR, variable_names=("v", 2))
+
+
+def test_repeated_class_name_rejected():
+    with pytest.raises(nr.DataError, match="^label_names names 'a' more than once$"):
+        nr.from_arrays(*_XOR, label_names=("a", "a"))
+
+
+def test_non_string_class_name_rejected():
+    with pytest.raises(nr.DataError, match="^label_names must be a list of strings$"):
+        nr.from_arrays(*_XOR, label_names=("a", 1))
+    with pytest.raises(nr.DataError, match="^label_names must be a list of strings$"):
+        nr.from_arrays(*_XOR, label_names="ab")
+
+
+def test_class_names_number_two():
+    with pytest.raises(nr.DataError, match="^label_names must name two classes"):
+        nr.from_arrays(*_XOR, label_names=("a", "b", "c"))
+
+
+def test_save_dataset_refuses_a_label_column_named_like_a_variable(tmp_path, demo_path):
+    # the header would read x1,x2,x1, which load_dataset refuses
+    ls = nr.load_dataset(demo_path, "sex")
+    out = tmp_path / "copy.csv"
+    with pytest.raises(nr.DataError, match="^label column 'x1' is also a variable name$"):
+        nr.save_dataset(ls, out, label_column="x1")
+    assert not out.exists()
+
+
 def test_save_load_round_trip(tmp_path, demo_path):
     ls = nr.load_dataset(demo_path, "sex")
     out = tmp_path / "copy.csv"

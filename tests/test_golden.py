@@ -5,7 +5,9 @@ The files in ``tests/golden/`` were written by ``tests/golden/regenerate.py``:
 layer 3-7, and under ``outputs/`` the stdout of ``rules``, ``predict`` and
 ``eval`` on each model and, for a pool of at most 12 features, its
 ``coherence_table``.  A speed-up or refactor must leave every one of them
-unchanged.
+unchanged.  ``tests/format1/`` keeps two model files written before the
+report stopped restating the training options, the names and the pool; they
+must load and answer like their regenerated cases.
 """
 import json
 from pathlib import Path
@@ -20,6 +22,7 @@ from helpers import (COHERENCE_MAX_POOL, GOLDEN_OUTPUTS, deep_cases, golden_cohe
                      golden_model_text, golden_outputs)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+FORMAT1 = Path(__file__).resolve().parent / "format1"
 CASES = golden_cases()
 ALL = CASES + deep_cases()
 
@@ -37,13 +40,14 @@ def test_corpus_covers_both_modes_with_and_without_products():
 
 
 def test_deep_cases_keep_deep_neurons_and_one_stops_at_the_layer_cap():
-    reports = {name: json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))["report"]
-               for name, _, _ in ALL[len(CASES):]}
+    files = {name: json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+             for name, _, _ in ALL[len(CASES):]}
     by_mode = {}
-    for report in reports.values():
-        by_mode[report["mode"]] = max(by_mode.get(report["mode"], 0), report["kept_layer"])
+    for data in files.values():
+        mode = data["config"]["mode"]
+        by_mode[mode] = max(by_mode.get(mode, 0), data["report"]["kept_layer"])
     assert by_mode == {"statement1": 7, "split": 5}
-    assert [name for name, report in reports.items() if report["stop_cause"] == "layer-cap"] == ["deep_05"]
+    assert [name for name, data in files.items() if data["report"]["stop_cause"] == "layer-cap"] == ["deep_05"]
 
 
 @pytest.mark.parametrize("name, ls, config", ALL, ids=[name for name, _, _ in ALL])
@@ -87,3 +91,21 @@ def test_coherence_table_matches_the_pinned_file(name):
     # the corpus test above checks that every model here has a pin
     c = nr.load_model(GOLDEN / f"{name}.json").collective
     assert golden_coherence(c) == (GOLDEN / "outputs" / f"{name}.coherence.json").read_text(encoding="utf-8")
+
+
+# a statement-1 case with product cuts, kept at layer 2, and a split-mode case
+@pytest.mark.parametrize("name", ["case_03", "case_04"])
+def test_earlier_format_1_files_load_and_give_the_pinned_outputs(name, tmp_path):
+    path = FORMAT1 / f"{name}.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    # the fixture is the earlier writer's: it still restates what the regenerated file drops
+    assert data["weights"] is None and data["config"]["prune_products"] is True
+    assert data["report"]["config"] == data["config"] and "pool" in data["report"]
+    old, new = nr.load_model(path), nr.load_model(GOLDEN / f"{name}.json")
+    assert old.config == {**new.config, "prune_products": True}
+    assert [vars(n) for n in old.collective.neurons] == [vars(n) for n in new.collective.neurons]
+    assert [vars(f) for f in old.collective.pool] == [vars(f) for f in new.collective.pool]
+    seed = [case for case, _, _ in ALL].index(name)
+    outputs = golden_outputs(path, golden_holdout(seed, ALL[seed][1]), tmp_path)
+    for suffix, text in outputs.items():
+        assert text == (GOLDEN / "outputs" / f"{name}.{suffix}").read_text(encoding="utf-8"), suffix

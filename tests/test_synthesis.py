@@ -399,7 +399,7 @@ def test_strict_descent_and_layer_bound():
         mins = [t.min_errors for t in rep.traces if t.survivors]
         assert all(b < a for a, b in zip(mins, mins[1:]))
         assert rep.stop_cause in ("CR=0", "L_{r+1}=0")
-        assert rep.traces[-1].index <= 1 + rep.initial_min_errors
+        assert rep.traces[-1].index <= 1 + rep.traces[0].min_errors
 
 
 def test_neuron_depth_equals_layer_and_columns_match_expressions():
@@ -461,7 +461,7 @@ def test_collective_members_share_the_minimal_error_count():
         ls = random_set(seed)
         c, rep = nr.synthesize(ls)
         assert {n.errors for n in c.neurons} == {rep.final_errors}
-        assert c.size == rep.collective_size
+        assert c.neurons == [n for n in rep.traces[rep.kept_layer].survivors if n.errors == rep.final_errors]
 
 
 def test_two_runs_produce_byte_identical_models():
@@ -557,4 +557,4 @@ def test_report_serializes_to_plain_json(demo_path):
     data = json.loads(blob)
     assert data["stop_cause"] == "CR=0"
     assert data["layers"][0]["layer"] == 0
-    assert data["config"]["chi0"] == "4/5"
+    assert data["layers"][0]["min_errors"] == 0
