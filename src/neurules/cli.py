@@ -29,6 +29,11 @@ EXIT_DATA = 2
 EXIT_DIAGNOSTIC = 3
 EXIT_IO = 4
 
+STALL_DIAGNOSTIC = (
+    "no admissible candidate remains while errors stay positive; "
+    "add new input variables (exterior addition) and inspect the doubtful instances"
+)
+
 
 def _fraction(text: str) -> Fraction:
     # exact rationals only: "0.8" and "4/5" both mean exactly 4/5
@@ -111,13 +116,13 @@ def _cmd_train(args) -> int:
     save_model(args.out, collective, report=report.to_dict(), config=echo)
     print(f"model written to {args.out}")
     print(
-        f"stop cause: {report.stop_cause}; kept layer {report.kept_layer}; "
+        f"stop cause: {report.stop_cause}; kept layer {collective.neurons[0].layer}; "
         f"errors {report.final_errors}; collective size {collective.size}"
     )
     for f in collective.pool:
         print(f"feature: {f.describe(collective.variable_names)}")
-    if report.diagnostic is not None:
-        print(f"warning: {report.diagnostic}", file=sys.stderr)
+    if report.stalled:
+        print(f"warning: {STALL_DIAGNOSTIC}", file=sys.stderr)
         print(
             f"doubtful instances (0-based data rows): {list(report.doubtful_instances)}",
             file=sys.stderr,

@@ -77,12 +77,15 @@ class LearningSet:
 
 
 def unique_names(names, key: str, error: type[Exception] = DataError) -> tuple[str, ...]:
-    """``names`` as a tuple, each a string that no other repeats; else ``error``.
-    A bare string is refused too: its letters would pass for the names."""
+    """``names`` as a tuple, each a string that is not blank and that no other
+    repeats; else ``error``.  A bare string is refused too: its letters would
+    pass for the names."""
     if not isinstance(names, str):
         names = tuple(names)
     if not isinstance(names, tuple) or not all(isinstance(name, str) for name in names):
         raise error(f"{key} must be a list of strings")
+    if not all(name.strip() for name in names):
+        raise error(f"{key} holds an empty or blank name")
     repeated = [name for name, k in Counter(names).items() if k > 1]
     if repeated:
         raise error(f"{key} names {repeated[0]!r} more than once")

@@ -6,7 +6,6 @@ one more threshold cut; it replaces its factors in the feature pool.
 """
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -67,8 +66,3 @@ def substitute(
     pool.extend(f for f in base if f.source[0] not in covered)
     return pool
 
-
-def overlapping_factors(admitted: list[QuantizedFeature]) -> tuple[int, ...]:
-    """Variable indices claimed by more than one admitted product."""
-    claims = Counter(i for f in admitted for i in f.source)
-    return tuple(sorted(i for i, c in claims.items() if c > 1))

@@ -20,7 +20,7 @@ from . import neurons
 from .collective import DEFAULT_CHI0, Collective, check_chi0
 from .dataset import LearningSet, split_even
 from .errors import DataError, DegenerateSplitError
-from .features import overlapping_factors, search_products, substitute
+from .features import search_products, substitute
 from .neurons import CONNECTIVES, Expr, Neuron, eval_expr
 from .neurons import apply_connective  # noqa: F401  (bench/tracing.py wraps this name here)
 from .quantization import QuantizedFeature, hamming, pool_bits, product_values, quantize, quantize_source
@@ -32,12 +32,6 @@ STOP_ZERO_ERRORS = "CR=0"
 STOP_NO_ADMISSIONS = "L_{r+1}=0"
 STOP_DELTA_RULE = "delta-rule"
 STOP_LAYER_CAP = "layer-cap"
-
-STALL_DIAGNOSTIC = (
-    "no admissible candidate remains while errors stay positive; "
-    "add new input variables or exclude the doubtful instances"
-)
-
 
 @dataclass
 class SynthesisConfig:
@@ -156,7 +150,6 @@ class StopDecision:
     stop: bool
     cause: str | None = None
     keep_layer: int = 0
-    diagnostic: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +353,7 @@ def should_stop(
     """
     last = traces[-1]
     if last.admitted == 0 and last.index > 0:
-        keep = last.index - 1
-        diagnostic = STALL_DIAGNOSTIC if (traces[keep].min_errors or 0) > 0 else None
-        return StopDecision(True, STOP_NO_ADMISSIONS, keep, diagnostic)
+        return StopDecision(True, STOP_NO_ADMISSIONS, last.index - 1)
     if mode == MODE_STATEMENT1:
         if last.min_errors == 0:
             return StopDecision(True, STOP_ZERO_ERRORS, last.index)
@@ -384,20 +375,19 @@ class SynthesisReport:
     """What training found; the collective and the config hold the rest."""
 
     base_errors: list[int]
-    products: list[dict]
-    overlap_variables: tuple[int, ...]
     traces: list[LayerTrace]
     stop_cause: str
-    kept_layer: int
     final_errors: int
     doubtful_instances: tuple[int, ...]
-    diagnostic: str | None
+
+    @property
+    def stalled(self) -> bool:
+        """Growth ran out of admissible candidates with errors left."""
+        return self.stop_cause == STOP_NO_ADMISSIONS and self.final_errors > 0
 
     def to_dict(self) -> dict:
         return {
             "base_errors": list(self.base_errors),
-            "products": [dict(p) for p in self.products],
-            "overlap_variables": list(self.overlap_variables),
             "layers": [
                 {
                     "layer": t.index,
@@ -411,10 +401,8 @@ class SynthesisReport:
                 for t in self.traces
             ],
             "stop_cause": self.stop_cause,
-            "kept_layer": self.kept_layer,
             "final_errors": self.final_errors,
             "doubtful_instances": list(self.doubtful_instances),
-            "diagnostic": self.diagnostic,
         }
 
 
@@ -486,8 +474,7 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
         del layer, kept
         decision = should_stop(traces, config.mode, config.delta, config.max_layers)
 
-    kept_layer = decision.keep_layer
-    members_pool = traces[kept_layer].survivors
+    members_pool = traces[decision.keep_layer].survivors
     final_errors = min(n.errors for n in members_pool)
     members = [n for n in members_pool if n.errors == final_errors]
     collective = Collective(
@@ -497,27 +484,13 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
         label_names=ls.label_names,
         variable_names=ls.variable_names,
     )
-
-    doubtful: tuple[int, ...] = ()
-    if decision.cause == STOP_NO_ADMISSIONS and final_errors > 0:
-        doubtful = _majority_misfits(members, bits, labels)
-
     report = SynthesisReport(
         base_errors=[f.errors for f in base],
-        products=[
-            {
-                "source": list(f.source),
-                "errors": f.errors,
-                "factor_errors": {str(i): base[i].errors for i in f.source},
-            }
-            for f in admitted_products
-        ],
-        overlap_variables=overlapping_factors(admitted_products),
         traces=traces,
         stop_cause=decision.cause,
-        kept_layer=kept_layer,
         final_errors=final_errors,
-        doubtful_instances=doubtful,
-        diagnostic=decision.diagnostic,
+        doubtful_instances=(),
     )
+    if report.stalled:
+        report.doubtful_instances = _majority_misfits(members, bits, labels)
     return collective, report

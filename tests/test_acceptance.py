@@ -75,13 +75,10 @@ def test_acceptance_1_product_beats_every_single_cut(demo_path, capsys):
         assert brute_best_cut_errors(ls.values[:, 0] * ls.values[:, 1], ls.labels) == 0
 
         collective, report = nr.synthesize(ls)
-        assert report.products == [
-            {"source": [0, 1], "errors": 0, "factor_errors": {"0": 3, "1": 1}}
-        ]
+        assert report.base_errors == [3, 1]
+        assert [(f.source, f.errors) for f in collective.pool] == [((0, 1), 0)]
         assert collective.size == 1
         assert report.final_errors == 0
-        product_features = [f for f in collective.pool if len(f.source) == 2]
-        assert product_features and product_features[0].errors == 0
         for i in range(ls.n):
             assert nr.classify(collective, ls.values[i]).decision == ls.label_names[ls.labels[i]]
         assert time.perf_counter() - start < 1.0
@@ -145,7 +142,6 @@ def test_acceptance_4_xor_needs_exactly_one_layer(capsys):
             assert best == 0
 
             collective, report = nr.synthesize(ls, nr.SynthesisConfig(max_p=1))
-            assert report.kept_layer == 1
             assert report.final_errors == best == 0
             assert all(n.layer == 1 for n in collective.neurons)
 

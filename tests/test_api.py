@@ -19,7 +19,6 @@ INTERNALS = [
     ("neurules.dataset", "split_even"),
     ("neurules.features", "search_products"),
     ("neurules.features", "substitute"),
-    ("neurules.features", "overlapping_factors"),
     ("neurules.quantization", "quantize"),
     ("neurules.quantization", "quantize_source"),
 ]

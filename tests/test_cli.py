@@ -15,11 +15,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import neurules as nr
-from neurules.cli import main
+from neurules.cli import STALL_DIAGNOSTIC, main
 from neurules.errors import ModelFormatError
 from neurules.model_io import dict_to_model
 from neurules.rules import MAX_RULE_LEAVES
-from neurules.synthesis import STALL_DIAGNOSTIC
 
 from helpers import cell_tables, parse_cells_per_cell
 
@@ -211,11 +210,14 @@ def test_contradictory_data_trains_with_diagnostic_exit(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert out.exists()  # the best-effort model is still written
-    assert "warning:" in captured.err
-    assert "doubtful instances" in captured.err
+    assert captured.err.splitlines() == [
+        f"warning: {STALL_DIAGNOSTIC}",
+        "doubtful instances (0-based data rows): [4]",
+    ]
     loaded = nr.load_model(out)
     assert loaded.report["final_errors"] == 1
     assert loaded.report["stop_cause"] == "L_{r+1}=0"
+    assert "diagnostic" not in loaded.report
 
 
 def test_tighter_chi0_flows_through_to_the_footer(demo_path, tmp_path, capsys):
@@ -351,6 +353,10 @@ _UNTRUSTED = {
     # predict read one column for both variables; training never writes a repeated name
     "repeated-variable": (lambda p: p["variable_names"].__setitem__(1, p["variable_names"][0]),
                           "variable_names names 'x1' more than once"),
+    # rules printed a blank name as "IF ( >= 0.5)"; training never writes one
+    "blank-variable": (lambda p: p["variable_names"].__setitem__(0, " "),
+                       "variable_names holds an empty or blank name"),
+    "empty-class": (lambda p: p["label_names"].__setitem__(1, ""), "label_names holds an empty or blank name"),
     # a JSON number as chi0 would load as its binary image: 0.8 refuses a 4-of-5 vote
     "number-chi0": (lambda p: p.__setitem__("chi0", 0.8), "chi0 must be a fraction string"),
     "bool-chi0": (lambda p: p.__setitem__("chi0", True), "chi0 must be a fraction string"),

@@ -140,6 +140,24 @@ def test_non_string_class_name_rejected():
         nr.from_arrays(*_XOR, label_names="ab")
 
 
+# a blank variable name trained rules such as "RULE 1: IF ( >= 0.5)"
+@pytest.mark.parametrize("names", [("", "v"), ("v", " "), ("v", "\t\n")])
+def test_blank_variable_name_rejected(names):
+    with pytest.raises(nr.DataError, match="^variable_names holds an empty or blank name$"):
+        nr.from_arrays(*_XOR, variable_names=names)
+
+
+@pytest.mark.parametrize("names", [("", "b"), ("a", "  ")])
+def test_blank_class_name_rejected(names):
+    with pytest.raises(nr.DataError, match="^label_names holds an empty or blank name$"):
+        nr.from_arrays(*_XOR, label_names=names)
+
+
+def test_one_visible_character_makes_a_name():
+    ls = nr.from_arrays(*_XOR, variable_names=(" v", "w\t"), label_names=("a ", "."))
+    assert ls.variable_names == (" v", "w\t") and ls.label_names == ("a ", ".")
+
+
 def test_class_names_number_two():
     with pytest.raises(nr.DataError, match="^label_names must name two classes"):
         nr.from_arrays(*_XOR, label_names=("a", "b", "c"))
@@ -333,4 +351,12 @@ def test_empty_variable_name_rejected(tmp_path, capsys):
     assert main(["train", "--data", str(p), "--label", "y", "--out", str(tmp_path / "m.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: empty variable name") and err.count("\n") == 1
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_blank_class_cell_exits_2(tmp_path, capsys):
+    p = tmp_path / "t.csv"
+    p.write_text("a,y\n1,p\n3, \n2,p\n", encoding="utf-8")
+    assert main(["train", "--data", str(p), "--label", "y", "--out", str(tmp_path / "m.json")]) == 2
+    assert capsys.readouterr().err == "error: label_names holds an empty or blank name\n"
     assert not (tmp_path / "m.json").exists()

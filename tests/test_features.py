@@ -6,7 +6,7 @@ import pytest
 
 import neurules as nr
 import neurules.features
-from neurules.features import overlapping_factors, search_products, substitute
+from neurules.features import search_products, substitute
 from neurules.quantization import quantize, quantize_source
 
 from helpers import reference_admitted_products, random_set
@@ -170,12 +170,6 @@ def test_pool_features_never_worse_than_what_they_replace():
             assert f.errors <= min(by_var[i] for i in f.source)
 
 
-def test_overlapping_factors_reported():
-    assert overlapping_factors([_cut((0, 1)), _cut((2, 3))]) == ()
-    assert overlapping_factors([_cut((0, 1)), _cut((1, 2))]) == (1,)
-    assert overlapping_factors([_cut((0, 1, 2)), _cut((1, 2)), _cut((2, 3))]) == (1, 2)
-
-
 def test_overflowing_product_is_skipped_without_a_warning():
     # x1 * x2 overflows to +-inf on every row, and its sign alone would fit
     # the XOR labels that no single cut fits; nothing may warn, and the
@@ -186,5 +180,5 @@ def test_overflowing_product_is_skipped_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert search_products(ls, base, max_p=2) == []
-        _, report = nr.synthesize(ls)
-    assert report.products == []
+        c, _ = nr.synthesize(ls)
+    assert [f.source for f in c.pool] == [(0,), (1,)]

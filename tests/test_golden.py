@@ -6,16 +6,19 @@ layer 3-7, and under ``outputs/`` the stdout of ``rules``, ``predict`` and
 ``eval`` on each model and, for a pool of at most 12 features, its
 ``coherence_table``.  A speed-up or refactor must leave every one of them
 unchanged.  ``tests/format1/`` keeps two model files written before the
-report stopped restating the training options, the names and the pool; they
-must load and answer like their regenerated cases.
+report stopped restating the training options, the names, the pool and the
+neurons; they must load and answer like their regenerated cases.
 """
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import neurules as nr
+from neurules import cli
 from neurules.model_io import dict_to_model, model_text
 
 from helpers import (COHERENCE_MAX_POOL, GOLDEN_OUTPUTS, deep_cases, golden_coherence, golden_cases, golden_holdout,
@@ -45,7 +48,7 @@ def test_deep_cases_keep_deep_neurons_and_one_stops_at_the_layer_cap():
     by_mode = {}
     for data in files.values():
         mode = data["config"]["mode"]
-        by_mode[mode] = max(by_mode.get(mode, 0), data["report"]["kept_layer"])
+        by_mode[mode] = max(by_mode.get(mode, 0), data["neurons"][0]["layer"])
     assert by_mode == {"statement1": 7, "split": 5}
     assert [name for name, data in files.items() if data["report"]["stop_cause"] == "layer-cap"] == ["deep_05"]
 
@@ -54,6 +57,46 @@ def test_deep_cases_keep_deep_neurons_and_one_stops_at_the_layer_cap():
 def test_retrained_model_is_byte_identical(name, ls, config):
     expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
     assert golden_model_text(ls, config) == expected
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in ALL])
+def test_report_holds_only_what_the_pool_and_the_neurons_do_not(name):
+    report = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))["report"]
+    assert list(report) == ["base_errors", "layers", "stop_cause", "final_errors", "doubtful_instances"]
+
+
+@pytest.mark.parametrize("name, ls, config", ALL, ids=[name for name, _, _ in ALL])
+def test_train_prints_what_the_saved_file_states(name, ls, config, tmp_path, monkeypatch):
+    # train reads the case's own set: through a CSV, a set whose first row is
+    # of class 1 would number its classes the other way round
+    monkeypatch.setattr(cli, "load_dataset", lambda path, label: ls)
+    out = tmp_path / "model.json"
+    argv = ["train", "--data", "set.csv", "--label", "label", "--out", str(out), "--mode", config.mode,
+            "--delta", str(config.delta), "--f-ratio", str(config.f_ratio),
+            "--max-layers", str(config.max_layers), "--seed", str(config.seed)]
+    if config.max_p is not None:
+        argv += ["--max-p", str(config.max_p)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = cli.main(argv)
+
+    path = GOLDEN / f"{name}.json"
+    data = json.loads(path.read_text(encoding="utf-8"))
+    assert json.loads(out.read_text(encoding="utf-8")) == {**data, "config": {**data["config"], "label_column": "label"}}
+    report, neurons = data["report"], data["neurons"]
+    c = nr.load_model(path).collective
+    assert stdout.getvalue().splitlines() == [
+        f"model written to {out}",
+        f"stop cause: {report['stop_cause']}; kept layer {neurons[0]['layer']}; "
+        f"errors {report['final_errors']}; collective size {len(neurons)}",
+        *(f"feature: {f.describe(c.variable_names)}" for f in c.pool),
+    ]
+    stalled = report["stop_cause"] == "L_{r+1}=0" and report["final_errors"] > 0
+    assert stderr.getvalue().splitlines() == ([
+        f"warning: {cli.STALL_DIAGNOSTIC}",
+        f"doubtful instances (0-based data rows): {report['doubtful_instances']}",
+    ] if stalled else [])
+    assert code == (3 if stalled else 0)
 
 
 @pytest.mark.parametrize("name, ls, config", ALL, ids=[name for name, _, _ in ALL])
@@ -101,6 +144,7 @@ def test_earlier_format_1_files_load_and_give_the_pinned_outputs(name, tmp_path)
     # the fixture is the earlier writer's: it still restates what the regenerated file drops
     assert data["weights"] is None and data["config"]["prune_products"] is True
     assert data["report"]["config"] == data["config"] and "pool" in data["report"]
+    assert {"products", "overlap_variables", "kept_layer", "diagnostic"} <= data["report"].keys()
     old, new = nr.load_model(path), nr.load_model(GOLDEN / f"{name}.json")
     assert old.config == {**new.config, "prune_products": True}
     assert [vars(n) for n in old.collective.neurons] == [vars(n) for n in new.collective.neurons]

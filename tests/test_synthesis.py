@@ -12,7 +12,6 @@ from neurules.neurons import apply_connective
 from neurules.quantization import quantize, quantize_source
 from neurules.synthesis import (
     LayerTrace,
-    STALL_DIAGNOSTIC,
     Survivors,
     _refit,
     admit,
@@ -216,13 +215,13 @@ def test_stop_when_nothing_admitted_keeps_previous_layer():
     decision = should_stop(traces, "statement1")
     assert decision.stop and decision.cause == "L_{r+1}=0"
     assert decision.keep_layer == 1
-    assert decision.diagnostic == STALL_DIAGNOSTIC
 
 
 def test_stall_at_zero_errors_carries_no_diagnostic():
-    traces = [LayerTrace(0, admitted=2, min_errors=0, min_cr=4), LayerTrace(1, admitted=0)]
-    decision = should_stop(traces, "split")
-    assert decision.stop and decision.cause == "L_{r+1}=0" and decision.diagnostic is None
+    ls = nr.from_arrays([[0.0], [1.0], [2.0], [3.0]], [0, 0, 1, 1])
+    _, rep = nr.synthesize(ls, nr.SynthesisConfig(mode="split"))
+    assert rep.stop_cause == "L_{r+1}=0" and rep.final_errors == 0
+    assert not rep.stalled and rep.doubtful_instances == ()
 
 
 def test_delta_rule_keeps_the_earlier_layer():
@@ -374,12 +373,10 @@ def test_demo_solved_by_the_pool_alone(demo_path):
     ls = nr.load_dataset(demo_path, "sex")
     c, rep = nr.synthesize(ls)
     assert rep.stop_cause == "CR=0"
-    assert rep.kept_layer == 0 and rep.final_errors == 0
-    assert c.size == 1 and c.neurons[0].expression == 0
+    assert rep.final_errors == 0
+    assert c.size == 1 and c.neurons[0].expression == 0 and c.neurons[0].layer == 0
     assert rep.base_errors == [3, 1]
-    assert rep.products == [
-        {"source": [0, 1], "errors": 0, "factor_errors": {"0": 3, "1": 1}}
-    ]
+    assert [(f.source, f.errors) for f in c.pool] == [((0, 1), 0)]
 
 
 def test_xor_needs_exactly_one_connective_layer():
@@ -387,8 +384,7 @@ def test_xor_needs_exactly_one_connective_layer():
     for _ in range(10):
         ls = xor_set(rng)
         c, rep = nr.synthesize(ls, nr.SynthesisConfig(max_p=1))
-        assert rep.stop_cause == "CR=0" and rep.kept_layer == 1
-        assert rep.final_errors == 0
+        assert rep.stop_cause == "CR=0" and rep.final_errors == 0
         assert all(n.layer == 1 for n in c.neurons)
 
 
@@ -446,7 +442,7 @@ def test_stalled_run_reports_floor_and_doubtful_rows():
     c, rep = nr.synthesize(ls)
     assert rep.stop_cause == "L_{r+1}=0"
     assert rep.final_errors == k
-    assert rep.diagnostic == STALL_DIAGNOSTIC
+    assert rep.stalled
     assert len(rep.doubtful_instances) >= k
     # every listed row really is misclassified (or undecided) by the vote
     votes = np.sum([nr.eval_expr(n.expression, nr.pool_bits(c.pool, ls.values)) for n in c.neurons], axis=0)
@@ -461,7 +457,8 @@ def test_collective_members_share_the_minimal_error_count():
         ls = random_set(seed)
         c, rep = nr.synthesize(ls)
         assert {n.errors for n in c.neurons} == {rep.final_errors}
-        assert c.neurons == [n for n in rep.traces[rep.kept_layer].survivors if n.errors == rep.final_errors]
+        kept = rep.traces[c.neurons[0].layer]
+        assert c.neurons == [n for n in kept.survivors if n.errors == rep.final_errors]
 
 
 def test_two_runs_produce_byte_identical_models():
@@ -482,14 +479,14 @@ def test_split_mode_records_criteria_and_keeps_prior_layer():
     crs = [t.min_cr for t in rep.traces if t.min_cr is not None]
     assert crs, "split mode must score layers"
     if rep.stop_cause == "delta-rule":
-        assert rep.kept_layer == rep.traces[-2].index
+        assert c.neurons[0].layer == rep.traces[-2].index
 
 
 def test_layer_cap_bounds_growth():
     for seed in range(25):
         ls = random_set(seed)
-        _, rep = nr.synthesize(ls, nr.SynthesisConfig(max_layers=1))
-        assert rep.kept_layer <= 1
+        c, rep = nr.synthesize(ls, nr.SynthesisConfig(max_layers=1))
+        assert c.neurons[0].layer <= 1
         assert rep.stop_cause in ("CR=0", "L_{r+1}=0", "layer-cap")
 
 
