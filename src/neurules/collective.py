@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 
 from . import neurons
-from .dataset import LearningSet, group_rows
+from .dataset import LearningSet
 from .errors import DataError
 from .neurons import Neuron, eval_expr
 from .quantization import QuantizedFeature, pool_bits
@@ -145,8 +145,8 @@ def coherence_table(c: Collective) -> CoherenceTable:
 
 
 def _vote_counts(c: Collective, columns: np.ndarray) -> np.ndarray:
-    """The 1-vote count per pool-bit pattern, from the columns ``(|pool|,
-    patterns)``: each neuron is evaluated once over all the patterns."""
+    """The 1-vote count per pool-bit row, from the columns ``(|pool|, rows)``:
+    each neuron is evaluated once over all the rows."""
     # called through its module, not this one's name: the benchmark's tracer
     # wraps that name as the per-row vote, and its self-check swaps vote out
     # and deletes the name to simulate a refactor of the vote alone
@@ -158,14 +158,12 @@ def evaluate(c: Collective, values, labels) -> EvalMetrics:
     """Classify a labeled batch; errors count only over non-refused decisions.
 
     ``values`` is ``(n, m)`` and ``labels`` holds n entries, each 0 or 1
-    against the collective's label_names.  Rows are grouped by their packed
-    pool-bit pattern; each neuron is evaluated once over the distinct
-    patterns, and rows sharing a pattern share its vote count.  The vote rule
-    depends on the 1-vote count alone, so rows are tallied per (count,
-    label), and the mean coherence is one exact division: the winning votes
-    summed over the rows, over N votes per row.  A mean coherence below chi0
-    raises the quality-control warning flag: the feature set or the learning
-    set needs revision.
+    against the collective's label_names.  Each neuron is evaluated once
+    over all the rows' pool bits.  The vote rule depends on the 1-vote count
+    alone, so rows are tallied per (count, label), and the mean coherence is
+    one exact division: the winning votes summed over the rows, over N votes
+    per row.  A mean coherence below chi0 raises the quality-control warning
+    flag: the feature set or the learning set needs revision.
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels)
@@ -174,12 +172,10 @@ def evaluate(c: Collective, values, labels) -> EvalMetrics:
     n = values.shape[0]
     if labels.shape != (n,) or not ((labels == 0) | (labels == 1)).all():
         raise DataError(f"{n} labels required, each 0 or 1")
-    bits = quantize_input(c, values)
-    first, inverse = group_rows(bits)
-    counts = _vote_counts(c, bits[first].T)
+    counts = _vote_counts(c, quantize_input(c, values).T)
     size = c.size
     # rows per (1-vote count, label): at most N + 1 counts stand for all n rows
-    tally = np.bincount(2 * counts[inverse] + labels.astype(np.intp), minlength=2 * (size + 1))
+    tally = np.bincount(2 * counts + labels.astype(np.intp), minlength=2 * (size + 1))
     winning = refusals = 0
     wrong = dict.fromkeys(c.label_names, 0)
     for ones, by_label in enumerate(tally.reshape(-1, 2).tolist()):

@@ -1,4 +1,4 @@
-"""Labeled learning-set ingestion, validation, partitioning, and row grouping.
+"""Labeled learning-set ingestion, validation and partitioning.
 
 The learning set is a small table of quantitative measurements with a binary
 teacher label.  It is immutable after construction, so any number of workers
@@ -186,7 +186,12 @@ def load_dataset(path, label_column: str) -> LearningSet:
 
 
 def save_dataset(ls: LearningSet, path, label_column: str = "label") -> None:
-    """Write a LearningSet back to CSV; load_dataset on the result reproduces it.
+    """Write a LearningSet to CSV, one row per instance with its class literal.
+
+    load_dataset on the result gives back the values, the variable and class
+    names and each row's class literal.  It numbers the classes from the
+    first data row, so the loaded set equals ``ls`` exactly when ``ls``'s
+    first row is class 0; otherwise its label_names and labels are swapped.
 
     ``label_column`` may not repeat a variable's name: the header would then
     name one column twice, which load_dataset refuses.
@@ -222,21 +227,4 @@ def split_even(ls: LearningSet, seed: int) -> tuple[tuple[int, ...], tuple[int, 
             sides[turn].append(idx)
             turn ^= 1
     return tuple(sorted(sides[0])), tuple(sorted(sides[1]))
-
-
-def group_rows(bits) -> tuple[np.ndarray, np.ndarray]:
-    """Group the rows of an (n, k) Boolean matrix by bit pattern, for any k >= 1.
-
-    Returns ``(first, inverse)``: the index of one row per distinct pattern,
-    in lexicographic pattern order, and each row's pattern number.  Rows are
-    compared as packed bytes, sorted by one ``np.lexsort``.
-    """
-    packed = np.packbits(np.asarray(bits, dtype=bool), axis=1)
-    order = np.lexsort(packed.T[::-1])   # lexsort's last key is its first
-    ranked = packed[order]
-    starts = np.ones(len(order), dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import LearningSet, group_rows
+from .dataset import LearningSet
 from .errors import DataError
 
 GE = "ge"   # output 1 when value >= threshold
@@ -67,6 +67,16 @@ def product_values(values: np.ndarray, source) -> np.ndarray:
 def pool_bits(features, values: np.ndarray) -> np.ndarray:
     """Each cut applied to its source values of a raw ``(n, m)`` matrix: bits ``(|features|, n)``."""
     return np.array([f.apply(product_values(values, f.source)) for f in features])
+
+
+def _pack(columns) -> np.ndarray:
+    """Bit-pack Boolean columns along the last axis, padding with zero bits."""
+    return np.packbits(np.asarray(columns, dtype=bool), axis=-1)
+
+
+def _keys(packed: np.ndarray) -> np.ndarray:
+    """One opaque key per packed row, comparable and sortable as a whole."""
+    return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[-1]))).ravel()
 
 
 def quantize(values, labels, source: tuple[int, ...] = ()) -> QuantizedFeature:
@@ -132,10 +142,11 @@ def contradiction_bound(ls: LearningSet, features) -> int:
 
     Instances sharing one quantized feature vector but carrying both labels
     force errors regardless of the function; the bound sums the minority label
-    count over such collision groups.
+    count over such collision groups.  Rows are grouped by their packed
+    pool-bit key, the key training dedups columns on.
     """
     if not features:
         raise DataError("no features")
-    first, inverse = group_rows(pool_bits(features, ls.values).T)
-    counts = np.bincount(2 * inverse + ls.labels, minlength=2 * len(first)).reshape(-1, 2)
+    groups, inverse = np.unique(_keys(_pack(pool_bits(features, ls.values).T)), return_inverse=True)
+    counts = np.bincount(2 * inverse + ls.labels, minlength=2 * len(groups)).reshape(-1, 2)
     return int(counts.min(axis=1).sum())

@@ -16,14 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import neurons
-from .collective import DEFAULT_CHI0, Collective, check_chi0
+from .collective import DEFAULT_CHI0, Collective, _vote_counts, check_chi0
 from .dataset import LearningSet, split_even
 from .errors import DataError, DegenerateSplitError
 from .features import search_products, substitute
 from .neurons import CONNECTIVES, Expr, Neuron, eval_expr
 from .neurons import apply_connective  # noqa: F401  (bench/tracing.py wraps this name here)
-from .quantization import QuantizedFeature, hamming, pool_bits, product_values, quantize, quantize_source
+from .quantization import QuantizedFeature, _keys, _pack, hamming, pool_bits, product_values, quantize, quantize_source
 
 MODE_STATEMENT1 = "statement1"
 MODE_SPLIT = "split"
@@ -161,19 +160,9 @@ _TRUTH = np.array(list(CONNECTIVES.values()), dtype=np.uint8)
 _CONNECTIVE_NAMES = tuple(CONNECTIVES)
 
 
-def _pack(columns) -> np.ndarray:
-    """Bit-pack Boolean columns along the last axis, padding with zero bits."""
-    return np.packbits(np.asarray(columns, dtype=bool), axis=-1)
-
-
 def _popcount(bits: np.ndarray) -> np.ndarray:
     """Set bits along the last axis of a packed array."""
     return np.bitwise_count(bits).sum(axis=-1, dtype=np.int64)
-
-
-def _keys(packed: np.ndarray) -> np.ndarray:
-    """One opaque key per packed row, comparable and sortable as a whole."""
-    return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[-1]))).ravel()
 
 
 def _minterms(a: np.ndarray, b: np.ndarray, pad: np.ndarray) -> np.ndarray:
@@ -406,14 +395,6 @@ class SynthesisReport:
         }
 
 
-def _majority_misfits(members: list[Neuron], bits: np.ndarray, labels: np.ndarray) -> tuple[int, ...]:
-    """Instances the majority vote of ``members`` on pool bits ``(|pool|, n)`` misses or cannot decide."""
-    # through its module: bench/tracing.py tags this module's eval_expr as split-criteria scoring
-    n1 = np.sum([neurons.eval_expr(m.expression, bits) for m in members], axis=0)
-    n0 = len(members) - n1
-    return tuple(np.flatnonzero((n1 == n0) | ((n1 > n0) != (labels == 1))).tolist())
-
-
 def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[Collective, SynthesisReport]:
     """Quantize, search products, grow layers, and assemble the collective.
 
@@ -492,5 +473,8 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
         doubtful_instances=(),
     )
     if report.stalled:
-        report.doubtful_instances = _majority_misfits(members, bits, labels)
+        # the rows the collective's majority misses or ties on
+        twice = 2 * _vote_counts(collective, bits)
+        doubtful = (twice == collective.size) | ((twice > collective.size) != (labels == 1))
+        report.doubtful_instances = tuple(np.flatnonzero(doubtful).tolist())
     return collective, report

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import neurules as nr
 from neurules.collective import coherence_table, quantize_input, vote
 
-from helpers import eval_bits
+from helpers import deep_cases, eval_bits, golden_cases
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -249,6 +249,23 @@ def test_evaluate_votes_like_classify_per_row_and_after_a_round_trip(golden_mode
     c, reloaded = golden_models[name]
     rows = data.draw(_raw_rows(c))
     labels = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    _check_evaluate_against_classify(c, reloaded, rows, labels)
+
+
+@pytest.mark.parametrize("name", ["deep_00", "deep_05", "case_08", "case_20"])
+def test_evaluate_votes_like_classify_per_row_on_a_5000_row_batch(golden_models, name):
+    # multi-neuron models over up to ten pool features: each cell is its
+    # column's value in a random training row, so the batch holds many
+    # repeated and many distinct pool-bit patterns
+    c, reloaded = golden_models[name]
+    ls = {case: ls for case, ls, _ in golden_cases() + deep_cases()}[name]
+    rng = np.random.default_rng(22)
+    rows = ls.values[rng.integers(0, ls.n, size=(5000, ls.m)), np.arange(ls.m)]
+    labels = rng.integers(0, 2, size=5000)
+    _check_evaluate_against_classify(c, reloaded, rows, labels)
+
+
+def _check_evaluate_against_classify(c, reloaded, rows, labels):
     expected = [nr.classify(c, x) for x in rows]
     metrics = nr.evaluate(c, rows, labels)
     assert metrics.refusals == sum(v.refused for v in expected)
