@@ -119,12 +119,12 @@ def quantize(values, labels, source: tuple[int, ...] = ()) -> QuantizedFeature:
         for polarity, errors in ((GE, errors_ge), (LT, n - errors_ge)):
             key = (errors, -gap, u, 0 if polarity == GE else 1)
             if best is None or key < best[0]:
-                best = (key, u, polarity, errors)
+                best = (key, u, polarity, errors, t)
 
-    _, u, polarity, errors = best
-    column = values >= u if polarity == GE else values < u
-    constant = bool(column.all() or not column.any())
-    return QuantizedFeature(tuple(source), u, polarity, int(errors), constant)
+    # only the cut at the minimum (t = 0) leaves every row on one side: each
+    # midpoint cut u has sv[t - 1] < u <= sv[t]
+    _, u, polarity, errors, t = best
+    return QuantizedFeature(tuple(source), u, polarity, int(errors), t == 0)
 
 
 def quantize_source(ls: LearningSet, source: tuple[int, ...]) -> QuantizedFeature:

@@ -99,14 +99,14 @@ class CandidateLayer:
 
     Candidate i applies connective ``connective[i]`` (an index into
     CONNECTIVES) to operand ``operand[i]`` of ``parents`` and pool feature
-    ``feature[i]``.  The parents are the pool at layer 1 and the previous
+    ``feature[i]``, and ``packed[:, i]`` is its bit-packed column in every
+    view.  The parents are the pool's bare leaves at layer 1 and the previous
     layer's survivors later.
     """
 
     layer: int
-    rows: int                   # training rows: the length of an unpacked column
-    pool: Survivors
-    parents: Survivors
+    parents: list[Neuron]
+    packed: np.ndarray              # (views, candidates, bytes)
     errors: np.ndarray
     parent_errors: np.ndarray   # the operand's error count, per candidate
     operand: np.ndarray
@@ -123,12 +123,9 @@ class CandidateLayer:
         out = []
         for i in positions.tolist():
             connective = _CONNECTIVE_NAMES[self.connective[i]]
-            expression = (connective, self.parents.neurons[self.operand[i]].expression, int(self.feature[i]))
+            expression = (connective, self.parents[self.operand[i]].expression, int(self.feature[i]))
             out.append(Neuron(expression, self.layer, int(self.errors[i])))
-        pad = _pack(np.ones(self.rows, dtype=bool))
-        op, k = self.operand[positions], self.feature[positions]
-        planes = _minterms(self.parents.packed[:, op], self.pool.packed[:, k], pad)   # (4, views, K, bytes)
-        return Survivors(out, np.einsum("kv,vjkw->jkw", _TRUTH[self.connective[positions]], planes))
+        return Survivors(out, self.packed[:, positions])
 
 
 @dataclass
@@ -163,6 +160,13 @@ _CONNECTIVE_NAMES = tuple(CONNECTIVES)
 def _popcount(bits: np.ndarray) -> np.ndarray:
     """Set bits along the last axis of a packed array."""
     return np.bitwise_count(bits).sum(axis=-1, dtype=np.int64)
+
+
+def _cr(on_a: np.ndarray, on_b: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """CR = b_u + Delta of packed columns under the A and the B refit:
+    unbiasedness counts the rows where the two disagree, regularity their
+    disagreements with the packed labels ``target``."""
+    return _popcount(on_a ^ on_b) + _popcount(on_a ^ target) + _popcount(on_b ^ target)
 
 
 def _minterms(a: np.ndarray, b: np.ndarray, pad: np.ndarray) -> np.ndarray:
@@ -201,16 +205,17 @@ def generate_candidates(
     pool features.  Otherwise each of ``survivors`` pairs with every pool
     feature it does not already use.  The layer's number is one more than its
     operands' layer.  All pairs are expanded in one numpy step on packed
-    columns, in the order (operand, feature, connective).  A candidate whose
-    training column repeats a survivor's or an earlier candidate's is
-    dropped: the first occurrence is kept.  Split mode is on when the
-    operands carry three views; every kept candidate's CR is then scored from
-    the A/B refit views.  Returns the pair count and the candidates.
+    columns of every view, in the order (operand, feature, connective).  A
+    candidate whose training column repeats a survivor's or an earlier
+    candidate's is dropped: the first occurrence is kept.  A kept candidate's
+    errors are its training column's disagreements with the labels.  Split
+    mode is on when the operands carry three views; every kept candidate's CR
+    is then scored on its A/B refit columns.  Returns the pair count and the
+    candidates.
     """
     if not pool.neurons:
         raise DataError("no features")
-    n = len(labels)
-    pad = _pack(np.ones(n, dtype=bool))
+    pad = _pack(np.ones(len(labels), dtype=bool))
     target = _pack(labels)
     parents = pool if survivors is None else survivors
     if survivors is None:
@@ -222,24 +227,22 @@ def generate_candidates(
     operand, feature = np.nonzero(fresh)
     pairs = len(operand)
     planes = _minterms(parents.packed[:, operand], pool.packed[:, feature], pad)   # (4, views, K, bytes)
-    errors = _plane_errors(planes[:, 0], target)
-    cr = _split_scores(planes[:, 1], planes[:, 2], target) if len(pool.packed) == 3 else None
-    # every connective of each pair: (K * 10, bytes) in (pair, connective) order
-    block = np.einsum("cv,vkw->kcw", _TRUTH, planes[:, 0]).reshape(-1, len(pad))
+    block = np.einsum("cv,vjkw->jkcw", _TRUTH, planes)   # every connective of each pair: (views, K, 10, bytes)
     del planes
-    first = _first_occurrences(_keys(block), None if survivors is None else _keys(parents.packed[0]))
+    first = _first_occurrences(_keys(block[0]), None if survivors is None else _keys(parents.packed[0]))
     pair, connective = np.divmod(first, len(_CONNECTIVE_NAMES))
+    packed = block[:, pair, connective]
+    del block   # so scoring's temporaries do not meet the whole block
     return pairs, CandidateLayer(
         layer=parents.neurons[0].layer + 1,
-        rows=n,
-        pool=pool,
-        parents=parents,
-        errors=errors.ravel()[first],
+        parents=parents.neurons,
+        packed=packed,
+        errors=_popcount(packed[0] ^ target),
         parent_errors=np.array([p.errors for p in parents.neurons], dtype=np.int64)[operand[pair]],
         operand=operand[pair],
         feature=feature[pair],
         connective=connective,
-        cr=None if cr is None else cr.ravel()[first],
+        cr=_cr(packed[1], packed[2], target) if len(packed) == 3 else None,
     )
 
 
@@ -296,30 +299,6 @@ def split_criteria(
     unbiasedness = int(np.count_nonzero(out_a != out_b))
     regularity = hamming(out_a, ls.labels) + hamming(out_b, ls.labels)
     return unbiasedness, regularity
-
-
-# (4, 10): whether a connective's truth table selects minterm v, (a << 1) | b
-_SELECTS = _TRUTH.T.astype(np.int64)
-# (16, 10): whether a connective maps A-fit minterm v and B-fit minterm u,
-# row 4 * v + u, to different outputs
-_DIFFER = (_TRUTH[:, :, None] != _TRUTH[:, None, :]).reshape(len(_TRUTH), 16).T.astype(np.int64)
-
-
-def _plane_errors(planes: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Errors of every connective of each pair, (K, 10), from its minterm planes:
-    a connective's output is the union of the planes its truth table selects,
-    and a plane of c rows, o of them labelled 1, adds c - 2o to its |labels|."""
-    excess = _popcount(planes) - 2 * _popcount(planes & target)
-    return int(_popcount(target)) + excess.T @ _SELECTS
-
-
-def _split_scores(planes_a: np.ndarray, planes_b: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """CR = b_u + Delta of every connective of each pair, (K, 10), from the
-    pairs' minterm planes under the A and the B refit.  Unbiasedness counts
-    the rows of each (A plane, B plane) meeting whose outputs differ."""
-    joint = np.stack([_popcount(planes_a[v] & planes_b) for v in range(4)])   # (4, 4, K)
-    unbiasedness = joint.reshape(16, -1).T @ _DIFFER
-    return unbiasedness + _plane_errors(planes_a, target) + _plane_errors(planes_b, target)
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +393,7 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
         views += [pool_bits(_refit(pool, s, ls), ls.values) for s in split_even(ls, config.seed)]
     packed = _pack(views)
     if split_mode:
-        _, on_a, on_b = packed
-        target = _pack(labels)
-        cr0 = _popcount(on_a ^ on_b) + _popcount(on_a ^ target) + _popcount(on_b ^ target)
+        cr0 = _cr(packed[1], packed[2], _pack(labels))
     leaves = Survivors([Neuron(i, 0, f.errors) for i, f in enumerate(pool)], packed)
 
     # layer 0: the pool itself, deduplicated by training column

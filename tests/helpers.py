@@ -260,6 +260,19 @@ def golden_holdout(seed: int, ls: nr.LearningSet) -> nr.LearningSet:
     return nr.from_arrays(values, ls.labels[picks], ls.variable_names, ls.label_names)
 
 
+def assert_same_text(got: str, pinned: str, what: str = "text") -> None:
+    """Exact equality of a produced text with its pin.  A mismatch fails with
+    the first differing line's number and both lines, not with a diff of the
+    whole texts, which takes minutes on long ones."""
+    if got == pinned:
+        return
+    lines = itertools.zip_longest(got.splitlines(keepends=True), pinned.splitlines(keepends=True))
+    for number, (mine, theirs) in enumerate(lines, 1):
+        if mine != theirs:
+            raise AssertionError(f"{what} differs from its pin at line {number}:\n"
+                                 f"  got:    {mine!r}\n  pinned: {theirs!r}")
+
+
 # the pinned file of each command's stdout, under tests/golden/outputs/
 GOLDEN_OUTPUTS = ("rules.txt", "predict.csv", "eval.json")
 

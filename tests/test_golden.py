@@ -21,8 +21,8 @@ import neurules as nr
 from neurules import cli
 from neurules.model_io import dict_to_model, model_text
 
-from helpers import (COHERENCE_MAX_POOL, GOLDEN_OUTPUTS, deep_cases, golden_coherence, golden_cases, golden_holdout,
-                     golden_model_text, golden_outputs)
+from helpers import (COHERENCE_MAX_POOL, GOLDEN_OUTPUTS, assert_same_text, deep_cases, golden_coherence, golden_cases,
+                     golden_holdout, golden_model_text, golden_outputs)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FORMAT1 = Path(__file__).resolve().parent / "format1"
@@ -55,8 +55,7 @@ def test_deep_cases_keep_deep_neurons_and_one_stops_at_the_layer_cap():
 
 @pytest.mark.parametrize("name, ls, config", ALL, ids=[name for name, _, _ in ALL])
 def test_retrained_model_is_byte_identical(name, ls, config):
-    expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
-    assert golden_model_text(ls, config) == expected
+    assert_same_text(golden_model_text(ls, config), (GOLDEN / f"{name}.json").read_text(encoding="utf-8"), name)
 
 
 @pytest.mark.parametrize("name", [name for name, _, _ in ALL])
@@ -126,14 +125,15 @@ def test_cli_outputs_match_the_pinned_files(seed, tmp_path):
     name, ls, _ = ALL[seed]
     outputs = golden_outputs(GOLDEN / f"{name}.json", golden_holdout(seed, ls), tmp_path)
     for suffix, text in outputs.items():
-        assert text == (GOLDEN / "outputs" / f"{name}.{suffix}").read_text(encoding="utf-8"), suffix
+        assert_same_text(text, (GOLDEN / "outputs" / f"{name}.{suffix}").read_text(encoding="utf-8"), suffix)
 
 
 @pytest.mark.parametrize("name", [name for name, _, _ in ALL])
 def test_coherence_table_matches_the_pinned_file(name):
     # the corpus test above checks that every model here has a pin
     c = nr.load_model(GOLDEN / f"{name}.json").collective
-    assert golden_coherence(c) == (GOLDEN / "outputs" / f"{name}.coherence.json").read_text(encoding="utf-8")
+    assert_same_text(golden_coherence(c), (GOLDEN / "outputs" / f"{name}.coherence.json").read_text(encoding="utf-8"),
+                     "coherence table")
 
 
 # a statement-1 case with product cuts, kept at layer 2, and a split-mode case
@@ -152,4 +152,4 @@ def test_earlier_format_1_files_load_and_give_the_pinned_outputs(name, tmp_path)
     seed = [case for case, _, _ in ALL].index(name)
     outputs = golden_outputs(path, golden_holdout(seed, ALL[seed][1]), tmp_path)
     for suffix, text in outputs.items():
-        assert text == (GOLDEN / "outputs" / f"{name}.{suffix}").read_text(encoding="utf-8"), suffix
+        assert_same_text(text, (GOLDEN / "outputs" / f"{name}.{suffix}").read_text(encoding="utf-8"), suffix)

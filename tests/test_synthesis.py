@@ -137,6 +137,7 @@ def test_duplicate_columns_keep_the_first_occurrence(monkeypatch):
                 assert [n.expression for n in neurons] == [expr for expr, _ in reference]
                 packed = layer.survivors(np.arange(len(layer))).packed[0]
                 assert np.array_equal(_columns(packed, ls.n), np.reshape([col for _, col in reference], (-1, ls.n)))
+                assert layer.errors.tolist() == [np.count_nonzero(col != (ls.labels == 1)) for _, col in reference]
 
 
 def test_split_dedup_keys_on_the_training_column_only(monkeypatch):
