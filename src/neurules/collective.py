@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from numbers import Rational
 
 import numpy as np
 
@@ -21,6 +22,16 @@ from .neurons import Neuron, eval_expr
 from .quantization import QuantizedFeature, pool_bits
 
 DEFAULT_CHI0 = Fraction(4, 5)
+
+
+def _as_fraction(value) -> Fraction:
+    """An exact option value.  A float, numpy's included, is read as its
+    shortest decimal, so 0.8 means 4/5, not its binary image."""
+    if isinstance(value, (float, np.floating)):
+        value = str(value)
+    elif isinstance(value, bool) or not isinstance(value, (Rational, str)):
+        raise ValueError(f"expected a number or a fraction string, got {value!r}")
+    return Fraction(value)
 
 
 def check_chi0(chi0: Fraction) -> None:
@@ -42,6 +53,7 @@ class Collective:
     def __post_init__(self) -> None:
         if not self.neurons:
             raise ValueError("collective needs at least one neuron")
+        self.chi0 = _as_fraction(self.chi0)
         check_chi0(self.chi0)
 
     @property

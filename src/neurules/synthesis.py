@@ -2,9 +2,9 @@
 
 Layer 1 pairs the pooled features; later layers pair each surviving neuron
 with one fresh feature, so a neuron of layer r has exactly r connective
-levels.  A candidate survives only when its error count strictly beats both
-of its operands and the best error seen so far, which makes the per-layer
-minimum strictly decreasing and bounds the depth by the initial minimum.
+levels.  A candidate survives only when its error count is strictly below the
+least count of the layer before, so it beats both operands and the per-layer
+minimum strictly decreases, bounding the depth by the initial minimum.
 Growth stops when errors hit zero, when no candidate is admissible, or (in
 split mode) when the exterior criterion stops improving by more than delta.
 """
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .collective import DEFAULT_CHI0, Collective, _vote_counts, check_chi0
+from .collective import DEFAULT_CHI0, Collective, _as_fraction, _vote_counts, check_chi0
 from .dataset import LearningSet, split_even
 from .errors import DataError, DegenerateSplitError
 from .features import search_products, substitute
@@ -76,13 +76,6 @@ class SynthesisConfig:
         }
 
 
-def _as_fraction(value) -> Fraction:
-    # floats go through repr so 0.8 means the decimal 8/10, not its binary image
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class Survivors:
     """Training-only operands of a layer: neuron i with its bit-packed outputs
@@ -108,7 +101,6 @@ class CandidateLayer:
     parents: list[Neuron]
     packed: np.ndarray              # (views, candidates, bytes)
     errors: np.ndarray
-    parent_errors: np.ndarray   # the operand's error count, per candidate
     operand: np.ndarray
     feature: np.ndarray
     connective: np.ndarray
@@ -182,15 +174,11 @@ def _minterms(a: np.ndarray, b: np.ndarray, pad: np.ndarray) -> np.ndarray:
 
 def _first_occurrences(keys: np.ndarray, taken: np.ndarray | None = None) -> np.ndarray:
     """Positions of the first occurrence of each distinct key, ascending,
-    leaving out every key in ``taken``: the heads of runs in a stable sort."""
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    head = np.ones(len(ranked), dtype=bool)
-    head[1:] = ranked[1:] != ranked[:-1]
-    if taken is not None and len(ranked):
-        at = np.minimum(np.searchsorted(ranked, taken), len(ranked) - 1)
-        head[at[ranked[at] == taken]] = False
-    return np.sort(order[head])
+    leaving out every key in ``taken``, which is ranked ahead of ``keys``."""
+    if taken is None:
+        taken = keys[:0]
+    _, first = np.unique(np.concatenate([taken, keys]), return_index=True)
+    return np.sort(first[first >= len(taken)]) - len(taken)
 
 
 def generate_candidates(
@@ -238,7 +226,6 @@ def generate_candidates(
         parents=parents.neurons,
         packed=packed,
         errors=_popcount(packed[0] ^ target),
-        parent_errors=np.array([p.errors for p in parents.neurons], dtype=np.int64)[operand[pair]],
         operand=operand[pair],
         feature=feature[pair],
         connective=connective,
@@ -246,9 +233,10 @@ def generate_candidates(
     )
 
 
-def admit(errors: int, parent_errors: int, leaf_errors: int) -> bool:
-    """Exterior-addition admission of one candidate: strictly beat both operands' error counts."""
-    return errors < min(parent_errors, leaf_errors)
+def admit(errors: int, bound: int) -> bool:
+    """Exterior-addition admission of one candidate: strictly below ``bound``,
+    the least error count of the layer before."""
+    return errors < bound
 
 
 def default_f_cap(pairs: int, f_ratio: Fraction = SynthesisConfig.f_ratio) -> int:
@@ -260,11 +248,11 @@ def select_survivors(errors: np.ndarray, f_cap: int, cr: np.ndarray | None = Non
     """Positions of the best ``f_cap`` candidates, best first.
 
     Candidates rank by errors, or in split mode by the exterior criterion CR
-    and then errors; ties keep generation order.
+    and then errors; ties keep generation order, as lexsort is stable.
     """
     if f_cap < 1:
         raise ValueError("f_cap must be at least 1")
-    keys = (np.arange(len(errors)), errors) + ((cr,) if cr is not None else ())
+    keys = (errors,) + ((cr,) if cr is not None else ())
     return np.lexsort(keys)[:f_cap]
 
 
@@ -403,18 +391,15 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
                         min_errors=min(f.errors for f in pool),
                         min_cr=int(cr0[first].min()) if split_mode else None)
     traces = [trace0]
-    best_errors = trace0.min_errors
     decision = should_stop(traces, config.mode, config.delta, config.max_layers)
 
-    pool_errors = np.array([f.errors for f in pool], dtype=np.int64)
     survivors: Survivors | None = None
     while not decision.stop:
         pairs, layer = generate_candidates(leaves, survivors, labels)
         if config.mode == MODE_STATEMENT1:
             # one admit call per candidate: bench/tracing.py counts admissions per call
-            admitted = list(map(admit, layer.errors.tolist(), layer.parent_errors.tolist(),
-                                pool_errors[layer.feature].tolist()))
-            kept = np.flatnonzero(np.array(admitted, dtype=bool) & (layer.errors < best_errors))
+            bound = traces[-1].min_errors
+            kept = np.flatnonzero([admit(e, bound) for e in layer.errors.tolist()])
         else:
             kept = np.arange(len(layer))
         trace = LayerTrace(index=layer.layer, pairs=pairs, expanded=len(layer), admitted=len(kept))
@@ -426,7 +411,6 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
             trace.min_errors = min(n.errors for n in trace.survivors)
             if split_mode:
                 trace.min_cr = int(layer.cr[chosen].min())
-            best_errors = min(best_errors, trace.min_errors)
         traces.append(trace)
         # let the layer's candidate arrays go before the next layer is built
         del layer, kept

@@ -76,6 +76,17 @@ def test_exact_rational_threshold_boundary():
     assert v.chi == Fraction(4, 5)
 
 
+def test_float_chi0_keeps_its_threshold_through_save_and_load(tmp_path):
+    # 0.8 is read as 4/5, the threshold the model file stores, so a 4-of-5
+    # vote is decided before and after the round trip
+    c = _collective([0, 0, 0, 0, ("NAND", 0, 0)], chi0=0.8)
+    nr.save_model(tmp_path / "model.json", c)
+    loaded = nr.load_model(tmp_path / "model.json").collective
+    row = [1.0, 0.0]
+    assert nr.classify(c, row) == nr.classify(loaded, row)
+    assert nr.classify(loaded, row).decision == "pos"
+
+
 def test_even_ties_are_refused_at_one_half():
     for chi0 in (Fraction(4, 5), Fraction(1, 2)):
         c = _collective([0, ("NAND", 0, 0)], chi0=chi0)

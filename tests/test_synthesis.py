@@ -9,7 +9,7 @@ import neurules.synthesis as synthesis
 from neurules.dataset import split_even
 from neurules.model_io import model_to_dict
 from neurules.neurons import apply_connective
-from neurules.quantization import quantize, quantize_source
+from neurules.quantization import _keys, quantize, quantize_source
 from neurules.synthesis import (
     LayerTrace,
     Survivors,
@@ -75,7 +75,7 @@ def test_later_layer_pairs_survivor_with_fresh_features():
         name, left, right = neuron.expression
         assert left == survivor.expression
         assert right in (2, 3)
-    assert layer2.parent_errors.tolist() == [survivor.errors] * len(layer2)
+    assert all(layer2.parents[i] == survivor for i in layer2.operand.tolist())
 
 
 def test_candidates_duplicating_a_survivor_column_are_dropped():
@@ -157,6 +157,21 @@ def test_split_dedup_keys_on_the_training_column_only(monkeypatch):
     assert later not in kept
 
 
+def test_first_occurrences_match_a_plain_loop():
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        rows = rng.integers(0, 3, size=(int(rng.integers(0, 12)), 2), dtype=np.uint8)
+        for taken in (None, rng.integers(0, 3, size=(int(rng.integers(0, 4)), 2), dtype=np.uint8)):
+            seen = set() if taken is None else {row.tobytes() for row in taken}
+            expected = []
+            for i, row in enumerate(rows):
+                if row.tobytes() not in seen:
+                    seen.add(row.tobytes())
+                    expected.append(i)
+            first = synthesis._first_occurrences(_keys(rows), None if taken is None else _keys(taken))
+            assert first.tolist() == expected
+
+
 def test_generate_rejects_bad_arguments():
     pool, labels, _ = _pool(3)
     with pytest.raises(nr.DataError, match="no features"):
@@ -167,11 +182,30 @@ def test_generate_rejects_bad_arguments():
 # admission, capping, selection
 # ---------------------------------------------------------------------------
 
-def test_admission_requires_strictly_beating_both_operands():
-    assert admit(1, 2, 3) is True
-    assert admit(2, 2, 5) is False
-    assert admit(0, 1, 1) is True
-    assert admit(3, 9, 3) is False
+def test_admission_requires_strictly_beating_the_bound():
+    assert admit(1, 2) is True
+    assert admit(2, 2) is False
+    assert admit(0, 1) is True
+    assert admit(3, 0) is False
+
+
+def test_beating_the_last_layer_beats_both_operands(monkeypatch):
+    # the least count of the layer before is at most every operand's and
+    # every pool feature's, so the one-bound admission implies the operand test
+    layers = _recorded_layers(monkeypatch)
+    sets = [(ls, config) for _, ls, config in golden_cases() + deep_cases() if config.mode == "statement1"]
+    sets += [(random_set(seed), nr.SynthesisConfig()) for seed in range(12)]
+    below = 0
+    for ls, config in sets:
+        layers.clear()
+        c, rep = nr.synthesize(ls, config)
+        for _, layer in layers:
+            bound = rep.traces[layer.layer - 1].min_errors
+            for i in np.flatnonzero(layer.errors < bound).tolist():
+                below += 1
+                assert layer.errors[i] < layer.parents[layer.operand[i]].errors
+                assert layer.errors[i] < c.pool[layer.feature[i]].errors
+    assert below
 
 
 def test_default_f_cap_rounds_up_and_never_drops_below_one():
@@ -528,6 +562,18 @@ def test_config_validation():
     cfg = nr.SynthesisConfig(f_ratio=0.4, chi0="0.8")
     assert cfg.f_ratio == Fraction(2, 5)
     assert cfg.chi0 == Fraction(4, 5)
+
+
+@pytest.mark.parametrize("value, fraction", [
+    (np.float64(0.8), Fraction(4, 5)), (np.float32(0.8), Fraction(4, 5)), (True, None), (None, None),
+])
+def test_fraction_options_read_floats_by_their_decimal_and_refuse_non_numbers(value, fraction):
+    for name in ("f_ratio", "chi0"):
+        if fraction is None:
+            with pytest.raises(ValueError, match="expected a number"):
+                nr.SynthesisConfig(**{name: value})
+        else:
+            assert getattr(nr.SynthesisConfig(**{name: value}), name) == fraction
 
 
 @pytest.mark.parametrize("field, value", [
