@@ -24,14 +24,17 @@ from .quantization import QuantizedFeature, pool_bits
 DEFAULT_CHI0 = Fraction(4, 5)
 
 
-def _as_fraction(value) -> Fraction:
-    """An exact option value.  A float, numpy's included, is read as its
-    shortest decimal, so 0.8 means 4/5, not its binary image."""
-    if isinstance(value, (float, np.floating)):
-        value = str(value)
-    elif isinstance(value, bool) or not isinstance(value, (Rational, str)):
-        raise ValueError(f"expected a number or a fraction string, got {value!r}")
-    return Fraction(value)
+def _as_fraction(value, name: str) -> Fraction:
+    """The exact value of option ``name``.  A float, numpy's included, is read
+    as its shortest decimal, so 0.8 means 4/5, not its binary image.  Anything
+    that is no finite fraction raises one ValueError naming the option."""
+    text = str(value) if isinstance(value, (float, np.floating)) else value
+    if not isinstance(text, bool) and isinstance(text, (Rational, str)):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{name} must be a finite number or a fraction such as '4/5', got {value!r}")
 
 
 def check_chi0(chi0: Fraction) -> None:
@@ -53,7 +56,7 @@ class Collective:
     def __post_init__(self) -> None:
         if not self.neurons:
             raise ValueError("collective needs at least one neuron")
-        self.chi0 = _as_fraction(self.chi0)
+        self.chi0 = _as_fraction(self.chi0, "chi0")
         check_chi0(self.chi0)
 
     @property

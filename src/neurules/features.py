@@ -27,7 +27,9 @@ def search_products(
     achieve the strict improvement; admission of a subset never depends on
     other subsets, so the result is the minimal subsets among all that would
     be admitted.  A subset whose product overflows to a non-finite value is
-    skipped.
+    skipped.  No constant cut is ever admitted: its errors are the minority
+    label count, which each factor's cut already reaches through
+    ``quantize``'s cut at the minimum.
     """
     m = ls.m
     if not 2 <= max_p <= m:
@@ -39,14 +41,9 @@ def search_products(
                 continue
             values = product_values(ls.values, subset)
             if not np.isfinite(values).all():
-                # an overflowing product has no usable cut; skip it like a
-                # constant column
+                # an overflowing product has no usable cut
                 continue
             feature = quantize(values, ls.labels, subset)
-            if feature.constant:
-                # a constant column is no variable at all; admitting it would
-                # evict informative factors from the pool
-                continue
             if feature.errors < min(base[i].errors for i in subset):
                 admitted.append(feature)
     return admitted

@@ -5,7 +5,9 @@ neuron expressions, the voting threshold, and an echo of the training
 configuration (including the label column name, which ``eval`` reuses).
 The model types hold no training columns or scores, so a loaded model is
 exactly what its file stores.  The vote is unweighted: a file carries no
-``weights`` key, and one that is not null is refused.
+``weights`` key, and one that is not null is refused.  Older files also
+carry each pool cut's ``constant``, the config's ``chi0`` and each report
+layer's ``layer``; loading reads none of them.
 """
 from __future__ import annotations
 
@@ -46,7 +48,6 @@ def model_to_dict(
                 "threshold": f.threshold,
                 "polarity": f.polarity,
                 "errors": f.errors,
-                "constant": f.constant,
             }
             for f in collective.pool
         ],
@@ -79,7 +80,6 @@ def dict_to_model(data: dict) -> LoadedModel:
                 threshold=float(_typed(f["threshold"], (int, float), "pool threshold must be a number")),
                 polarity=str(f["polarity"]),
                 errors=_count(f["errors"], "pool errors"),
-                constant=_typed(f.get("constant", False), (bool,), "pool constant must be true or false"),
             )
             for f in data["pool"]
         ]
@@ -100,6 +100,9 @@ def dict_to_model(data: dict) -> LoadedModel:
             outside = sorted(k for k in n.leaves if not 0 <= k < len(pool))
             if outside:
                 raise ModelFormatError(f"neuron leaf {outside[0]} is outside the pool of {len(pool)}")
+            depth = _depth(n.expression)
+            if n.layer != depth:
+                raise ModelFormatError(f"neuron layer {n.layer} is not its expression's depth {depth}")
         collective = Collective(
             neurons=neurons,
             pool=pool,
@@ -122,6 +125,11 @@ def dict_to_model(data: dict) -> LoadedModel:
     if "label_column" in config and not (type(label_column) is str and label_column):
         raise ModelFormatError(f"config label_column must be a non-empty string, not {label_column!r}")
     return LoadedModel(collective, dict(config), data.get("report"))
+
+
+def _depth(expr) -> int:
+    """An expression's connective depth: 0 for a bare leaf."""
+    return 1 + max(_depth(expr[1]), _depth(expr[2])) if type(expr) is tuple else 0
 
 
 def _typed(data, kinds: tuple[type, ...], what: str):

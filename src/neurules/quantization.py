@@ -24,14 +24,13 @@ class QuantizedFeature:
     ``source`` lists the 0-based variable indices that feed the feature: a
     single index for a plain variable, two or more for a product feature.
     ``errors`` counts the training rows where ``apply`` disagrees with the
-    labels, and ``constant`` marks a cut that gave one value on every row.
+    labels.
     """
 
     source: tuple[int, ...]
     threshold: float
     polarity: str
     errors: int
-    constant: bool = False
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Quantize fresh source values (any shape) with this feature's cut."""
@@ -119,12 +118,10 @@ def quantize(values, labels, source: tuple[int, ...] = ()) -> QuantizedFeature:
         for polarity, errors in ((GE, errors_ge), (LT, n - errors_ge)):
             key = (errors, -gap, u, 0 if polarity == GE else 1)
             if best is None or key < best[0]:
-                best = (key, u, polarity, errors, t)
+                best = (key, u, polarity, errors)
 
-    # only the cut at the minimum (t = 0) leaves every row on one side: each
-    # midpoint cut u has sv[t - 1] < u <= sv[t]
-    _, u, polarity, errors, t = best
-    return QuantizedFeature(tuple(source), u, polarity, int(errors), t == 0)
+    _, u, polarity, errors = best
+    return QuantizedFeature(tuple(source), u, polarity, int(errors))
 
 
 def quantize_source(ls: LearningSet, source: tuple[int, ...]) -> QuantizedFeature:

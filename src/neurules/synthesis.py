@@ -58,8 +58,8 @@ class SynthesisConfig:
             raise ValueError("max_p must be at least 1 (1 disables product search)")
         if self.max_layers < 1:
             raise ValueError("max_layers must be at least 1")
-        self.f_ratio = _as_fraction(self.f_ratio)
-        self.chi0 = _as_fraction(self.chi0)
+        self.f_ratio = _as_fraction(self.f_ratio, "f_ratio")
+        self.chi0 = _as_fraction(self.chi0, "chi0")
         if not 0 < self.f_ratio <= 1:
             raise ValueError("f_ratio must lie in (0, 1]")
         check_chi0(self.chi0)
@@ -71,7 +71,6 @@ class SynthesisConfig:
             "f_ratio": str(self.f_ratio),
             "max_layers": self.max_layers,
             "max_p": self.max_p,
-            "chi0": str(self.chi0),
             "seed": self.seed,
         }
 
@@ -241,7 +240,7 @@ def admit(errors: int, bound: int) -> bool:
 
 def default_f_cap(pairs: int, f_ratio: Fraction = SynthesisConfig.f_ratio) -> int:
     """Survivor cap for a layer that examined ``pairs`` operand pairs."""
-    return max(1, math.ceil(_as_fraction(f_ratio) * pairs))
+    return max(1, math.ceil(_as_fraction(f_ratio, "f_ratio") * pairs))
 
 
 def select_survivors(errors: np.ndarray, f_cap: int, cr: np.ndarray | None = None) -> np.ndarray:
@@ -346,7 +345,6 @@ class SynthesisReport:
             "base_errors": list(self.base_errors),
             "layers": [
                 {
-                    "layer": t.index,
                     "pairs": t.pairs,
                     "expanded": t.expanded,
                     "admitted": t.admitted,

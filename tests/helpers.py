@@ -98,7 +98,9 @@ def reference_admitted_products(ls: nr.LearningSet, base, max_p: int) -> list[tu
             if not np.isfinite(values).all():
                 continue
             cut = quantize(values, ls.labels, subset)
-            if not cut.constant and cut.errors < min(base[i].errors for i in subset):
+            column = cut.apply(values)
+            constant = column.all() or not column.any()
+            if not constant and cut.errors < min(base[i].errors for i in subset):
                 admitted.append(subset)
     return admitted
 

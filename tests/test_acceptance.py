@@ -246,7 +246,7 @@ def test_acceptance_7_round_trip_and_rule_fidelity(demo_path, tmp_path, capsys):
             nr.Neuron(("IMPLIES", ("NAND", 4, 5), ("NOR", 6, 7)), 2, 0),
             nr.Neuron(("XNOR", ("NIMPLIES", 8, 9), ("NIMPLIED_BY", 10, 11)), 2, 0),
             nr.Neuron(("AND", 5, ("OR", 7, 11)), 2, 0),
-            nr.Neuron(0, 1, 0),
+            nr.Neuron(0, 0, 0),
         ]
         names = tuple(f"x{j + 1}" for j in range(12))
         original = nr.Collective(neurons, pool, Fraction(4, 5), ("no", "yes"), names)

@@ -48,10 +48,11 @@ def test_train_writes_model_and_reports_stop(demo_path, tmp_path, capsys):
 def test_train_echoes_config_into_the_model(demo_path, tmp_path):
     code, out = _train(demo_path, tmp_path, "--chi0", "0.8", "--mode", "statement1")
     assert code == 0
-    config = nr.load_model(out).config
-    assert config["label_column"] == "sex"
-    assert config["mode"] == "statement1"
-    assert Fraction(config["chi0"]) == Fraction(4, 5)
+    model = nr.load_model(out)
+    assert model.config["label_column"] == "sex"
+    assert model.config["mode"] == "statement1"
+    # chi0 is stated once, at the top of the file, not again in the echo
+    assert model.collective.chi0 == Fraction(4, 5) and "chi0" not in model.config
 
 
 def test_predict_appends_decision_columns(demo_path, tmp_path, capsys):
@@ -268,12 +269,12 @@ def test_parser_reuse_carries_no_value_between_calls(demo_path, tmp_path, capsys
     first = tmp_path / "first"
     first.mkdir()
     _, out = _train(demo_path, first, "--chi0", "1", "--f-ratio", "1")
-    assert Fraction(nr.load_model(out).config["chi0"]) == 1
+    assert nr.load_model(out).collective.chi0 == 1
     code, out = _train(demo_path, tmp_path)
-    config = nr.load_model(out).config
+    model = nr.load_model(out)
     assert code == 0
-    assert Fraction(config["chi0"]) == Fraction(4, 5)
-    assert Fraction(config["f_ratio"]) == Fraction(2, 5)
+    assert model.collective.chi0 == Fraction(4, 5)
+    assert Fraction(model.config["f_ratio"]) == Fraction(2, 5)
 
 
 def test_train_without_options_records_the_config_defaults(demo_path, tmp_path, capsys):
@@ -364,11 +365,12 @@ _UNTRUSTED = {
     "float-layer": (_set_neuron("layer", 2.9), "neuron layer must be a non-negative integer"),
     "bool-layer": (_set_neuron("layer", True), "neuron layer must be a non-negative integer"),
     "negative-layer": (_set_neuron("layer", -4), "neuron layer must be a non-negative integer"),
+    # rules printed "[layer 7, errors 21]" for a neuron one connective deep
+    "layer-not-depth": (_set_neuron("layer", 7), "neuron layer 7 is not its expression's depth"),
     "string-errors": (_set_neuron("errors", "7"), "neuron errors must be a non-negative integer"),
     "negative-errors": (_set_neuron("errors", -4), "neuron errors must be a non-negative integer"),
     "float-errors": (_set_cut("errors", 2.9), "pool errors must be a non-negative integer"),
     "bool-errors": (_set_cut("errors", True), "pool errors must be a non-negative integer"),
-    "string-constant": (_set_cut("constant", "no"), "pool constant must be true or false"),
     "bool-threshold": (_set_cut("threshold", True), "pool threshold must be a number"),
     "bool-format-version": (lambda p: p.__setitem__("format_version", True), "unsupported model format version"),
     # eval read these as a column name and blamed the data file

@@ -20,7 +20,8 @@ def _feature(j, threshold=0.5):
 
 
 def _collective(exprs, k=2, chi0=Fraction(4, 5), names=None):
-    neurons = [nr.Neuron(e, 1, 0) for e in exprs]
+    # a bare leaf is a layer-0 neuron, as a model file must state it
+    neurons = [nr.Neuron(e, int(type(e) is tuple), 0) for e in exprs]
     pool = [_feature(j) for j in range(k)]
     return nr.Collective(
         neurons=neurons,
@@ -49,6 +50,8 @@ def test_collective_validation():
         _collective([])
     with pytest.raises(ValueError, match="chi0"):
         _collective([0], chi0=Fraction(1, 4))
+    with pytest.raises(ValueError, match="^chi0 must be a finite number"):
+        _collective([0], chi0="1/0")
 
 
 def test_single_voter_always_has_full_coherence():

@@ -7,7 +7,7 @@ import pytest
 import neurules as nr
 import neurules.features
 from neurules.features import search_products, substitute
-from neurules.quantization import quantize, quantize_source
+from neurules.quantization import product_values, quantize, quantize_source
 
 from helpers import reference_admitted_products, random_set
 
@@ -47,7 +47,7 @@ def test_demo_product_admitted_with_zero_errors(demo_path):
     assert len(admitted) == 1
     f = admitted[0]
     assert isinstance(f, nr.QuantizedFeature)
-    assert f.source == (0, 1) and f.errors == 0 and not f.constant
+    assert f.source == (0, 1) and f.errors == 0
     assert [b.errors for b in base] == [3, 1]
 
 
@@ -59,17 +59,47 @@ def test_nothing_admitted_when_base_is_perfect():
     assert search_products(ls, base, max_p=2) == []
 
 
-def test_constant_product_column_is_never_admitted(monkeypatch, demo_path):
-    # a constant column can have few errors on skewed data, but it is no
-    # variable; force one and check it cannot evict its factors
-    ls = nr.load_dataset(demo_path, "sex")
-    base = [quantize_source(ls, (j,)) for j in range(ls.m)]
+def _constant_prone_set(seed: int) -> nr.LearningSet:
+    """Seeded set whose products are often constant: columns of zeros, of
+    few small integers and of huge magnitudes (whose products overflow or
+    underflow), under skewed labels with both classes present."""
+    rng = np.random.default_rng(3000 + seed)
+    m, n = int(rng.integers(2, 5)), int(rng.integers(4, 25))
+    kinds = (
+        lambda: np.zeros(n),
+        lambda: rng.integers(0, 3, size=n).astype(float),
+        lambda: rng.choice([-1e200, -1e-200, 0.0, 1e-200, 1e200], size=n),
+        lambda: rng.normal(size=n),
+    )
+    values = np.column_stack([kinds[int(rng.integers(len(kinds)))]() for _ in range(m)])
+    labels = (rng.random(n) < rng.uniform(0.05, 0.5)).astype(np.uint8)
+    labels[0], labels[1] = 0, 1
+    return nr.from_arrays(values, labels)
 
-    def fake_quantize(values, labels, source=()):
-        return nr.QuantizedFeature(tuple(source), 0.0, "lt", 0, constant=True)
 
-    monkeypatch.setattr(neurules.features, "quantize", fake_quantize)
-    assert search_products(ls, base, max_p=2) == []
+def test_constant_product_column_is_never_admitted():
+    # a constant cut's errors are the minority count, and quantize's cut at
+    # the minimum keeps every factor's errors at or below it, so strict
+    # improvement alone keeps constant products out; "<=" would let them in
+    constant_cuts = tied = 0
+    for seed in range(300):
+        ls = _constant_prone_set(seed)
+        minority = min(int(ls.labels.sum()), ls.n - int(ls.labels.sum()))
+        base = [quantize_source(ls, (j,)) for j in range(ls.m)]
+        assert all(f.errors <= minority for f in base)
+        for f in search_products(ls, base, max_p=ls.m):
+            column = f.apply(product_values(ls.values, f.source))
+            assert column.any() and not column.all()
+        for subset in (s for p in range(2, ls.m + 1) for s in combinations(range(ls.m), p)):
+            values = product_values(ls.values, subset)
+            if not np.isfinite(values).all():
+                continue
+            cut = quantize(values, ls.labels, subset)
+            column = cut.apply(values)
+            if column.all() or not column.any():
+                constant_cuts += 1
+                tied += cut.errors <= min(base[i].errors for i in subset)
+    assert constant_cuts > 0 and tied > 0
 
 
 def test_max_p_bounds_enforced(demo_path):

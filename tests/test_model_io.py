@@ -14,7 +14,7 @@ def _small_collective():
     pool = [
         nr.QuantizedFeature((0,), 1.55, "ge", 2),
         nr.QuantizedFeature((1,), 60.0, "lt", 1),
-        nr.QuantizedFeature((0, 1), 118.44, "ge", 0, constant=False),
+        nr.QuantizedFeature((0, 1), 118.44, "ge", 0),
     ]
     neurons = [
         nr.Neuron(2, 0, 0),

@@ -17,7 +17,6 @@ def test_perfectly_separable_column():
     f = quantize([5, 1, 4, 2, 3], [1, 0, 1, 0, 1])
     assert (f.threshold, f.polarity, f.errors) == (2.5, GE, 0)
     assert f.apply([5, 1, 4, 2, 3]).tolist() == [True, False, True, False, True]
-    assert not f.constant
 
 
 def test_reversed_labels_flip_polarity():
@@ -34,14 +33,14 @@ def test_tie_broken_by_gap_then_threshold_then_polarity():
 def test_constant_input_column_quantizes_to_constant_feature():
     f = quantize([3, 3, 3, 3], [0, 1, 1, 1])
     assert (f.threshold, f.polarity, f.errors) == (3.0, GE, 1)
-    assert f.constant and f.apply([3, 3, 3, 3]).all()
+    assert f.apply([3, 3, 3, 3]).all()
 
 
 def test_constant_column_can_beat_every_midpoint():
     # best midpoint cut makes 2 errors; the all-ones column only 1
     f = quantize([1, 2, 2, 3], [1, 1, 0, 1])
     assert (f.threshold, f.polarity, f.errors) == (1.0, GE, 1)
-    assert f.constant
+    assert f.apply([1, 2, 2, 3]).all()
 
 
 def test_errors_match_column_label_disagreement():
@@ -174,4 +173,9 @@ def test_apply_reproduces_errors_and_constant_on_tight_values(sample):
     f = quantize(values, labels)
     column = f.apply(values)
     assert f.errors == hamming(column, np.array(labels))
-    assert f.constant == bool(column.all() or not column.any())
+    # the cut at the minimum is the constant fallback: no cut has more errors
+    # than the minority count, and a constant one has exactly that many
+    minority = min(sum(labels), len(labels) - sum(labels))
+    assert f.errors <= minority
+    if column.all() or not column.any():
+        assert f.errors == minority

@@ -215,6 +215,8 @@ def test_default_f_cap_rounds_up_and_never_drops_below_one():
     assert default_f_cap(0) == 1
     assert default_f_cap(5, Fraction(1, 2)) == 3
     assert default_f_cap(10, Fraction("0.4")) == 4
+    with pytest.raises(ValueError, match="^f_ratio must be a finite number"):
+        default_f_cap(10, "1/0")
 
 
 def test_select_survivors_orders_by_errors_then_generation():
@@ -570,10 +572,18 @@ def test_config_validation():
 def test_fraction_options_read_floats_by_their_decimal_and_refuse_non_numbers(value, fraction):
     for name in ("f_ratio", "chi0"):
         if fraction is None:
-            with pytest.raises(ValueError, match="expected a number"):
+            with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
                 nr.SynthesisConfig(**{name: value})
         else:
             assert getattr(nr.SynthesisConfig(**{name: value}), name) == fraction
+
+
+@pytest.mark.parametrize("value", ["1/0", "abc", None, "nan"])
+@pytest.mark.parametrize("name", ["f_ratio", "chi0"])
+def test_bad_fraction_options_raise_a_value_error_naming_the_option(name, value):
+    # "1/0" raised ZeroDivisionError, and "abc" a message that named no option
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number or a fraction"):
+        nr.SynthesisConfig(**{name: value})
 
 
 @pytest.mark.parametrize("field, value", [
@@ -600,5 +610,5 @@ def test_report_serializes_to_plain_json(demo_path):
     blob = json.dumps(rep.to_dict())
     data = json.loads(blob)
     assert data["stop_cause"] == "CR=0"
-    assert data["layers"][0]["layer"] == 0
+    assert "layer" not in data["layers"][0]   # a layer record's index is its layer
     assert data["layers"][0]["min_errors"] == 0
