@@ -45,7 +45,8 @@ def check_chi0(chi0: Fraction) -> None:
 
 @dataclass
 class Collective:
-    """Equal-error neurons plus everything needed to quantize fresh inputs."""
+    """Equal-error neurons plus everything needed to quantize fresh inputs;
+    a neuron leaf outside the pool raises ValueError."""
 
     neurons: list[Neuron]
     pool: list[QuantizedFeature]
@@ -56,6 +57,9 @@ class Collective:
     def __post_init__(self) -> None:
         if not self.neurons:
             raise ValueError("collective needs at least one neuron")
+        outside = sorted(k for n in self.neurons for k in n.leaves if not 0 <= k < len(self.pool))
+        if outside:
+            raise ValueError(f"neuron leaf {outside[0]} is outside the pool of {len(self.pool)}")
         self.chi0 = _as_fraction(self.chi0, "chi0")
         check_chi0(self.chi0)
 

@@ -1,18 +1,18 @@
 """JSON persistence for trained collectives.
 
-The file stores everything inference needs: the feature pool's cuts, the
-neuron expressions, the voting threshold, and an echo of the training
+The file stores everything inference needs: the pool cuts the neurons read,
+the neuron expressions, the voting threshold, and an echo of the training
 configuration (including the label column name, which ``eval`` reuses).
 The model types hold no training columns or scores, so a loaded model is
 exactly what its file stores.  The vote is unweighted: a file carries no
 ``weights`` key, and one that is not null is refused.  Older files also
 carry each pool cut's ``constant``, the config's ``chi0`` and each report
-layer's ``layer``; loading reads none of them.
+layer's ``layer``; loading reads none of them.  They may hold cuts that no
+neuron reads, which load and change no answer.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,7 +20,7 @@ from .collective import Collective
 from .dataset import unique_names
 from .errors import ModelFormatError
 from .neurons import Neuron, expr_from_json, expr_to_json
-from .quantization import GE, LT, QuantizedFeature
+from .quantization import QuantizedFeature
 
 FORMAT_VERSION = 1
 
@@ -83,11 +83,6 @@ def dict_to_model(data: dict) -> LoadedModel:
             )
             for f in data["pool"]
         ]
-        for f in pool:
-            if f.polarity not in (GE, LT):
-                raise ModelFormatError(f"unknown polarity: {f.polarity!r}")
-            if not math.isfinite(f.threshold):
-                raise ModelFormatError(f"non-finite threshold: {f.threshold!r}")
         neurons = [
             Neuron(
                 expression=expr_from_json(n["expression"]),
@@ -96,13 +91,6 @@ def dict_to_model(data: dict) -> LoadedModel:
             )
             for n in data["neurons"]
         ]
-        for n in neurons:
-            outside = sorted(k for k in n.leaves if not 0 <= k < len(pool))
-            if outside:
-                raise ModelFormatError(f"neuron leaf {outside[0]} is outside the pool of {len(pool)}")
-            depth = _depth(n.expression)
-            if n.layer != depth:
-                raise ModelFormatError(f"neuron layer {n.layer} is not its expression's depth {depth}")
         collective = Collective(
             neurons=neurons,
             pool=pool,
@@ -110,6 +98,10 @@ def dict_to_model(data: dict) -> LoadedModel:
             label_names=_names(data["label_names"], "label_names"),
             variable_names=variable_names,
         )
+        for n in neurons:
+            depth = _depth(n.expression)
+            if n.layer != depth:
+                raise ModelFormatError(f"neuron layer {n.layer} is not its expression's depth {depth}")
     except ModelFormatError:
         raise
     except RecursionError:

@@ -6,6 +6,7 @@ number of disagreements with the teacher labels.  All functions here are pure.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +25,20 @@ class QuantizedFeature:
     ``source`` lists the 0-based variable indices that feed the feature: a
     single index for a plain variable, two or more for a product feature.
     ``errors`` counts the training rows where ``apply`` disagrees with the
-    labels.
+    labels.  A polarity other than GE or LT, or a threshold that is not
+    finite, raises ValueError.
     """
 
     source: tuple[int, ...]
     threshold: float
     polarity: str
     errors: int
+
+    def __post_init__(self) -> None:
+        if self.polarity not in (GE, LT):
+            raise ValueError(f"unknown polarity: {self.polarity!r}")
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"non-finite threshold: {self.threshold!r}")
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Quantize fresh source values (any shape) with this feature's cut."""

@@ -173,11 +173,15 @@ def _minterms(a: np.ndarray, b: np.ndarray, pad: np.ndarray) -> np.ndarray:
 
 def _first_occurrences(keys: np.ndarray, taken: np.ndarray | None = None) -> np.ndarray:
     """Positions of the first occurrence of each distinct key, ascending,
-    leaving out every key in ``taken``, which is ranked ahead of ``keys``."""
-    if taken is None:
-        taken = keys[:0]
-    _, first = np.unique(np.concatenate([taken, keys]), return_index=True)
-    return np.sort(first[first >= len(taken)]) - len(taken)
+    leaving out every key in ``taken``: the heads of runs in a stable sort."""
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    head = np.ones(len(ranked), dtype=bool)
+    head[1:] = ranked[1:] != ranked[:-1]
+    if taken is not None and len(ranked):
+        at = np.minimum(np.searchsorted(ranked, taken), len(ranked) - 1)
+        head[at[ranked[at] == taken]] = False
+    return np.sort(order[head])
 
 
 def generate_candidates(
@@ -360,11 +364,20 @@ class SynthesisReport:
         }
 
 
+def _renumbered(expr: Expr, index: dict[int, int]) -> Expr:
+    """``expr`` with each leaf k read as ``index[k]``, in one walk."""
+    if type(expr) is not tuple:
+        return index[int(expr)]
+    name, left, right = expr
+    return (name, _renumbered(left, index), _renumbered(right, index))
+
+
 def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[Collective, SynthesisReport]:
     """Quantize, search products, grow layers, and assemble the collective.
 
     Returns the deployable collective (all kept-layer neurons sharing the
-    minimal error count) and the full per-layer report.
+    minimal error count, over only the pool cuts they read) and the full
+    per-layer report, whose survivors index the whole training pool.
     """
     config = config or SynthesisConfig()
     labels = ls.labels
@@ -417,9 +430,12 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
     members_pool = traces[decision.keep_layer].survivors
     final_errors = min(n.errors for n in members_pool)
     members = [n for n in members_pool if n.errors == final_errors]
+    # the collective keeps only the cuts its members read, in pool order
+    read = sorted(set().union(*(n.leaves for n in members)))
+    index = {old: new for new, old in enumerate(read)}
     collective = Collective(
-        neurons=members,
-        pool=pool,
+        neurons=[Neuron(_renumbered(n.expression, index), n.layer, n.errors) for n in members],
+        pool=[pool[i] for i in read],
         chi0=config.chi0,
         label_names=ls.label_names,
         variable_names=ls.variable_names,
@@ -433,7 +449,7 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
     )
     if report.stalled:
         # the rows the collective's majority misses or ties on
-        twice = 2 * _vote_counts(collective, bits)
+        twice = 2 * _vote_counts(collective, bits[read])
         doubtful = (twice == collective.size) | ((twice > collective.size) != (labels == 1))
         report.doubtful_instances = tuple(np.flatnonzero(doubtful).tolist())
     return collective, report

@@ -467,15 +467,18 @@ def test_undecodable_model_exits_4_with_one_line(demo_path, tmp_path, capsys, co
 
 
 def test_saved_models_refuse_non_finite_numbers(tmp_path):
+    # a cut cannot hold one, and the writer refuses one anywhere else
+    with pytest.raises(ValueError, match="non-finite threshold: nan"):
+        nr.QuantizedFeature((0,), float("nan"), "ge", 0)
     collective = nr.Collective(
         neurons=[nr.Neuron(0, 0, 0)],
-        pool=[nr.QuantizedFeature((0,), float("nan"), "ge", 0)],
+        pool=[nr.QuantizedFeature((0,), 0.5, "ge", 0)],
         chi0=Fraction(4, 5),
         label_names=("a", "b"),
         variable_names=("x",),
     )
     with pytest.raises(ValueError, match="not JSON compliant"):
-        nr.save_model(tmp_path / "m.json", collective)
+        nr.save_model(tmp_path / "m.json", collective, report={"final_errors": float("nan")})
 
 
 def _run(argv) -> tuple[int, str, str]:

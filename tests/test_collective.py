@@ -54,6 +54,20 @@ def test_collective_validation():
         _collective([0], chi0="1/0")
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: _collective([("AND", 0, 2)]), "^neuron leaf 2 is outside the pool of 2$"),
+    (lambda: _collective([("AND", -1, 1)]), "^neuron leaf -1 is outside the pool of 2$"),
+    (lambda: nr.QuantizedFeature((0,), 0.5, "gt", 0), "^unknown polarity: 'gt'$"),
+    (lambda: nr.QuantizedFeature((0,), float("inf"), "ge", 0), "^non-finite threshold: inf$"),
+    (lambda: nr.QuantizedFeature((0,), float("nan"), "lt", 0), "^non-finite threshold: nan$"),
+], ids=["leaf-beyond-pool", "negative-leaf", "gt-polarity", "infinite-threshold", "nan-threshold"])
+def test_invalid_models_are_refused_when_built(build, message):
+    # each once built and saved, then classified through an IndexError or,
+    # for "gt", silently as "<"
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_single_voter_always_has_full_coherence():
     c = _collective([0])
     v = vote(c, (1, 0))

@@ -7,7 +7,8 @@ layer 3-7, and under ``outputs/`` the stdout of ``rules``, ``predict`` and
 ``coherence_table``.  A speed-up or refactor must leave every one of them
 unchanged.  ``tests/format1/`` keeps two model files written before the
 report stopped restating the training options, the names, the pool and the
-neurons; they must load and answer like their regenerated cases.
+neurons, and before the collective kept only the pool cuts its neurons
+read; they must load and answer like their regenerated cases.
 """
 import io
 import json
@@ -22,7 +23,7 @@ from neurules import cli
 from neurules.model_io import dict_to_model, model_text
 
 from helpers import (COHERENCE_MAX_POOL, GOLDEN_OUTPUTS, assert_same_text, deep_cases, golden_coherence, golden_cases,
-                     golden_holdout, golden_model_text, golden_outputs)
+                     golden_holdout, golden_model_text, golden_outputs, relabel, training_indices, training_pool)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FORMAT1 = Path(__file__).resolve().parent / "format1"
@@ -153,9 +154,37 @@ def test_earlier_format_1_files_load_and_give_the_pinned_outputs(name, tmp_path)
     assert [t["layer"] for t in data["report"]["layers"]] == list(range(len(data["report"]["layers"])))
     old, new = nr.load_model(path), nr.load_model(GOLDEN / f"{name}.json")
     assert old.config == {**new.config, "prune_products": True, "chi0": data["chi0"]}
-    assert [vars(n) for n in old.collective.neurons] == [vars(n) for n in new.collective.neurons]
-    assert [vars(f) for f in old.collective.pool] == [vars(f) for f in new.collective.pool]
     seed = [case for case, _, _ in ALL].index(name)
     outputs = golden_outputs(path, golden_holdout(seed, ALL[seed][1]), tmp_path)
     for suffix, text in outputs.items():
         assert_same_text(text, (GOLDEN / "outputs" / f"{name}.{suffix}").read_text(encoding="utf-8"), suffix)
+
+
+@pytest.mark.parametrize("name, ls, config", ALL, ids=[name for name, _, _ in ALL])
+def test_saved_pool_is_exactly_the_cuts_the_neurons_read(name, ls, config):
+    # the trace indexes the training pool; the file keeps the cuts the kept
+    # neurons read, in training-pool order, with each leaf renumbered
+    trained, report = nr.synthesize(ls, config)
+    pool = training_pool(ls, config)
+    members = [n for n in report.traces[trained.neurons[0].layer].survivors if n.errors == report.final_errors]
+    read = sorted(set().union(*(n.leaves for n in members)))
+    for c in (trained, nr.load_model(GOLDEN / f"{name}.json").collective):
+        assert training_indices(c, pool) == read
+        assert [vars(f) for f in c.pool] == [vars(pool[i]) for i in read]
+        assert [(relabel(n.expression, read), n.layer, n.errors) for n in c.neurons] == [
+            (n.expression, n.layer, n.errors) for n in members]
+
+
+@pytest.mark.parametrize("name", ["case_03", "case_04"])
+def test_format_1_collectives_with_unread_cuts_answer_like_their_pruned_twins(name):
+    old = nr.load_model(FORMAT1 / f"{name}.json").collective
+    new = nr.load_model(GOLDEN / f"{name}.json").collective
+    assert len(old.pool) > len(new.pool)
+    seed = [case for case, _, _ in ALL].index(name)
+    ls = ALL[seed][1]
+    holdout = golden_holdout(seed, ls)
+    for rows in (ls, holdout):
+        assert [nr.classify(old, x) for x in rows.values] == [nr.classify(new, x) for x in rows.values]
+        assert nr.evaluate(old, rows.values, rows.labels) == nr.evaluate(new, rows.values, rows.labels)
+    assert nr.render_rules(old) == nr.render_rules(new)
+    assert nr.coherence_table(old).refused_fraction == nr.coherence_table(new).refused_fraction

@@ -31,6 +31,9 @@ from helpers import (
     golden_cases,
     leaf_operands,
     random_set,
+    relabel,
+    training_indices,
+    training_pool,
     xor_set,
 )
 
@@ -128,8 +131,9 @@ def test_duplicate_columns_keep_the_first_occurrence(monkeypatch):
         for mode in ("statement1", "split"):
             layers.clear()
             ls = random_set(seed)
-            c, _ = nr.synthesize(ls, nr.SynthesisConfig(mode=mode, max_p=1))
-            bits = nr.pool_bits(c.pool, ls.values)
+            config = nr.SynthesisConfig(mode=mode, max_p=1)
+            nr.synthesize(ls, config)
+            bits = nr.pool_bits(training_pool(ls, config), ls.values)
             assert layers
             for parents, layer in layers:
                 neurons = layer.survivors(np.arange(len(layer))).neurons
@@ -146,14 +150,15 @@ def test_split_dedup_keys_on_the_training_column_only(monkeypatch):
     layers = _recorded_layers(monkeypatch)
     _, ls, config = golden_cases()[5]
     assert config.mode == "split"
-    c, _ = nr.synthesize(ls, config)
+    nr.synthesize(ls, config)
+    pool = training_pool(ls, config)
     split = split_even(ls, config.seed)
     _, layer = layers[0]
     kept = [n.expression for n in layer.survivors(np.arange(len(layer))).neurons]
     earlier, later = ("OR", 0, 2), ("OR", 0, 4)
-    bits = nr.pool_bits(c.pool, ls.values)
+    bits = nr.pool_bits(pool, ls.values)
     assert np.array_equal(nr.eval_expr(earlier, bits), nr.eval_expr(later, bits))
-    assert sum(split_criteria(later, c.pool, split, ls)) != layer.cr[kept.index(earlier)]
+    assert sum(split_criteria(later, pool, split, ls)) != layer.cr[kept.index(earlier)]
     assert later not in kept
 
 
@@ -198,13 +203,14 @@ def test_beating_the_last_layer_beats_both_operands(monkeypatch):
     below = 0
     for ls, config in sets:
         layers.clear()
-        c, rep = nr.synthesize(ls, config)
+        _, rep = nr.synthesize(ls, config)
+        pool = training_pool(ls, config)
         for _, layer in layers:
             bound = rep.traces[layer.layer - 1].min_errors
             for i in np.flatnonzero(layer.errors < bound).tolist():
                 below += 1
                 assert layer.errors[i] < layer.parents[layer.operand[i]].errors
-                assert layer.errors[i] < c.pool[layer.feature[i]].errors
+                assert layer.errors[i] < pool[layer.feature[i]].errors
     assert below
 
 
@@ -341,14 +347,15 @@ def test_bulk_split_criteria_match_the_reference_for_every_candidate(monkeypatch
     depths = []
     for ls, config in sets:
         layers.clear()
-        c, rep = nr.synthesize(ls, config)
+        _, rep = nr.synthesize(ls, config)
+        pool = training_pool(ls, config)
         split = split_even(ls, config.seed)
         depths.append(len(rep.traces) - 1)
         assert sum(len(layer) for _, layer in layers) == sum(t.expanded for t in rep.traces[1:])
         for _, layer in layers:
             neurons = layer.survivors(np.arange(len(layer))).neurons
-            assert layer.cr.tolist() == [sum(split_criteria(n.expression, c.pool, split, ls)) for n in neurons]
-        assert rep.traces[0].min_cr == min(sum(split_criteria(n.expression, c.pool, split, ls))
+            assert layer.cr.tolist() == [sum(split_criteria(n.expression, pool, split, ls)) for n in neurons]
+        assert rep.traces[0].min_cr == min(sum(split_criteria(n.expression, pool, split, ls))
                                            for n in rep.traces[0].survivors)
     assert max(depths) >= 3
 
@@ -361,10 +368,11 @@ def test_survivor_fits_follow_the_chosen_candidates(monkeypatch):
     _, deep, deep_config = deep_cases()[3]
     for ls, config in ((conjunction_set(2), nr.SynthesisConfig(mode="split", max_p=1, seed=2)), (deep, deep_config)):
         layers.clear()
-        c, _ = nr.synthesize(ls, config)
+        nr.synthesize(ls, config)
+        pool = training_pool(ls, config)
         split = split_even(ls, config.seed)
-        views = [nr.pool_bits(c.pool, ls.values)]
-        views += [nr.pool_bits(_refit(c.pool, s, ls), ls.values) for s in split]
+        views = [nr.pool_bits(pool, ls.values)]
+        views += [nr.pool_bits(_refit(pool, s, ls), ls.values) for s in split]
         assert len(layers) >= 2
         for _, layer in layers:
             positions = np.arange(len(layer))[::-3]
@@ -438,8 +446,8 @@ def test_strict_descent_and_layer_bound():
 def test_neuron_depth_equals_layer_and_columns_match_expressions():
     for seed in (4, 7, 14):
         ls = random_set(seed)
-        c, rep = nr.synthesize(ls)
-        bits = nr.pool_bits(c.pool, ls.values)
+        _, rep = nr.synthesize(ls)
+        bits = nr.pool_bits(training_pool(ls), ls.values)
         for trace in rep.traces:
             for neuron in trace.survivors:
                 assert expr_depth(neuron.expression) == neuron.layer == trace.index
@@ -451,8 +459,8 @@ def test_neuron_depth_equals_layer_and_columns_match_expressions():
 def test_no_layer_holds_two_neurons_with_one_column():
     for seed in range(12):
         ls = random_set(seed)
-        c, rep = nr.synthesize(ls)
-        bits = nr.pool_bits(c.pool, ls.values)
+        _, rep = nr.synthesize(ls)
+        bits = nr.pool_bits(training_pool(ls), ls.values)
         for trace in rep.traces:
             keys = [nr.eval_expr(n.expression, bits).tobytes() for n in trace.survivors]
             assert len(keys) == len(set(keys))
@@ -495,7 +503,10 @@ def test_collective_members_share_the_minimal_error_count():
         c, rep = nr.synthesize(ls)
         assert {n.errors for n in c.neurons} == {rep.final_errors}
         kept = rep.traces[c.neurons[0].layer]
-        assert c.neurons == [n for n in kept.survivors if n.errors == rep.final_errors]
+        # the trace reads the training pool, the collective only the cuts it keeps
+        leaves = training_indices(c, training_pool(ls))
+        assert [(relabel(n.expression, leaves), n.layer, n.errors) for n in c.neurons] == [
+            (n.expression, n.layer, n.errors) for n in kept.survivors if n.errors == rep.final_errors]
 
 
 def test_two_runs_produce_byte_identical_models():
