@@ -372,6 +372,15 @@ def _renumbered(expr: Expr, index: dict[int, int]) -> Expr:
     return (name, _renumbered(left, index), _renumbered(right, index))
 
 
+def training_pool(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[list[QuantizedFeature], list[QuantizedFeature]]:
+    """The single-variable cuts and the pool every layer grows from; the
+    report's survivors index this pool, the collective only the cuts it reads."""
+    config = config or SynthesisConfig()
+    base = [quantize_source(ls, (j,)) for j in range(ls.m)]
+    max_p = min(config.max_p, ls.m) if config.max_p is not None else min(ls.m, 4)
+    return base, substitute(base, search_products(ls, base, max_p) if max_p >= 2 else [])
+
+
 def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[Collective, SynthesisReport]:
     """Quantize, search products, grow layers, and assemble the collective.
 
@@ -381,10 +390,7 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
     """
     config = config or SynthesisConfig()
     labels = ls.labels
-    base = [quantize_source(ls, (j,)) for j in range(ls.m)]
-    max_p = min(config.max_p, ls.m) if config.max_p is not None else min(ls.m, 4)
-    admitted_products = search_products(ls, base, max_p) if max_p >= 2 else []
-    pool = substitute(base, admitted_products)
+    base, pool = training_pool(ls, config)
     bits = pool_bits(pool, ls.values)   # every layer grows from the pool's training bits
     split_mode = config.mode == MODE_SPLIT
     views = [bits]

@@ -22,8 +22,7 @@ import neurules as nr
 from neurules import cli
 from neurules.errors import DataError
 from neurules.model_io import model_text
-from neurules.features import search_products, substitute
-from neurules.quantization import quantize, quantize_source
+from neurules.quantization import quantize
 from neurules.synthesis import Survivors
 
 
@@ -85,16 +84,6 @@ def leaf_operands(pool, ls: nr.LearningSet) -> Survivors:
     as bare-leaf neuron i, with its packed training column as the one view."""
     neurons = [nr.Neuron(i, 0, f.errors) for i, f in enumerate(pool)]
     return Survivors(neurons, np.packbits(nr.pool_bits(pool, ls.values)[None], axis=-1))
-
-
-def training_pool(ls: nr.LearningSet, config: nr.SynthesisConfig | None = None) -> list:
-    """The pool ``synthesize`` grows its layers from, rebuilt by the calls it
-    makes: the trace and the candidate layers index this pool, while the
-    collective keeps only the cuts its neurons read."""
-    config = config or nr.SynthesisConfig()
-    base = [quantize_source(ls, (j,)) for j in range(ls.m)]
-    max_p = min(config.max_p, ls.m) if config.max_p is not None else min(ls.m, 4)
-    return substitute(base, search_products(ls, base, max_p) if max_p >= 2 else [])
 
 
 def training_indices(c: nr.Collective, pool) -> list[int]:

@@ -20,6 +20,7 @@ from neurules.synthesis import (
     select_survivors,
     should_stop,
     split_criteria,
+    training_pool,
 )
 
 from helpers import (
@@ -33,7 +34,6 @@ from helpers import (
     random_set,
     relabel,
     training_indices,
-    training_pool,
     xor_set,
 )
 
@@ -133,7 +133,7 @@ def test_duplicate_columns_keep_the_first_occurrence(monkeypatch):
             ls = random_set(seed)
             config = nr.SynthesisConfig(mode=mode, max_p=1)
             nr.synthesize(ls, config)
-            bits = nr.pool_bits(training_pool(ls, config), ls.values)
+            bits = nr.pool_bits(training_pool(ls, config)[1], ls.values)
             assert layers
             for parents, layer in layers:
                 neurons = layer.survivors(np.arange(len(layer))).neurons
@@ -151,7 +151,7 @@ def test_split_dedup_keys_on_the_training_column_only(monkeypatch):
     _, ls, config = golden_cases()[5]
     assert config.mode == "split"
     nr.synthesize(ls, config)
-    pool = training_pool(ls, config)
+    _, pool = training_pool(ls, config)
     split = split_even(ls, config.seed)
     _, layer = layers[0]
     kept = [n.expression for n in layer.survivors(np.arange(len(layer))).neurons]
@@ -204,7 +204,7 @@ def test_beating_the_last_layer_beats_both_operands(monkeypatch):
     for ls, config in sets:
         layers.clear()
         _, rep = nr.synthesize(ls, config)
-        pool = training_pool(ls, config)
+        _, pool = training_pool(ls, config)
         for _, layer in layers:
             bound = rep.traces[layer.layer - 1].min_errors
             for i in np.flatnonzero(layer.errors < bound).tolist():
@@ -348,7 +348,7 @@ def test_bulk_split_criteria_match_the_reference_for_every_candidate(monkeypatch
     for ls, config in sets:
         layers.clear()
         _, rep = nr.synthesize(ls, config)
-        pool = training_pool(ls, config)
+        _, pool = training_pool(ls, config)
         split = split_even(ls, config.seed)
         depths.append(len(rep.traces) - 1)
         assert sum(len(layer) for _, layer in layers) == sum(t.expanded for t in rep.traces[1:])
@@ -369,7 +369,7 @@ def test_survivor_fits_follow_the_chosen_candidates(monkeypatch):
     for ls, config in ((conjunction_set(2), nr.SynthesisConfig(mode="split", max_p=1, seed=2)), (deep, deep_config)):
         layers.clear()
         nr.synthesize(ls, config)
-        pool = training_pool(ls, config)
+        _, pool = training_pool(ls, config)
         split = split_even(ls, config.seed)
         views = [nr.pool_bits(pool, ls.values)]
         views += [nr.pool_bits(_refit(pool, s, ls), ls.values) for s in split]
@@ -447,7 +447,7 @@ def test_neuron_depth_equals_layer_and_columns_match_expressions():
     for seed in (4, 7, 14):
         ls = random_set(seed)
         _, rep = nr.synthesize(ls)
-        bits = nr.pool_bits(training_pool(ls), ls.values)
+        bits = nr.pool_bits(training_pool(ls)[1], ls.values)
         for trace in rep.traces:
             for neuron in trace.survivors:
                 assert expr_depth(neuron.expression) == neuron.layer == trace.index
@@ -460,7 +460,7 @@ def test_no_layer_holds_two_neurons_with_one_column():
     for seed in range(12):
         ls = random_set(seed)
         _, rep = nr.synthesize(ls)
-        bits = nr.pool_bits(training_pool(ls), ls.values)
+        bits = nr.pool_bits(training_pool(ls)[1], ls.values)
         for trace in rep.traces:
             keys = [nr.eval_expr(n.expression, bits).tobytes() for n in trace.survivors]
             assert len(keys) == len(set(keys))
@@ -478,8 +478,8 @@ def test_survivor_counts_respect_the_cap():
 def test_final_errors_never_beat_the_contradiction_floor():
     for seed in range(12):
         ls = random_set(seed)
-        c, rep = nr.synthesize(ls)
-        assert rep.final_errors >= nr.contradiction_bound(ls, c.pool)
+        _, rep = nr.synthesize(ls)
+        assert rep.final_errors >= nr.contradiction_bound(ls, training_pool(ls)[1])
 
 
 def test_stalled_run_reports_floor_and_doubtful_rows():
@@ -504,7 +504,7 @@ def test_collective_members_share_the_minimal_error_count():
         assert {n.errors for n in c.neurons} == {rep.final_errors}
         kept = rep.traces[c.neurons[0].layer]
         # the trace reads the training pool, the collective only the cuts it keeps
-        leaves = training_indices(c, training_pool(ls))
+        leaves = training_indices(c, training_pool(ls)[1])
         assert [(relabel(n.expression, leaves), n.layer, n.errors) for n in c.neurons] == [
             (n.expression, n.layer, n.errors) for n in kept.survivors if n.errors == rep.final_errors]
 
@@ -549,8 +549,9 @@ def test_small_boolean_pools_reach_the_brute_force_floor_or_report_gap():
         if labels.min() == labels.max():
             labels[0] ^= 1
         ls = nr.from_arrays(values, labels)
-        c, rep = nr.synthesize(ls, nr.SynthesisConfig(max_p=1))
-        floor = nr.contradiction_bound(ls, c.pool)
+        config = nr.SynthesisConfig(max_p=1)
+        _, rep = nr.synthesize(ls, config)
+        floor = nr.contradiction_bound(ls, training_pool(ls, config)[1])
         assert rep.final_errors >= floor
         if rep.stop_cause == "CR=0":
             assert rep.final_errors == 0
