@@ -19,7 +19,7 @@ from . import neurons
 from .dataset import LearningSet
 from .errors import DataError
 from .neurons import Neuron, eval_expr
-from .quantization import QuantizedFeature, pool_bits
+from .quantization import QuantizedFeature, pool_bits, row_bits
 
 DEFAULT_CHI0 = Fraction(4, 5)
 
@@ -46,7 +46,8 @@ def check_chi0(chi0: Fraction) -> None:
 @dataclass
 class Collective:
     """Equal-error neurons plus everything needed to quantize fresh inputs;
-    a neuron leaf outside the pool raises ValueError."""
+    a neuron leaf outside the pool, or a pool cut that reads no variable or
+    one outside ``variable_names``, raises ValueError."""
 
     neurons: list[Neuron]
     pool: list[QuantizedFeature]
@@ -60,6 +61,13 @@ class Collective:
         outside = sorted(k for n in self.neurons for k in n.leaves if not 0 <= k < len(self.pool))
         if outside:
             raise ValueError(f"neuron leaf {outside[0]} is outside the pool of {len(self.pool)}")
+        m = len(self.variable_names)
+        for f in self.pool:
+            if not f.source:
+                raise ValueError(f"pool source must be a non-empty list of variable indices, not {f.source!r}")
+            for i in f.source:
+                if type(i) is not int or not 0 <= i < m:   # True is no index, and -1 no variable
+                    raise ValueError(f"pool source index {i!r} is not a variable index below {m}")
         self.chi0 = _as_fraction(self.chi0, "chi0")
         check_chi0(self.chi0)
 
@@ -116,7 +124,9 @@ def quantize_input(c: Collective, x) -> np.ndarray:
         raise DataError(f"width mismatch: model expects {m} values, got {x.shape}")
     if not np.isfinite(x).all():
         raise DataError("non-finite value in input vector")
-    return pool_bits(c.pool, x.reshape(-1, m)).T.reshape(x.shape[:-1] + (len(c.pool),))
+    if x.ndim == 1:
+        return np.array(row_bits(c.pool, x))
+    return pool_bits(c.pool, x).T
 
 
 def vote(c: Collective, bits) -> Verdict:

@@ -76,7 +76,7 @@ def dict_to_model(data: dict) -> LoadedModel:
         variable_names = _names(data["variable_names"], "variable_names")
         pool = [
             QuantizedFeature(
-                source=_source(f["source"], len(variable_names)),
+                source=tuple(_typed(f["source"], (list,), "pool source must be a list of variable indices")),
                 threshold=float(_typed(f["threshold"], (int, float), "pool threshold must be a number")),
                 polarity=str(f["polarity"]),
                 errors=_count(f["errors"], "pool errors"),
@@ -143,16 +143,6 @@ def _names(data, key: str) -> tuple[str, ...]:
     if not isinstance(data, list):
         raise ModelFormatError(f"{key} must be a list of strings")
     return unique_names(data, key, ModelFormatError)
-
-
-def _source(data, m: int) -> tuple[int, ...]:
-    """A pool feature's variable indices: a non-empty list of integers below ``m``."""
-    if not isinstance(data, list) or not data:
-        raise ModelFormatError(f"pool source must be a non-empty list of variable indices, not {data!r}")
-    for i in data:
-        if type(i) is not int or not 0 <= i < m:
-            raise ModelFormatError(f"pool source index {i!r} is not a variable index below {m}")
-    return tuple(data)
 
 
 def model_text(collective: Collective, report: dict | None = None, config: dict | None = None) -> str:

@@ -56,9 +56,11 @@ class QuantizedFeature:
 def product_values(values: np.ndarray, source) -> np.ndarray:
     """Column (or columns product) of a raw value matrix for a source index set.
 
-    A product that overflows is +-inf, without a warning.  On finite values
-    ``nan`` can only come from ``inf * 0``, and a zero factor makes the exact
-    product 0, so such a row reads 0.
+    The product rule, which ``pool_bits`` (a matrix) and ``row_bits`` (one
+    row, in plain floats) both follow: the factors multiply left to right in
+    float64.  A product that overflows is +-inf, without a warning.  On
+    finite values ``nan`` can only come from ``inf * 0``, and a zero factor
+    makes the exact product 0, so such a row reads 0.
     """
     source = tuple(source)
     if len(source) == 1:
@@ -74,6 +76,21 @@ def product_values(values: np.ndarray, source) -> np.ndarray:
 def pool_bits(features, values: np.ndarray) -> np.ndarray:
     """Each cut applied to its source values of a raw ``(n, m)`` matrix: bits ``(|features|, n)``."""
     return np.array([f.apply(product_values(values, f.source)) for f in features])
+
+
+def row_bits(features, row: np.ndarray) -> list[bool]:
+    """``pool_bits`` of one raw row ``(m,)``, bit for bit, in plain Python floats:
+    for one row, NumPy's per-call cost outweighs the arithmetic."""
+    values = row.tolist()
+    bits = []
+    for f in features:
+        product = values[f.source[0]]
+        for j in f.source[1:]:
+            product *= values[j]
+        if product != product:   # inf * 0
+            product = 0.0
+        bits.append(product >= f.threshold if f.polarity == GE else product < f.threshold)
+    return bits
 
 
 def _pack(columns) -> np.ndarray:

@@ -9,14 +9,22 @@ from hypothesis import strategies as st
 
 import neurules as nr
 from neurules.collective import coherence_table, quantize_input, vote
+from neurules.quantization import product_values
 
-from helpers import deep_cases, eval_bits, golden_cases
+from helpers import deep_cases, eval_bits, golden_cases, golden_holdout
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CASES = golden_cases() + deep_cases()
 
 
 def _feature(j, threshold=0.5):
     return nr.QuantizedFeature((j,), threshold, "ge", 0)
+
+
+def _reading(source):
+    """A two-variable collective whose one cut reads ``source``."""
+    return nr.Collective([nr.Neuron(0, 0, 0)], [nr.QuantizedFeature(source, 0.5, "ge", 0)], Fraction(4, 5),
+                         ("neg", "pos"), ("x1", "x2"))
 
 
 def _collective(exprs, k=2, chi0=Fraction(4, 5), names=None):
@@ -60,10 +68,15 @@ def test_collective_validation():
     (lambda: nr.QuantizedFeature((0,), 0.5, "gt", 0), "^unknown polarity: 'gt'$"),
     (lambda: nr.QuantizedFeature((0,), float("inf"), "ge", 0), "^non-finite threshold: inf$"),
     (lambda: nr.QuantizedFeature((0,), float("nan"), "lt", 0), "^non-finite threshold: nan$"),
-], ids=["leaf-beyond-pool", "negative-leaf", "gt-polarity", "infinite-threshold", "nan-threshold"])
+    (lambda: _reading((-1,)), r"^pool source index -1 is not a variable index below 2$"),
+    (lambda: _reading((5,)), r"^pool source index 5 is not a variable index below 2$"),
+    (lambda: _reading(()), r"^pool source must be a non-empty list of variable indices, not \(\)$"),
+    (lambda: _reading((True,)), r"^pool source index True is not a variable index below 2$"),
+], ids=["leaf-beyond-pool", "negative-leaf", "gt-polarity", "infinite-threshold", "nan-threshold",
+        "negative-source", "source-beyond-variables", "empty-source", "bool-source"])
 def test_invalid_models_are_refused_when_built(build, message):
-    # each once built and saved, then classified through an IndexError or,
-    # for "gt", silently as "<"
+    # each once built and saved, then classified through an IndexError or
+    # silently wrong: "gt" as "<", source -1 as the last variable, True as 1
     with pytest.raises(ValueError, match=message):
         build()
 
@@ -149,6 +162,42 @@ def test_quantize_input_respects_thresholds_and_products():
     assert quantize_input(c, [1.0, 7.0]).tolist() == [False, False]   # 1 < 2; 7 >= 6
     # a matrix quantizes row by row
     assert quantize_input(c, [[3.0, 1.0], [1.0, 7.0]]).tolist() == [[True, True], [False, False]]
+
+
+# overflow to +-inf, and inf * 0, which reads 0 like the exact product
+_EDGE_VALUES = st.sampled_from([1e200, -1e200, 1e-200, -1e-200, 0.0, -0.0, 1e308]) | st.integers(-3, 3).map(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4))
+def test_one_row_quantizes_bit_for_bit_like_a_one_row_matrix(data, m):
+    # thresholds sit on the row's own products and on their neighbouring
+    # floats, where the polarity and the product's rounding decide the bit
+    row = np.array(data.draw(st.lists(_EDGE_VALUES, min_size=m, max_size=m)))
+    pool = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        source = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4)))
+        product = float(product_values(row[None], source)[0])
+        near = [t for t in (product, np.nextafter(product, -np.inf), np.nextafter(product, np.inf)) if np.isfinite(t)]
+        pool.append(nr.QuantizedFeature(source, float(data.draw(st.sampled_from(near))),
+                                        data.draw(st.sampled_from([nr.GE, nr.LT])), 0))
+    c = nr.Collective([nr.Neuron(0, 0, 0)], pool, Fraction(4, 5), ("neg", "pos"), tuple(f"x{j}" for j in range(m)))
+    _assert_row_path_is_matrix_path(c, row)
+
+
+@pytest.mark.parametrize("seed", range(len(GOLDEN_CASES)), ids=[name for name, _, _ in GOLDEN_CASES])
+def test_golden_rows_quantize_bit_for_bit_like_a_one_row_matrix(seed):
+    # the pinned predict rows and the training rows of each golden model
+    name, ls, _ = GOLDEN_CASES[seed]
+    c = nr.load_model(GOLDEN / f"{name}.json").collective
+    for row in np.concatenate([golden_holdout(seed, ls).values, ls.values]):
+        _assert_row_path_is_matrix_path(c, row)
+
+
+def _assert_row_path_is_matrix_path(c, row):
+    one = quantize_input(c, row)
+    assert one.dtype == bool and one.shape == (len(c.pool),)
+    assert one.tolist() == quantize_input(c, np.array([row]))[0].tolist(), row.tolist()
 
 
 def test_coherence_table_matches_manual_vote_counts():
@@ -286,7 +335,7 @@ def test_evaluate_votes_like_classify_per_row_on_a_5000_row_batch(golden_models,
     # column's value in a random training row, so the batch holds many
     # repeated and many distinct pool-bit patterns
     c, reloaded = golden_models[name]
-    ls = {case: ls for case, ls, _ in golden_cases() + deep_cases()}[name]
+    ls = {case: ls for case, ls, _ in GOLDEN_CASES}[name]
     rng = np.random.default_rng(22)
     rows = ls.values[rng.integers(0, ls.n, size=(5000, ls.m)), np.arange(ls.m)]
     labels = rng.integers(0, 2, size=5000)
