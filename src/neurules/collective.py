@@ -8,20 +8,22 @@ float rounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from math import isfinite
 from numbers import Rational
 
 import numpy as np
 
 from . import neurons
-from .dataset import LearningSet
+from .dataset import LearningSet, unique_names
 from .errors import DataError
 from .neurons import Neuron, eval_expr
 from .quantization import QuantizedFeature, pool_bits, row_bits
 
 DEFAULT_CHI0 = Fraction(4, 5)
+_NON_FINITE = "non-finite value in input vector"
 
 
 def _as_fraction(value, name: str) -> Fraction:
@@ -43,19 +45,32 @@ def check_chi0(chi0: Fraction) -> None:
         raise ValueError(f"chi0 must lie in [1/2, 1], got {chi0}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Collective:
-    """Equal-error neurons plus everything needed to quantize fresh inputs;
-    a neuron leaf outside the pool, or a pool cut that reads no variable or
-    one outside ``variable_names``, raises ValueError."""
+    """Equal-error neurons plus everything needed to quantize fresh inputs.
 
-    neurons: list[Neuron]
-    pool: list[QuantizedFeature]
+    Frozen, with the neurons and the pool held as tuples, so the vote-rule
+    table built here always states the rule of these fields: ``outcomes[k]``
+    is the (decision, chi) of k 1-votes.  A neuron leaf outside the pool, a
+    pool cut that reads no variable or one outside ``variable_names``,
+    names that are blank or repeat, or class names that are not two raise
+    ValueError.
+    """
+
+    neurons: tuple[Neuron, ...]
+    pool: tuple[QuantizedFeature, ...]
     chi0: Fraction
     label_names: tuple[str, str]
     variable_names: tuple[str, ...]
+    outcomes: tuple[tuple[str | None, Fraction], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "neurons", tuple(self.neurons))
+        object.__setattr__(self, "pool", tuple(self.pool))
+        for key in ("variable_names", "label_names"):
+            object.__setattr__(self, key, unique_names(getattr(self, key), key, ValueError))
+        if len(self.label_names) != 2:
+            raise ValueError(f"label_names must name two classes, got {self.label_names!r}")
         if not self.neurons:
             raise ValueError("collective needs at least one neuron")
         outside = sorted(k for n in self.neurons for k in n.leaves if not 0 <= k < len(self.pool))
@@ -68,12 +83,30 @@ class Collective:
             for i in f.source:
                 if type(i) is not int or not 0 <= i < m:   # True is no index, and -1 no variable
                     raise ValueError(f"pool source index {i!r} is not a variable index below {m}")
-        self.chi0 = _as_fraction(self.chi0, "chi0")
-        check_chi0(self.chi0)
+        chi0 = _as_fraction(self.chi0, "chi0")
+        check_chi0(chi0)
+        object.__setattr__(self, "chi0", chi0)
+        object.__setattr__(self, "outcomes", _vote_rule(len(self.neurons), chi0, self.label_names))
 
     @property
     def size(self) -> int:
         return len(self.neurons)
+
+
+def _vote_rule(size: int, chi0: Fraction, label_names: tuple[str, str]) -> tuple[tuple[str | None, Fraction], ...]:
+    """The vote rule of ``size`` neurons as (decision, chi) per 1-vote count 0..size.
+
+    chi is the winning share; the decision is None (refused) below chi0, and
+    on an exact tie, which is refused with chi = 1/2 whatever chi0 is.
+    """
+    table = []
+    for ones in range(size + 1):
+        if 2 * ones == size:
+            table.append((None, Fraction(1, 2)))
+            continue
+        chi = Fraction(max(ones, size - ones), size)
+        table.append((label_names[int(2 * ones > size)] if chi >= chi0 else None, chi))
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -122,30 +155,21 @@ def quantize_input(c: Collective, x) -> np.ndarray:
     m = len(c.variable_names)
     if x.ndim not in (1, 2) or x.shape[-1] != m:
         raise DataError(f"width mismatch: model expects {m} values, got {x.shape}")
-    if not np.isfinite(x).all():
-        raise DataError("non-finite value in input vector")
-    if x.ndim == 1:
-        return np.array(row_bits(c.pool, x))
-    return pool_bits(c.pool, x).T
+    if x.ndim == 2:
+        if not np.isfinite(x).all():
+            raise DataError(_NON_FINITE)
+        return pool_bits(c.pool, x).T
+    # one row in plain Python floats: NumPy's per-call cost outweighs a few cuts
+    row = x.tolist()
+    if not all(map(isfinite, row)):
+        raise DataError(_NON_FINITE)
+    return np.array(row_bits(c.pool, row))
 
 
 def vote(c: Collective, bits) -> Verdict:
-    """Tally the neurons on one row of pool bits and apply the refusal rule."""
+    """Tally the neurons on one row of pool bits and read the collective's vote rule."""
     votes = tuple(int(eval_expr(n.expression, bits)) for n in c.neurons)
-    return Verdict(*_outcome(c, sum(votes)), votes)
-
-
-def _outcome(c: Collective, ones: int) -> tuple[str | None, Fraction]:
-    """The vote rule on ``ones`` 1-votes of the c.size neurons: (decision, chi).
-
-    chi is the winning share; the decision is None (refused) below chi0, and
-    on an exact tie, which is refused with chi = 1/2 whatever chi0 is.
-    """
-    size = c.size
-    if 2 * ones == size:
-        return None, Fraction(1, 2)
-    chi = Fraction(max(ones, size - ones), size)
-    return (c.label_names[int(2 * ones > size)] if chi >= c.chi0 else None), chi
+    return Verdict(*c.outcomes[sum(votes)], votes)
 
 
 def classify(c: Collective, x) -> Verdict:
@@ -167,7 +191,7 @@ def coherence_table(c: Collective) -> CoherenceTable:
         raise ValueError(f"table too large: 2^{k} combinations")
     patterns = list(product((0, 1), repeat=k))
     counts = _vote_counts(c, np.array(patterns, dtype=bool).T).tolist()
-    outcomes = {ones: _outcome(c, ones) for ones in set(counts)}
+    outcomes = c.outcomes
     rows = {bits: outcomes[ones][1] for bits, ones in zip(patterns, counts)}
     refused = sum(outcomes[ones][0] is None for ones in counts)
     return CoherenceTable(rows, Fraction(refused, 2 ** k))
@@ -212,7 +236,7 @@ def evaluate(c: Collective, values, labels) -> EvalMetrics:
         if not rows:
             continue
         winning += rows * max(ones, size - ones)
-        decision, _ = _outcome(c, ones)
+        decision = c.outcomes[ones][0]
         if decision is None:
             refusals += rows
             continue

@@ -86,8 +86,8 @@ def unique_names(names, key: str, error: type[Exception] = DataError) -> tuple[s
         raise error(f"{key} must be a list of strings")
     if not all(name.strip() for name in names):
         raise error(f"{key} holds an empty or blank name")
-    repeated = [name for name, k in Counter(names).items() if k > 1]
-    if repeated:
+    if len(set(names)) < len(names):
+        repeated = [name for name, k in Counter(names).items() if k > 1]
         raise error(f"{key} names {repeated[0]!r} more than once")
     return names
 

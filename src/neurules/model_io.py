@@ -19,7 +19,7 @@ from fractions import Fraction
 from .collective import Collective
 from .dataset import unique_names
 from .errors import ModelFormatError
-from .neurons import Neuron, expr_from_json, expr_to_json
+from .neurons import Neuron, expr_depth, expr_from_json, expr_to_json
 from .quantization import QuantizedFeature
 
 FORMAT_VERSION = 1
@@ -83,33 +83,27 @@ def dict_to_model(data: dict) -> LoadedModel:
             )
             for f in data["pool"]
         ]
-        neurons = [
-            Neuron(
-                expression=expr_from_json(n["expression"]),
-                layer=_count(n["layer"], "neuron layer"),
-                errors=_count(n["errors"], "neuron errors"),
-            )
+        stored = [
+            (expr_from_json(n["expression"]), _count(n["layer"], "neuron layer"), _count(n["errors"], "neuron errors"))
             for n in data["neurons"]
         ]
-        collective = Collective(
-            neurons=neurons,
-            pool=pool,
-            chi0=Fraction(_typed(data["chi0"], (str,), 'chi0 must be a fraction string such as "4/5"')),
-            label_names=_names(data["label_names"], "label_names"),
-            variable_names=variable_names,
-        )
-        for n in neurons:
-            depth = _depth(n.expression)
-            if n.layer != depth:
-                raise ModelFormatError(f"neuron layer {n.layer} is not its expression's depth {depth}")
+        chi0 = Fraction(_typed(data["chi0"], (str,), 'chi0 must be a fraction string such as "4/5"'))
+        label_names = _names(data["label_names"], "label_names")
+        if len(label_names) != 2:
+            raise ModelFormatError("model must name exactly two classes")
+        # built at each expression's depth, so the leaf and source checks
+        # speak first and a stored layer is refused with its own message
+        neurons = [Neuron(expression, expr_depth(expression), errors) for expression, _, errors in stored]
+        collective = Collective(neurons, pool, chi0, label_names, variable_names)
+        for n, (_, layer, _) in zip(neurons, stored):
+            if layer != n.layer:
+                raise ModelFormatError(f"neuron layer {layer} is not its expression's depth {n.layer}")
     except ModelFormatError:
         raise
     except RecursionError:
         raise ModelFormatError("malformed model file: an expression is nested too deeply") from None
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
         raise ModelFormatError(f"malformed model file: {exc}") from exc
-    if len(collective.label_names) != 2:
-        raise ModelFormatError("model must name exactly two classes")
     config = data.get("config") or {}
     if not isinstance(config, dict):
         raise ModelFormatError("model config must be a JSON object")
@@ -117,11 +111,6 @@ def dict_to_model(data: dict) -> LoadedModel:
     if "label_column" in config and not (type(label_column) is str and label_column):
         raise ModelFormatError(f"config label_column must be a non-empty string, not {label_column!r}")
     return LoadedModel(collective, dict(config), data.get("report"))
-
-
-def _depth(expr) -> int:
-    """An expression's connective depth: 0 for a bare leaf."""
-    return 1 + max(_depth(expr[1]), _depth(expr[2])) if type(expr) is tuple else 0
 
 
 def _typed(data, kinds: tuple[type, ...], what: str):

@@ -58,6 +58,11 @@ def expr_leaves(expr: Expr, leaves: set[int] | None = None) -> set[int]:
     return leaves
 
 
+def expr_depth(expr: Expr) -> int:
+    """An expression's connective depth: 0 for a bare leaf."""
+    return 1 + max(expr_depth(expr[1]), expr_depth(expr[2])) if type(expr) is tuple else 0
+
+
 def expr_to_json(expr: Expr):
     if type(expr) is not tuple:
         return int(expr)
@@ -81,13 +86,18 @@ class Neuron:
 
     ``layer`` equals the expression's connective depth; layer 0 neurons are
     bare quantized features, produced when the pool alone already satisfies a
-    stopping rule.  Its output on any rows is ``eval_expr(expression, bits)``
-    on their pool bits.
+    stopping rule; any other ``layer`` raises ValueError.  Its output on any
+    rows is ``eval_expr(expression, bits)`` on their pool bits.
     """
 
     expression: Expr
     layer: int
     errors: int
+
+    def __post_init__(self) -> None:
+        depth = expr_depth(self.expression)
+        if type(self.layer) is not int or self.layer != depth:   # a bool is no layer: the file would store true
+            raise ValueError(f"neuron layer {self.layer} is not its expression's depth {depth}")
 
     @property
     def leaves(self) -> set[int]:

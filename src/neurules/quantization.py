@@ -78,10 +78,9 @@ def pool_bits(features, values: np.ndarray) -> np.ndarray:
     return np.array([f.apply(product_values(values, f.source)) for f in features])
 
 
-def row_bits(features, row: np.ndarray) -> list[bool]:
-    """``pool_bits`` of one raw row ``(m,)``, bit for bit, in plain Python floats:
-    for one row, NumPy's per-call cost outweighs the arithmetic."""
-    values = row.tolist()
+def row_bits(features, values: list[float]) -> list[bool]:
+    """``pool_bits`` of one raw row, given as a list of m Python floats, bit
+    for bit: for one row, NumPy's per-call cost outweighs the arithmetic."""
     bits = []
     for f in features:
         product = values[f.source[0]]

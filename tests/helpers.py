@@ -163,6 +163,22 @@ def expr_depth(expr) -> int:
     return 1 + max(expr_depth(left), expr_depth(right))
 
 
+def reference_vote_rule(size: int, chi0: Fraction, label_names) -> list:
+    """(decision, chi) per 1-vote count 0..size, in integer arithmetic: an
+    exact tie is refused at 1/2, else the majority class is decided when its
+    share w/size reaches chi0 = p/q, that is when w*q >= p*size."""
+    rule = []
+    for ones in range(size + 1):
+        zeros = size - ones
+        if ones == zeros:
+            rule.append((None, Fraction(1, 2)))
+            continue
+        winning = max(ones, zeros)
+        decided = winning * chi0.denominator >= chi0.numerator * size
+        rule.append((label_names[1 if ones > zeros else 0] if decided else None, Fraction(winning, size)))
+    return rule
+
+
 def golden_set(seed: int) -> nr.LearningSet:
     """Seeded set for the golden model corpus; ``seed % 4`` picks its shape.
 

@@ -38,6 +38,7 @@ from helpers import (
     brute_best_cut_errors,
     contradiction_set,
     eval_bits,
+    expr_depth,
     leaf_operands,
     matches,
     random_set,
@@ -198,7 +199,7 @@ def test_acceptance_5_search_space_combinatorics(monkeypatch, capsys):
 
 def _toy_collective(exprs, k, chi0):
     pool = [nr.QuantizedFeature((j,), 0.5, "ge", 0) for j in range(k)]
-    neurons = [nr.Neuron(e, 1, 0) for e in exprs]
+    neurons = [nr.Neuron(e, expr_depth(e), 0) for e in exprs]
     names = tuple(f"x{j + 1}" for j in range(k))
     return nr.Collective(neurons, pool, chi0, ("no", "yes"), names)
 

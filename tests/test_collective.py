@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -11,7 +12,7 @@ import neurules as nr
 from neurules.collective import coherence_table, quantize_input, vote
 from neurules.quantization import product_values
 
-from helpers import deep_cases, eval_bits, golden_cases, golden_holdout
+from helpers import deep_cases, eval_bits, expr_depth, golden_cases, golden_holdout, reference_vote_rule
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_CASES = golden_cases() + deep_cases()
@@ -27,9 +28,14 @@ def _reading(source):
                          ("neg", "pos"), ("x1", "x2"))
 
 
+def _named(label_names=("neg", "pos"), variable_names=("x1", "x2")):
+    """A one-neuron collective over a cut of x1, with the given names."""
+    return nr.Collective([nr.Neuron(0, 0, 0)], [_feature(0)], Fraction(4, 5), label_names, variable_names)
+
+
 def _collective(exprs, k=2, chi0=Fraction(4, 5), names=None):
-    # a bare leaf is a layer-0 neuron, as a model file must state it
-    neurons = [nr.Neuron(e, int(type(e) is tuple), 0) for e in exprs]
+    # each neuron's layer is its expression's depth, as a model file must state it
+    neurons = [nr.Neuron(e, expr_depth(e), 0) for e in exprs]
     pool = [_feature(j) for j in range(k)]
     return nr.Collective(
         neurons=neurons,
@@ -72,13 +78,45 @@ def test_collective_validation():
     (lambda: _reading((5,)), r"^pool source index 5 is not a variable index below 2$"),
     (lambda: _reading(()), r"^pool source must be a non-empty list of variable indices, not \(\)$"),
     (lambda: _reading((True,)), r"^pool source index True is not a variable index below 2$"),
+    (lambda: _named(("a",)), r"^label_names must name two classes, got \('a',\)$"),
+    (lambda: _named(("a", "b", "c")), r"^label_names must name two classes, got \('a', 'b', 'c'\)$"),
+    (lambda: _named(("a", "a")), "^label_names names 'a' more than once$"),
+    (lambda: _named(("a", " ")), "^label_names holds an empty or blank name$"),
+    (lambda: _named(variable_names=("x", "x")), "^variable_names names 'x' more than once$"),
+    (lambda: _named(variable_names=("x1", "")), "^variable_names holds an empty or blank name$"),
+    (lambda: _named(variable_names="x1"), "^variable_names must be a list of strings$"),
+    (lambda: nr.Neuron(0, 3, 0), "^neuron layer 3 is not its expression's depth 0$"),
+    (lambda: nr.Neuron(("AND", 0, ("OR", 0, 1)), 1, 0), "^neuron layer 1 is not its expression's depth 2$"),
+    (lambda: nr.Neuron(("AND", 0, 1), True, 0), "^neuron layer True is not its expression's depth 1$"),
 ], ids=["leaf-beyond-pool", "negative-leaf", "gt-polarity", "infinite-threshold", "nan-threshold",
-        "negative-source", "source-beyond-variables", "empty-source", "bool-source"])
+        "negative-source", "source-beyond-variables", "empty-source", "bool-source",
+        "one-class", "three-classes", "repeated-class", "blank-class", "repeated-variable", "blank-variable",
+        "string-variables", "layer-above-depth", "layer-below-depth", "bool-layer"])
 def test_invalid_models_are_refused_when_built(build, message):
     # each once built and saved, then classified through an IndexError or
-    # silently wrong: "gt" as "<", source -1 as the last variable, True as 1
+    # silently wrong: "gt" as "<", source -1 as the last variable, True as 1,
+    # a third class never decided, one column read for both of two "x"; a
+    # wrong layer was saved, and the file refused by load_model
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("name", ["neurons", "pool", "chi0", "label_names", "variable_names", "outcomes"])
+def test_a_collective_is_frozen(name):
+    c = _collective([0, 1])
+    assert type(c.neurons) is tuple and type(c.pool) is tuple
+    with pytest.raises(FrozenInstanceError):
+        setattr(c, name, getattr(c, name))
+
+
+@pytest.mark.parametrize("label_names", [("neg", "pos"), ("pos", "neg")])
+@pytest.mark.parametrize("chi0", ["1/2", "3/5", "2/3", "7/10", "4/5", "1"])
+def test_vote_rule_table_equals_the_reference(chi0, label_names):
+    chi0 = Fraction(chi0)
+    for size in range(1, 13):
+        c = nr.Collective([nr.Neuron(0, 0, 0)] * size, [_feature(0)], chi0, label_names, ("x1",))
+        assert list(c.outcomes) == reference_vote_rule(size, chi0, label_names), size
+        assert all(type(chi) is Fraction for _, chi in c.outcomes)
 
 
 def test_single_voter_always_has_full_coherence():
@@ -192,6 +230,33 @@ def test_golden_rows_quantize_bit_for_bit_like_a_one_row_matrix(seed):
     c = nr.load_model(GOLDEN / f"{name}.json").collective
     for row in np.concatenate([golden_holdout(seed, ls).values, ls.values]):
         _assert_row_path_is_matrix_path(c, row)
+
+
+# finite extremes: the largest float, the smallest subnormal, a negative zero
+_FINITE_EDGES = st.sampled_from([1e308, -1e308, 5e-324, -5e-324, -0.0, 0.0, 1.5]) | st.integers(-3, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 4))
+def test_one_row_forms_quantize_like_a_matrix_and_refuse_non_finite_values(data, m):
+    # cuts of each variable and of their product, at zero and at the
+    # subnormals around it, where a sign or an underflow decides the bit
+    cells = data.draw(st.lists(_FINITE_EDGES, min_size=m, max_size=m))
+    thresholds = st.sampled_from([0.0, 5e-324, -5e-324, 1.0])
+    pool = [nr.QuantizedFeature(source, data.draw(thresholds), data.draw(st.sampled_from([nr.GE, nr.LT])), 0)
+            for source in [(j,) for j in range(m)] + [tuple(range(m))]]
+    c = nr.Collective([nr.Neuron(0, 0, 0)], pool, Fraction(4, 5), ("neg", "pos"), tuple(f"x{j}" for j in range(m)))
+    expected = quantize_input(c, np.array([cells], dtype=np.float64))[0].tolist()
+    for row in (cells, tuple(cells), np.array(cells)):   # ints, floats or both
+        bits = quantize_input(c, row)
+        assert bits.dtype == bool and bits.tolist() == expected, row
+    # one value that is not finite, at any position, in any of the forms
+    bad = list(cells)
+    bad[data.draw(st.integers(0, m - 1))] = data.draw(st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+    for row in (bad, tuple(bad), np.array(bad), [bad]):
+        for call in (quantize_input, nr.classify):
+            with pytest.raises(nr.DataError, match="^non-finite value in input vector$"):
+                call(c, row)
 
 
 def _assert_row_path_is_matrix_path(c, row):

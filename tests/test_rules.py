@@ -13,7 +13,7 @@ from neurules.errors import ModelFormatError
 from neurules.neurons import CONNECTIVES
 from neurules.rules import MAX_RULE_LEAVES, extract_rules, minimal_cover, neuron_rule, prime_implicants
 
-from helpers import as_tuple, covers, eval_bits, matches, reference_minimal_cover, reference_prime_implicants
+from helpers import as_tuple, covers, eval_bits, expr_depth, matches, reference_minimal_cover, reference_prime_implicants
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -84,7 +84,7 @@ def _feature(j, threshold, polarity="ge"):
 
 
 def _collective_for(exprs, pool, names):
-    neurons = [nr.Neuron(e, 1, 0) for e in exprs]
+    neurons = [nr.Neuron(e, expr_depth(e), 0) for e in exprs]
     return nr.Collective(neurons, pool, Fraction(4, 5), ("no", "yes"), names)
 
 
@@ -175,7 +175,7 @@ def test_footer_names_the_tie_only_where_chi0_does_not_refuse_it():
         "DECISION: majority vote of 2 rule(s); refuse when coherence chi < 1/2 (= 0.50) or on an exact tie"
     )
     # above 1/2 the threshold already refuses a tie, and an odd vote cannot tie
-    for chi0, neurons in ((Fraction(3, 5), c.neurons), (Fraction(1, 2), c.neurons + [nr.Neuron(0, 0, 0)])):
+    for chi0, neurons in ((Fraction(3, 5), c.neurons), (Fraction(1, 2), [*c.neurons, nr.Neuron(0, 0, 0)])):
         other = nr.Collective(neurons, pool, chi0, ("no", "yes"), ("x1",))
         assert not nr.render_rules(other).endswith("tie")
 
