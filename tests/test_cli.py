@@ -2,8 +2,10 @@ import copy
 import csv
 import io
 import json
+import random
 import shutil
 import subprocess
+import traceback
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from functools import reduce
@@ -550,22 +552,27 @@ def _paths(node, path=()):
             yield from _paths(child, path + (i,))
 
 
-@st.composite
-def _mutated_model(draw, payload):
-    """The payload after 1-3 mutations: a deleted key or item, a value
-    swapped for one of another type, or a number pushed out of range."""
+def _mutate(payload, choose):
+    """The payload after 1-3 mutations, each pick made by ``choose(options)``:
+    a deleted key or item, a value swapped for one of another type, or a
+    number pushed out of range."""
     payload = copy.deepcopy(payload)
-    for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from([p for p in _paths(payload) if p]))
+    for _ in range(choose([1, 2, 3])):
+        path = choose([p for p in _paths(payload) if p])
         parent, key = reduce(getitem, path[:-1], payload), path[-1]
-        action = draw(st.sampled_from(["delete", "swap", "shift"]))
+        action = choose(["delete", "swap", "shift"])
         if action == "delete":
             del parent[key]
         elif action == "shift" and type(parent[key]) in (int, float):
-            parent[key] += draw(st.sampled_from([-(10**6), -7, -1, 1, 7, 10**6]))
+            parent[key] += choose([-(10**6), -7, -1, 1, 7, 10**6])
         else:
-            parent[key] = copy.deepcopy(draw(st.sampled_from(_ODD_VALUES)))
+            parent[key] = copy.deepcopy(choose(_ODD_VALUES))
     return json.loads(json.dumps(payload))   # as a model file would read back
+
+
+@st.composite
+def _mutated_model(draw, payload):
+    return _mutate(payload, lambda options: draw(st.sampled_from(options)))
 
 
 _GOLDEN_PAYLOADS = {p.stem: json.loads(p.read_text(encoding="utf-8")) for p in sorted(GOLDEN.glob("*.json"))}
@@ -592,6 +599,55 @@ def test_mutated_golden_models_fail_only_with_model_format_errors(cell_models, d
         else:
             assert (code, out) == (4, ""), argv[0]
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _assert_documented_exit(argv, context):
+    """main(argv) exits 0, 2, 3 or 4, with one error line on 2 and 4 and no traceback."""
+    try:
+        code, _, err = _run(argv)
+    except Exception:
+        pytest.fail(f"{argv[0]} raised on {context}:\n{traceback.format_exc()}")
+    assert code in (0, 2, 3, 4), (argv[0], code, err, context)
+    assert "Traceback" not in err, (argv[0], err, context)
+    if code in (2, 4):
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv[0], err, context)
+
+
+# a random training table's cells, and what may replace one cell, class or
+# name: a blank, a non-number, an overflow, a third class or a repeated name
+_NUMBERS = ("0", "1", "-2.5", "3e2", "1e308", "-0")
+_ODD_CELLS = ("", " ", "nan", "inf", "x", "1e400", "c", "v0", "y")
+
+
+def test_seeded_mutations_through_every_command_exit_with_a_documented_code(tmp_path):
+    # the guard on the model types' checks: mutated golden models through
+    # rules, predict and eval, and random small tables through train
+    rng = random.Random(2005)
+    model, rows, table = tmp_path / "mutated.json", tmp_path / "rows.csv", tmp_path / "table.csv"
+    names = sorted(_GOLDEN_PAYLOADS)
+    for _ in range(300):
+        name = rng.choice(names)
+        payload = copy.deepcopy(_GOLDEN_PAYLOADS[name])
+        payload["config"]["label_column"] = "y"   # so that eval reaches the vote
+        variables = payload["variable_names"]
+        payload = _mutate(payload, rng.choice)
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        _write_csv(rows, [*variables, "y"],
+                   [[rng.choice(_NUMBERS) for _ in variables] + [rng.choice("01")] for _ in range(3)])
+        for argv in (["rules", "--model", str(model)],
+                     ["predict", "--model", str(model), "--data", str(rows)],
+                     ["eval", "--model", str(model), "--data", str(rows)]):
+            _assert_documented_exit(argv, (name, payload))
+    for _ in range(100):
+        header = [f"v{j}" for j in range(rng.randint(1, 3))] + ["y"]
+        table_rows = [header] + [[rng.choice(_NUMBERS) for _ in header[:-1]] + [rng.choice("ab")]
+                                 for _ in range(rng.randint(2, 8))]
+        if rng.random() < 0.5:
+            row = rng.choice(table_rows)
+            row[rng.randrange(len(row))] = rng.choice(_ODD_CELLS)
+        _write_csv(table, table_rows[0], table_rows[1:])
+        _assert_documented_exit(["train", "--data", str(table), "--label", "y", "--out", str(model)],
+                                table_rows)
 
 
 # bytes a CSV mutation draws: non-ASCII ones, NUL, quotes, commas, newlines and digits
