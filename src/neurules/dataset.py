@@ -77,13 +77,13 @@ class LearningSet:
 
 
 def unique_names(names, key: str, error: type[Exception] = DataError) -> tuple[str, ...]:
-    """``names`` as a tuple, each a string that is not blank and that no other
-    repeats; else ``error``.  A bare string is refused too: its letters would
-    pass for the names."""
-    if not isinstance(names, str):
-        names = tuple(names)
-    if not isinstance(names, tuple) or not all(isinstance(name, str) for name in names):
+    """``names``, a list or a tuple, as a tuple, each a string that is not
+    blank and that no other repeats; else ``error``.  A bare string is refused
+    too, as its letters would pass for the names, and so are a set and a
+    dict, whose order is not the caller's."""
+    if not isinstance(names, (list, tuple)) or not all(isinstance(name, str) for name in names):
         raise error(f"{key} must be a list of strings")
+    names = tuple(names)
     if not all(name.strip() for name in names):
         raise error(f"{key} holds an empty or blank name")
     if len(set(names)) < len(names):

@@ -9,6 +9,11 @@ exactly what its file stores.  The vote is unweighted: a file carries no
 carry each pool cut's ``constant``, the config's ``chi0`` and each report
 layer's ``layer``; loading reads none of them.  They may hold cuts that no
 neuron reads, which load and change no answer.
+
+The loader maps the JSON onto the model types, which refuse any invalid
+value when they are built.  It checks only what is the file's own: the
+format version, ``weights``, ``chi0`` as a string, the names and the label
+column.  Every refusal is a ModelFormatError.
 """
 from __future__ import annotations
 
@@ -19,7 +24,7 @@ from fractions import Fraction
 from .collective import Collective
 from .dataset import unique_names
 from .errors import ModelFormatError
-from .neurons import Neuron, expr_depth, expr_from_json, expr_to_json
+from .neurons import Neuron, expr_from_json, expr_to_json
 from .quantization import QuantizedFeature
 
 FORMAT_VERSION = 1
@@ -73,31 +78,15 @@ def dict_to_model(data: dict) -> LoadedModel:
     if data.get("weights") is not None:
         raise ModelFormatError("vote weights are not supported: 'weights' must be null")
     try:
-        variable_names = _names(data["variable_names"], "variable_names")
-        pool = [
-            QuantizedFeature(
-                source=tuple(_typed(f["source"], (list,), "pool source must be a list of variable indices")),
-                threshold=float(_typed(f["threshold"], (int, float), "pool threshold must be a number")),
-                polarity=str(f["polarity"]),
-                errors=_count(f["errors"], "pool errors"),
-            )
-            for f in data["pool"]
-        ]
-        stored = [
-            (expr_from_json(n["expression"]), _count(n["layer"], "neuron layer"), _count(n["errors"], "neuron errors"))
-            for n in data["neurons"]
-        ]
-        chi0 = Fraction(_typed(data["chi0"], (str,), 'chi0 must be a fraction string such as "4/5"'))
-        label_names = _names(data["label_names"], "label_names")
+        variable_names = unique_names(data["variable_names"], "variable_names", ModelFormatError)
+        pool = [QuantizedFeature(f["source"], f["threshold"], f["polarity"], f["errors"]) for f in data["pool"]]
+        neurons = [Neuron(expr_from_json(n["expression"]), n["layer"], n["errors"]) for n in data["neurons"]]
+        if type(data["chi0"]) is not str:   # a number is no chi0: 0.8 would be its binary image
+            raise ValueError(f'chi0 must be a fraction string such as "4/5", not {data["chi0"]!r}')
+        label_names = unique_names(data["label_names"], "label_names", ModelFormatError)
         if len(label_names) != 2:
             raise ModelFormatError("model must name exactly two classes")
-        # built at each expression's depth, so the leaf and source checks
-        # speak first and a stored layer is refused with its own message
-        neurons = [Neuron(expression, expr_depth(expression), errors) for expression, _, errors in stored]
-        collective = Collective(neurons, pool, chi0, label_names, variable_names)
-        for n, (_, layer, _) in zip(neurons, stored):
-            if layer != n.layer:
-                raise ModelFormatError(f"neuron layer {layer} is not its expression's depth {n.layer}")
+        collective = Collective(neurons, pool, Fraction(data["chi0"]), label_names, variable_names)
     except ModelFormatError:
         raise
     except RecursionError:
@@ -111,27 +100,6 @@ def dict_to_model(data: dict) -> LoadedModel:
     if "label_column" in config and not (type(label_column) is str and label_column):
         raise ModelFormatError(f"config label_column must be a non-empty string, not {label_column!r}")
     return LoadedModel(collective, dict(config), data.get("report"))
-
-
-def _typed(data, kinds: tuple[type, ...], what: str):
-    """``data`` when its exact type is one of ``kinds``: JSON ``true`` is no
-    number, and a number is no ``chi0`` (0.8 would be its binary image)."""
-    if type(data) not in kinds:
-        raise ValueError(f"{what}, not {data!r}")
-    return data
-
-
-def _count(data, what: str) -> int:
-    """A non-negative JSON integer: ``true``, ``2.9``, ``"7"`` and ``-4`` are refused."""
-    if type(data) is not int or data < 0:
-        raise ValueError(f"{what} must be a non-negative integer, not {data!r}")
-    return data
-
-
-def _names(data, key: str) -> tuple[str, ...]:
-    if not isinstance(data, list):
-        raise ModelFormatError(f"{key} must be a list of strings")
-    return unique_names(data, key, ModelFormatError)
 
 
 def model_text(collective: Collective, report: dict | None = None, config: dict | None = None) -> str:

@@ -3,12 +3,13 @@
 The reference set holds exactly the ten binary connectives whose truth table
 is non-constant in each argument; constants and projections add nothing over
 columns already in play.  An expression is either a ``(connective, left,
-right)`` tuple or a leaf: anything else, read through ``int()`` as a
-feature-pool index.
+right)`` tuple or a leaf: an integer, read through ``int()`` as a
+feature-pool index.  ``Neuron`` refuses anything else.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -59,8 +60,18 @@ def expr_leaves(expr: Expr, leaves: set[int] | None = None) -> set[int]:
 
 
 def expr_depth(expr: Expr) -> int:
-    """An expression's connective depth: 0 for a bare leaf."""
-    return 1 + max(expr_depth(expr[1]), expr_depth(expr[2])) if type(expr) is tuple else 0
+    """An expression's connective depth: 0 for a bare leaf.  A node that is
+    no ``(connective, left, right)`` tuple of a known connective, or a leaf
+    that is no integer (a bool included), raises ValueError."""
+    if type(expr) is int:
+        return 0
+    if type(expr) is tuple and len(expr) == 3:
+        if not isinstance(expr[0], str) or expr[0] not in CONNECTIVES:
+            raise ValueError(f"unknown connective {expr[0]!r}")
+        return 1 + max(expr_depth(expr[1]), expr_depth(expr[2]))
+    if isinstance(expr, Integral) and not isinstance(expr, bool):   # a numpy integer
+        return 0
+    raise ValueError(f"expression {expr!r} is neither an integer leaf nor a (connective, left, right) tuple")
 
 
 def expr_to_json(expr: Expr):
@@ -71,23 +82,21 @@ def expr_to_json(expr: Expr):
 
 
 def expr_from_json(data) -> Expr:
-    if isinstance(data, int) and not isinstance(data, bool):
-        return data
-    name, left, right = data
-    if name not in CONNECTIVES:
-        raise ValueError(f"unknown connective {name!r}")
-    return (name, expr_from_json(left), expr_from_json(right))
+    """A stored expression with each JSON list read as a tuple; ``Neuron`` checks the rest."""
+    return tuple(map(expr_from_json, data)) if type(data) is list else data
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Neuron:
     """A Boolean expression over pool features, with its layer and training
     errors: exactly what a model file stores of it.
 
     ``layer`` equals the expression's connective depth; layer 0 neurons are
     bare quantized features, produced when the pool alone already satisfies a
-    stopping rule; any other ``layer`` raises ValueError.  Its output on any
-    rows is ``eval_expr(expression, bits)`` on their pool bits.
+    stopping rule.  An expression ``expr_depth`` refuses, a ``layer`` or
+    ``errors`` that is no non-negative ``int``, or any other ``layer`` raises
+    ValueError.  Its output on any rows is ``eval_expr(expression, bits)`` on
+    their pool bits.
     """
 
     expression: Expr
@@ -96,7 +105,10 @@ class Neuron:
 
     def __post_init__(self) -> None:
         depth = expr_depth(self.expression)
-        if type(self.layer) is not int or self.layer != depth:   # a bool is no layer: the file would store true
+        for what, count in (("layer", self.layer), ("errors", self.errors)):
+            if type(count) is not int or count < 0:   # true, 2.9, "7" and -4 are no count
+                raise ValueError(f"neuron {what} must be a non-negative integer, not {count!r}")
+        if self.layer != depth:
             raise ValueError(f"neuron layer {self.layer} is not its expression's depth {depth}")
 
     @property

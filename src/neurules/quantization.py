@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -23,10 +24,11 @@ class QuantizedFeature:
     """A threshold cut on one variable or on a product of variables.
 
     ``source`` lists the 0-based variable indices that feed the feature: a
-    single index for a plain variable, two or more for a product feature.
-    ``errors`` counts the training rows where ``apply`` disagrees with the
-    labels.  A polarity other than GE or LT, or a threshold that is not
-    finite, raises ValueError.
+    single index for a plain variable, two or more for a product feature.  It
+    is given as a list or a tuple and kept as a tuple, the threshold as a
+    float.  ``errors`` counts the training rows where ``apply`` disagrees with
+    the labels.  A polarity other than GE or LT, a threshold that is a bool or
+    not finite, or ``errors`` that are no non-negative ``int`` raise ValueError.
     """
 
     source: tuple[int, ...]
@@ -35,10 +37,18 @@ class QuantizedFeature:
     errors: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.source, (list, tuple)):
+            raise ValueError(f"pool source must be a list of variable indices, not {self.source!r}")
+        object.__setattr__(self, "source", tuple(self.source))
+        if isinstance(self.threshold, bool) or not isinstance(self.threshold, Real):   # JSON true is no number
+            raise ValueError(f"pool threshold must be a number, not {self.threshold!r}")
+        object.__setattr__(self, "threshold", float(self.threshold))
         if self.polarity not in (GE, LT):
             raise ValueError(f"unknown polarity: {self.polarity!r}")
         if not math.isfinite(self.threshold):
             raise ValueError(f"non-finite threshold: {self.threshold!r}")
+        if type(self.errors) is not int or self.errors < 0:
+            raise ValueError(f"pool errors must be a non-negative integer, not {self.errors!r}")
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Quantize fresh source values (any shape) with this feature's cut."""

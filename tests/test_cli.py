@@ -329,7 +329,8 @@ def test_console_script_runs(demo_path, tmp_path):
 
 
 def _set_leaf(payload, value):
-    payload["neurons"][0]["expression"] = ["AND", 0, value]
+    # at the layer of its depth, so that the leaf is the file's one defect
+    payload["neurons"][0].update(expression=["AND", 0, value], layer=1)
 
 
 def _set_neuron(key, value):

@@ -85,18 +85,35 @@ def test_collective_validation():
     (lambda: _named(variable_names=("x", "x")), "^variable_names names 'x' more than once$"),
     (lambda: _named(variable_names=("x1", "")), "^variable_names holds an empty or blank name$"),
     (lambda: _named(variable_names="x1"), "^variable_names must be a list of strings$"),
+    (lambda: _named(variable_names={"alpha", "beta", "gamma"}), "^variable_names must be a list of strings$"),
+    (lambda: _named(label_names={"neg": 0, "pos": 1}), "^label_names must be a list of strings$"),
     (lambda: nr.Neuron(0, 3, 0), "^neuron layer 3 is not its expression's depth 0$"),
     (lambda: nr.Neuron(("AND", 0, ("OR", 0, 1)), 1, 0), "^neuron layer 1 is not its expression's depth 2$"),
-    (lambda: nr.Neuron(("AND", 0, 1), True, 0), "^neuron layer True is not its expression's depth 1$"),
+    (lambda: nr.Neuron(("AND", 0, 1), True, 0), "^neuron layer must be a non-negative integer, not True$"),
+    (lambda: nr.Neuron(("FOO", 0, 1), 1, 0), "^unknown connective 'FOO'$"),
+    (lambda: nr.Neuron(("AND", 0), 1, 0),
+     r"^expression \('AND', 0\) is neither an integer leaf nor a \(connective, left, right\) tuple$"),
+    (lambda: nr.Neuron(("AND", 0, True), 1, 0),
+     r"^expression True is neither an integer leaf nor a \(connective, left, right\) tuple$"),
+    (lambda: nr.Neuron(0, 0, -3), "^neuron errors must be a non-negative integer, not -3$"),
+    (lambda: nr.Neuron(0, 0, True), "^neuron errors must be a non-negative integer, not True$"),
+    (lambda: nr.QuantizedFeature((0,), 0.5, "ge", -1), "^pool errors must be a non-negative integer, not -1$"),
+    (lambda: nr.QuantizedFeature((0,), 0.5, "ge", 2.5), "^pool errors must be a non-negative integer, not 2.5$"),
+    (lambda: nr.QuantizedFeature((0,), 0.5, "ge", True), "^pool errors must be a non-negative integer, not True$"),
+    (lambda: nr.QuantizedFeature((0,), True, "ge", 0), "^pool threshold must be a number, not True$"),
+    (lambda: nr.QuantizedFeature(0, 0.5, "ge", 0), "^pool source must be a list of variable indices, not 0$"),
 ], ids=["leaf-beyond-pool", "negative-leaf", "gt-polarity", "infinite-threshold", "nan-threshold",
         "negative-source", "source-beyond-variables", "empty-source", "bool-source",
         "one-class", "three-classes", "repeated-class", "blank-class", "repeated-variable", "blank-variable",
-        "string-variables", "layer-above-depth", "layer-below-depth", "bool-layer"])
+        "string-variables", "set-variables", "dict-classes", "layer-above-depth", "layer-below-depth", "bool-layer",
+        "unknown-connective", "two-part-node", "bool-leaf", "negative-neuron-errors", "bool-neuron-errors",
+        "negative-cut-errors", "float-cut-errors", "bool-cut-errors", "bool-threshold", "int-source"])
 def test_invalid_models_are_refused_when_built(build, message):
     # each once built and saved, then classified through an IndexError or
     # silently wrong: "gt" as "<", source -1 as the last variable, True as 1,
     # a third class never decided, one column read for both of two "x"; a
-    # wrong layer was saved, and the file refused by load_model
+    # wrong layer, connective or errors count was saved, and the file
+    # refused by load_model
     with pytest.raises(ValueError, match=message):
         build()
 
@@ -107,6 +124,16 @@ def test_a_collective_is_frozen(name):
     assert type(c.neurons) is tuple and type(c.pool) is tuple
     with pytest.raises(FrozenInstanceError):
         setattr(c, name, getattr(c, name))
+
+
+def test_a_neuron_is_frozen_and_a_cut_keeps_a_tuple_source():
+    # a collective's checks then hold for as long as it lives: before, an
+    # assigned expression or an appended source index made classify raise IndexError
+    c = _reading([0, 1])
+    assert type(c.pool[0].source) is tuple
+    with pytest.raises(FrozenInstanceError):
+        c.neurons[0].expression = 7
+    assert nr.classify(c, [1.0, 1.0]).decision == "pos"
 
 
 @pytest.mark.parametrize("label_names", [("neg", "pos"), ("pos", "neg")])

@@ -30,7 +30,7 @@ def test_load_demo_shapes_and_names(demo_path):
 
 def test_label_column_may_sit_anywhere(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text("a,cls,b\n1,x,2\n3,y,4\n")
+    p.write_text("a,cls,b\n1,x,2\n3,y,4\n", encoding="utf-8")
     ls = nr.load_dataset(p, "cls")
     assert ls.variable_names == ("a", "b")
     assert ls.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
@@ -47,56 +47,56 @@ def test_arrays_are_read_only(demo_path):
 
 def test_missing_label_column(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text("a,b\n1,2\n3,4\n")
+    p.write_text("a,b\n1,2\n3,4\n", encoding="utf-8")
     with pytest.raises(nr.DataError, match="missing label column"):
         nr.load_dataset(p, "cls")
 
 
 def test_single_class_rejected(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text("a,cls\n1,x\n2,x\n")
+    p.write_text("a,cls\n1,x\n2,x\n", encoding="utf-8")
     with pytest.raises(nr.DataError, match="single-class"):
         nr.load_dataset(p, "cls")
 
 
 def test_three_class_literals_rejected(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text("a,cls\n1,x\n2,y\n3,z\n")
+    p.write_text("a,cls\n1,x\n2,y\n3,z\n", encoding="utf-8")
     with pytest.raises(nr.DataError, match="3 distinct values"):
         nr.load_dataset(p, "cls")
 
 
 def test_too_few_rows_rejected(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text("a,cls\n1,x\n")
+    p.write_text("a,cls\n1,x\n", encoding="utf-8")
     with pytest.raises(nr.DataError, match="n >= 2"):
         nr.load_dataset(p, "cls")
 
 
 def test_non_numeric_and_non_finite_cells(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text("a,cls\nfoo,x\n2,y\n")
+    p.write_text("a,cls\nfoo,x\n2,y\n", encoding="utf-8")
     with pytest.raises(nr.DataError, match="non-numeric value 'foo'"):
         nr.load_dataset(p, "cls")
-    p.write_text("a,cls\ninf,x\n2,y\n")
+    p.write_text("a,cls\ninf,x\n2,y\n", encoding="utf-8")
     with pytest.raises(nr.DataError, match="non-finite"):
         nr.load_dataset(p, "cls")
     # the message names the column and the 1-based data row
-    p.write_text("cls,a,b\nx,1,2\ny,3,nan\n")
+    p.write_text("cls,a,b\nx,1,2\ny,3,nan\n", encoding="utf-8")
     with pytest.raises(nr.DataError, match="non-finite value 'nan' in column 'b', row 2$"):
         nr.load_dataset(p, "cls")
 
 
 def test_ragged_row_rejected(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text("a,b,cls\n1,2,x\n3,y\n")
+    p.write_text("a,b,cls\n1,2,x\n3,y\n", encoding="utf-8")
     with pytest.raises(nr.DataError, match="has 2 cells"):
         read_table(p)
 
 
 def test_empty_file_and_missing_file(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text("")
+    p.write_text("", encoding="utf-8")
     with pytest.raises(nr.DataError, match="empty file"):
         read_table(p)
     with pytest.raises(FileNotFoundError):
@@ -132,6 +132,16 @@ def test_non_string_variable_name_rejected():
 def test_repeated_class_name_rejected():
     with pytest.raises(nr.DataError, match="^label_names names 'a' more than once$"):
         nr.from_arrays(*_XOR, label_names=("a", "a"))
+
+
+# a set or a dict of names has no order of the caller's: {"p", "q"} named
+# the columns in an order that moved with PYTHONHASHSEED
+@pytest.mark.parametrize("names", [{"p", "q"}, {"p": 0, "q": 1}], ids=["set", "dict"])
+def test_unordered_names_rejected(names):
+    with pytest.raises(nr.DataError, match="^variable_names must be a list of strings$"):
+        nr.from_arrays(*_XOR, variable_names=names)
+    with pytest.raises(nr.DataError, match="^label_names must be a list of strings$"):
+        nr.from_arrays(*_XOR, label_names=names)
 
 
 def test_non_string_class_name_rejected():
@@ -325,11 +335,11 @@ def test_parse_columns_agrees_with_the_per_cell_reference(cells, data):
 
 def test_labels_are_encoded_in_first_occurrence_order(tmp_path):
     p = tmp_path / "t.csv"
-    p.write_text("a,cls\n1,yes\n2,no\n3,yes\n4,no\n")
+    p.write_text("a,cls\n1,yes\n2,no\n3,yes\n4,no\n", encoding="utf-8")
     ls = nr.load_dataset(p, "cls")
     assert ls.label_names == ("yes", "no")
     assert ls.labels.tolist() == [0, 1, 0, 1]
-    p.write_text("a,cls\n1,x\n2,y\n3,z\n4,x\n")
+    p.write_text("a,cls\n1,x\n2,y\n3,z\n4,x\n", encoding="utf-8")
     with pytest.raises(nr.DataError, match=r"3 distinct values: \['x', 'y', 'z'\]"):
         nr.load_dataset(p, "cls")
 
@@ -346,7 +356,7 @@ def test_byte_order_mark_is_not_part_of_the_first_column_name(tmp_path, capsys):
 
 def test_duplicate_column_names_rejected(tmp_path, capsys):
     p = tmp_path / "t.csv"
-    p.write_text("x1,x1,cls\n1,2,a\n3,4,b\n")
+    p.write_text("x1,x1,cls\n1,2,a\n3,4,b\n", encoding="utf-8")
     with pytest.raises(nr.DataError, match=r"duplicate column name\(s\) \['x1'\]"):
         read_table(p)
     assert main(["train", "--data", str(p), "--label", "cls", "--out", str(tmp_path / "m.json")]) == 2

@@ -4,10 +4,14 @@ from functools import reduce
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import neurules as nr
 from neurules.collective import vote
 from neurules.model_io import FORMAT_VERSION, dict_to_model, model_text, model_to_dict
+
+from helpers import expr_depth
 
 
 def _small_collective():
@@ -162,3 +166,79 @@ def test_golden_corpus_text_is_what_save_model_writes(tmp_path):
     path = tmp_path / "m.json"
     nr.save_model(path, c, report={"stop_cause": "CR=0"}, config={"mode": "split"})
     assert path.read_text(encoding="utf-8") == model_text(c, report={"stop_cause": "CR=0"}, config={"mode": "split"})
+
+
+# what may replace one field of a valid model: the wrong types, bools,
+# negative and fractional counts, non-finite numbers, out-of-range indices,
+# unknown or short expression nodes, and names given unordered or repeated
+_ODD_FIELDS = (None, True, False, -3, -1, 2.5, 7, float("nan"), float("inf"), "", "x", "gt",
+               ("FOO", 0, 1), ("AND", 0), ("AND", 0, True), ["AND", 0, 1], [], [0, 7], (True,),
+               {"a": 1}, {"x0", "x1"}, ("x0", "x0"), "1/3", 0.8)
+
+
+def _expressions(k: int):
+    """Expression trees over pool leaves 0..k-1."""
+    return st.recursive(st.integers(0, k - 1),
+                        lambda kids: st.tuples(st.sampled_from(sorted(nr.CONNECTIVES)), kids, kids),
+                        max_leaves=5)
+
+
+@st.composite
+def _model_fields(draw):
+    """The fields of a valid collective over 1-3 variables, as dicts of the
+    cuts', the neurons' and the collective's own, after at most one field
+    was swapped for one of ``_ODD_FIELDS``."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    cuts = [{"source": draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3)),
+             "threshold": draw(st.floats(-10, 10) | st.integers(-3, 3)),
+             "polarity": draw(st.sampled_from([nr.GE, nr.LT])),
+             "errors": draw(st.integers(0, 9))} for _ in range(k)]
+    neurons = []
+    for expression in draw(st.lists(_expressions(k), min_size=1, max_size=3)):
+        neurons.append({"expression": expression, "layer": expr_depth(expression), "errors": draw(st.integers(0, 9))})
+    names = {"chi0": draw(st.sampled_from(["1/2", "4/5", "1", Fraction(2, 3), 0.8])),
+             "label_names": ("neg", "pos"), "variable_names": tuple(f"x{j}" for j in range(m))}
+    if draw(st.booleans()):
+        part = draw(st.sampled_from([*cuts, *neurons, names]))
+        part[draw(st.sampled_from(sorted(part)))] = draw(st.sampled_from(_ODD_FIELDS))
+    return cuts, neurons, names
+
+
+def _probe(part: str, key: str, value):
+    """A one-cut, one-neuron model over x0, x1 with one field set to ``value``."""
+    fields = ([{"source": [0, 1], "threshold": 0.5, "polarity": nr.GE, "errors": 0}],
+              [{"expression": ("AND", 0, 0), "layer": 1, "errors": 0}],
+              {"chi0": "4/5", "label_names": ("neg", "pos"), "variable_names": ("x0", "x1")})
+    target = {"cut": fields[0][0], "neuron": fields[1][0], "names": fields[2]}[part]
+    target[key] = value
+    return fields
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields=_model_fields())
+@example(fields=_probe("neuron", "expression", ("FOO", 0, 1)))
+@example(fields=_probe("neuron", "expression", ("AND", 0)))
+@example(fields=_probe("neuron", "errors", -3))
+@example(fields=_probe("neuron", "errors", True))
+@example(fields=_probe("cut", "errors", -1))
+@example(fields=_probe("cut", "errors", 2.5))
+@example(fields=_probe("cut", "errors", True))
+@example(fields=_probe("cut", "threshold", True))
+@example(fields=_probe("names", "variable_names", {"x0", "x1"}))
+@example(fields=_probe("cut", "source", [0, 1]))
+def test_a_model_is_refused_when_built_or_round_trips_unchanged(tmp_path_factory, fields):
+    # save_model writes no file that load_model refuses
+    cuts, neurons, names = fields
+    try:
+        c = nr.Collective([nr.Neuron(**n) for n in neurons], [nr.QuantizedFeature(**f) for f in cuts], **names)
+    except ValueError:
+        return
+    path = tmp_path_factory.getbasetemp() / "round-trip.json"
+    nr.save_model(path, c)
+    d = nr.load_model(path).collective
+    assert (d.chi0, d.label_names, d.variable_names) == (c.chi0, c.label_names, c.variable_names)
+    assert [(n.expression, n.layer, n.errors) for n in d.neurons] == [(n.expression, n.layer, n.errors) for n in c.neurons]
+    assert [(f.source, f.threshold, f.polarity, f.errors) for f in d.pool] == \
+        [(f.source, f.threshold, f.polarity, f.errors) for f in c.pool]
+    for row in product((-1.5, 0.0, 0.5, 2.0), repeat=len(c.variable_names)):
+        assert nr.classify(d, row) == nr.classify(c, row)

@@ -93,8 +93,9 @@ def test_eval_expr_agrees_with_scalar_oracle(expr, rows):
 
 
 def test_expr_from_json_rejects_unknown_connective():
-    with pytest.raises(ValueError, match="unknown connective"):
-        expr_from_json(["MAYBE", 0, 1])
+    # the reader only maps lists to tuples; the neuron checks the connective
+    with pytest.raises(ValueError, match="^unknown connective 'MAYBE'$"):
+        Neuron(expr_from_json(["MAYBE", 0, 1]), 1, 0)
 
 
 def test_neuron_leaves_property():
