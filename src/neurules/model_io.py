@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .collective import Collective
 from .dataset import unique_names
@@ -81,12 +80,12 @@ def dict_to_model(data: dict) -> LoadedModel:
         variable_names = unique_names(data["variable_names"], "variable_names", ModelFormatError)
         pool = [QuantizedFeature(f["source"], f["threshold"], f["polarity"], f["errors"]) for f in data["pool"]]
         neurons = [Neuron(expr_from_json(n["expression"]), n["layer"], n["errors"]) for n in data["neurons"]]
-        if type(data["chi0"]) is not str:   # a number is no chi0: 0.8 would be its binary image
+        if type(data["chi0"]) is not str:   # the file states chi0 exactly, as a fraction string
             raise ValueError(f'chi0 must be a fraction string such as "4/5", not {data["chi0"]!r}')
         label_names = unique_names(data["label_names"], "label_names", ModelFormatError)
         if len(label_names) != 2:
             raise ModelFormatError("model must name exactly two classes")
-        collective = Collective(neurons, pool, Fraction(data["chi0"]), label_names, variable_names)
+        collective = Collective(neurons, pool, data["chi0"], label_names, variable_names)
     except ModelFormatError:
         raise
     except RecursionError:
