@@ -363,7 +363,7 @@ _UNTRUSTED = {
     "empty-class": (lambda p: p["label_names"].__setitem__(1, ""), "label_names holds an empty or blank name"),
     # classify raised IndexError on one class; training never writes one
     "one-class": (lambda p: p["label_names"].pop(), "model must name exactly two classes"),
-    # a JSON number as chi0 would load as its binary image: 0.8 refuses a 4-of-5 vote
+    # a model file states chi0 exactly, as a fraction string: a JSON number is refused
     "number-chi0": (lambda p: p.__setitem__("chi0", 0.8), "chi0 must be a fraction string"),
     "bool-chi0": (lambda p: p.__setitem__("chi0", True), "chi0 must be a fraction string"),
     "string-layer": (_set_neuron("layer", "7"), "neuron layer must be a non-negative integer"),

@@ -127,8 +127,8 @@ def test_a_collective_is_frozen(name):
 
 
 def test_a_neuron_is_frozen_and_a_cut_keeps_a_tuple_source():
-    # a collective's checks then hold for as long as it lives: before, an
-    # assigned expression or an appended source index made classify raise IndexError
+    # a collective's checks hold for as long as it lives: an assigned
+    # expression or an appended source index would make classify raise IndexError
     c = _reading([0, 1])
     assert type(c.pool[0].source) is tuple
     with pytest.raises(FrozenInstanceError):
