@@ -42,7 +42,11 @@ class QuantizedFeature:
         object.__setattr__(self, "source", tuple(self.source))
         if isinstance(self.threshold, bool) or not isinstance(self.threshold, Real):   # JSON true is no number
             raise ValueError(f"pool threshold must be a number, not {self.threshold!r}")
-        object.__setattr__(self, "threshold", float(self.threshold))
+        try:
+            threshold = float(self.threshold)
+        except OverflowError:   # an integer past float range
+            threshold = math.inf
+        object.__setattr__(self, "threshold", threshold)
         if self.polarity not in (GE, LT):
             raise ValueError(f"unknown polarity: {self.polarity!r}")
         if not math.isfinite(self.threshold):

@@ -11,7 +11,7 @@ split mode) when the exterior criterion stops improving by more than delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -76,52 +76,47 @@ class SynthesisConfig:
 
 
 @dataclass(frozen=True)
-class Survivors:
-    """Training-only operands of a layer: neuron i with its bit-packed outputs
-    ``packed[:, i]``.  View 0 is the training rows; in split mode views 1 and
-    2 are the outputs under the pool's refits on subset A and on subset B."""
+class Layer:
+    """One layer's candidates, or its survivors, as parallel arrays in order.
 
-    neurons: list[Neuron]
-    packed: np.ndarray              # (views, S, bytes)
-
-
-@dataclass
-class CandidateLayer:
-    """One layer's candidates as parallel arrays: deduplicated, in generation order.
-
-    Candidate i applies connective ``connective[i]`` (an index into
-    CONNECTIVES) to operand ``operand[i]`` of ``parents`` and pool feature
-    ``feature[i]``, and ``packed[:, i]`` is its bit-packed column in every
-    view.  The parents are the pool's bare leaves at layer 1 and the previous
-    layer's survivors later.
+    Entry i applies connective ``connective[i]`` (an index into CONNECTIVES)
+    to operand ``operand[i]``, a survivor of the layer before or at layer 1 a
+    pool feature, and pool feature ``feature[i]``; at layer 0 entry i is pool
+    feature ``feature[i]`` alone.  ``packed[:, i]`` is its bit-packed output
+    in every view: view 0 is the training rows; in split mode views 1 and 2
+    are the outputs under the pool's refits on subset A and on subset B, and
+    ``cr`` holds the exterior criterion b_u + Delta.  Survivors carry the
+    reads matrix too: ``reads[i]`` marks the pool features entry i reads.
     """
 
     layer: int
-    parents: list[Neuron]
-    packed: np.ndarray              # (views, candidates, bytes)
     errors: np.ndarray
-    operand: np.ndarray
     feature: np.ndarray
-    connective: np.ndarray
-    cr: np.ndarray | None = None    # split mode only: the exterior criterion b_u + Delta
+    packed: np.ndarray | None           # (views, entries, bytes)
+    operand: np.ndarray | None = None
+    connective: np.ndarray | None = None
+    cr: np.ndarray | None = None
+    reads: np.ndarray | None = None     # (entries, |pool|) Boolean
 
     def __len__(self) -> int:
         return len(self.errors)
 
-    def survivors(self, positions) -> Survivors:
-        """The candidates at ``positions``, in that order, as the next layer's operands."""
+    def survivors(self, positions, operands: Layer) -> Layer:
+        """The entries at ``positions``, in that order, as the next layer's
+        operands: each reads its operand's pool features and its own."""
         positions = np.asarray(positions, dtype=np.int64)
-        out = []
-        for i in positions.tolist():
-            connective = _CONNECTIVE_NAMES[self.connective[i]]
-            expression = (connective, self.parents[self.operand[i]].expression, int(self.feature[i]))
-            out.append(Neuron(expression, self.layer, int(self.errors[i])))
-        return Survivors(out, self.packed[:, positions])
+        operand, feature = self.operand[positions], self.feature[positions]
+        reads = operands.reads[operand]
+        reads[np.arange(len(positions)), feature] = True
+        return Layer(self.layer, self.errors[positions], feature, self.packed[:, positions], operand,
+                     self.connective[positions], None if self.cr is None else self.cr[positions], reads)
 
 
 @dataclass
 class LayerTrace:
-    """Per-layer bookkeeping; layer 0 records the feature pool itself."""
+    """Per-layer bookkeeping; layer 0 records the feature pool itself, its
+    survivors the pool's first cut of each training column.  ``kept`` holds
+    the survivors' errors and back-pointers, without columns or reads."""
 
     index: int
     pairs: int = 0              # operand pairs examined (the L_r count)
@@ -129,7 +124,12 @@ class LayerTrace:
     admitted: int = 0
     min_errors: int | None = None
     min_cr: int | None = None
-    survivors: list[Neuron] = field(default_factory=list, repr=False)
+    kept: Layer | None = field(default=None, repr=False)
+
+    @property
+    def survivors(self) -> int:
+        """The layer's survivor count, as its model file records it."""
+        return 0 if self.kept is None else len(self.kept)
 
 
 @dataclass(frozen=True)
@@ -184,37 +184,28 @@ def _first_occurrences(keys: np.ndarray, taken: np.ndarray | None = None) -> np.
     return np.sort(order[head])
 
 
-def generate_candidates(
-    pool: Survivors,
-    survivors: Survivors | None,
-    labels: np.ndarray,
-) -> tuple[int, CandidateLayer]:
+def generate_candidates(pool: Layer, survivors: Layer | None, labels: np.ndarray) -> tuple[int, Layer]:
     """Expand one layer's operand pairs through every reference connective.
 
-    ``pool`` holds pool feature i as bare-leaf neuron i, of layer 0.  With no
+    ``pool`` holds pool feature i as survivor i of layer 0.  With no
     ``survivors`` the operands are the pool: all unordered pairs of distinct
     pool features.  Otherwise each of ``survivors`` pairs with every pool
-    feature it does not already use.  The layer's number is one more than its
-    operands' layer.  All pairs are expanded in one numpy step on packed
-    columns of every view, in the order (operand, feature, connective).  A
-    candidate whose training column repeats a survivor's or an earlier
-    candidate's is dropped: the first occurrence is kept.  A kept candidate's
-    errors are its training column's disagreements with the labels.  Split
-    mode is on when the operands carry three views; every kept candidate's CR
-    is then scored on its A/B refit columns.  Returns the pair count and the
-    candidates.
+    feature its row of ``reads`` leaves out.  The layer's number is one more
+    than its operands' layer.  All pairs are expanded in one numpy step on
+    packed columns of every view, in the order (operand, feature,
+    connective).  A candidate whose training column repeats a survivor's or
+    an earlier candidate's is dropped: the first occurrence is kept.  A kept
+    candidate's errors are its training column's disagreements with the
+    labels.  Split mode is on when the operands carry three views; every kept
+    candidate's CR is then scored on its A/B refit columns.  Returns the pair
+    count and the candidates.
     """
-    if not pool.neurons:
+    if not len(pool):
         raise DataError("no features")
     pad = _pack(np.ones(len(labels), dtype=bool))
     target = _pack(labels)
     parents = pool if survivors is None else survivors
-    if survivors is None:
-        fresh = np.triu(np.ones((len(pool.neurons),) * 2, dtype=bool), 1)
-    else:
-        fresh = np.ones((len(parents.neurons), len(pool.neurons)), dtype=bool)
-        for i, s in enumerate(parents.neurons):
-            fresh[i, list(s.leaves)] = False
+    fresh = np.triu(~pool.reads, 1) if survivors is None else ~survivors.reads
     operand, feature = np.nonzero(fresh)
     pairs = len(operand)
     planes = _minterms(parents.packed[:, operand], pool.packed[:, feature], pad)   # (4, views, K, bytes)
@@ -224,13 +215,12 @@ def generate_candidates(
     pair, connective = np.divmod(first, len(_CONNECTIVE_NAMES))
     packed = block[:, pair, connective]
     del block   # so scoring's temporaries do not meet the whole block
-    return pairs, CandidateLayer(
-        layer=parents.neurons[0].layer + 1,
-        parents=parents.neurons,
-        packed=packed,
+    return pairs, Layer(
+        layer=parents.layer + 1,
         errors=_popcount(packed[0] ^ target),
-        operand=operand[pair],
         feature=feature[pair],
+        packed=packed,
+        operand=operand[pair],
         connective=connective,
         cr=_cr(packed[1], packed[2], target) if len(packed) == 3 else None,
     )
@@ -354,7 +344,7 @@ class SynthesisReport:
                     "admitted": t.admitted,
                     "min_errors": t.min_errors,
                     "min_cr": t.min_cr,
-                    "survivors": len(t.survivors),
+                    "survivors": t.survivors,
                 }
                 for t in self.traces
             ],
@@ -364,12 +354,15 @@ class SynthesisReport:
         }
 
 
-def _renumbered(expr: Expr, index: dict[int, int]) -> Expr:
-    """``expr`` with each leaf k read as ``index[k]``, in one walk."""
-    if type(expr) is not tuple:
-        return index[int(expr)]
-    name, left, right = expr
-    return (name, _renumbered(left, index), _renumbered(right, index))
+def _expression(traces: list[LayerTrace], r: int, i: int, leaf: dict[int, int]) -> Expr:
+    """Survivor i of layer r as an expression with each pool leaf k read as
+    ``leaf[k]``, in one walk down the back-pointers."""
+    t = traces[r].kept
+    if r == 0:
+        return leaf[int(t.feature[i])]
+    operand = int(t.operand[i])
+    left = leaf[operand] if r == 1 else _expression(traces, r - 1, operand, leaf)
+    return (_CONNECTIVE_NAMES[t.connective[i]], left, leaf[int(t.feature[i])])
 
 
 def training_pool(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[list[QuantizedFeature], list[QuantizedFeature]]:
@@ -397,20 +390,20 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
     if split_mode:
         views += [pool_bits(_refit(pool, s, ls), ls.values) for s in split_even(ls, config.seed)]
     packed = _pack(views)
-    if split_mode:
-        cr0 = _cr(packed[1], packed[2], _pack(labels))
-    leaves = Survivors([Neuron(i, 0, f.errors) for i, f in enumerate(pool)], packed)
+    errors = np.array([f.errors for f in pool])
+    leaves = Layer(0, errors, np.arange(len(pool)), packed, reads=np.eye(len(pool), dtype=bool))
 
     # layer 0: the pool itself, deduplicated by training column
     first = _first_occurrences(_keys(packed[0]))
-    layer0 = [leaves.neurons[i] for i in first.tolist()]
-    trace0 = LayerTrace(0, expanded=len(pool), admitted=len(layer0), survivors=layer0,
-                        min_errors=min(f.errors for f in pool),
-                        min_cr=int(cr0[first].min()) if split_mode else None)
+    trace0 = LayerTrace(0, expanded=len(pool), admitted=len(first), min_errors=int(errors.min()),
+                        kept=Layer(0, errors[first], first, None))
+    if split_mode:
+        trace0.min_cr = int(_cr(packed[1], packed[2], _pack(labels))[first].min())
     traces = [trace0]
+    reads = [leaves.reads[first]]   # each layer's reads matrix, for the members' cuts
     decision = should_stop(traces, config.mode, config.delta, config.max_layers)
 
-    survivors: Survivors | None = None
+    survivors: Layer | None = None
     while not decision.stop:
         pairs, layer = generate_candidates(leaves, survivors, labels)
         if config.mode == MODE_STATEMENT1:
@@ -423,24 +416,25 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
         if len(kept):
             cr = layer.cr[kept] if split_mode else None
             chosen = kept[select_survivors(layer.errors[kept], default_f_cap(pairs, config.f_ratio), cr)]
-            survivors = layer.survivors(chosen)
-            trace.survivors = survivors.neurons
-            trace.min_errors = min(n.errors for n in trace.survivors)
+            survivors = layer.survivors(chosen, leaves if survivors is None else survivors)
+            trace.kept = replace(survivors, packed=None, reads=None)
+            trace.min_errors = int(survivors.errors.min())
             if split_mode:
-                trace.min_cr = int(layer.cr[chosen].min())
+                trace.min_cr = int(survivors.cr.min())
         traces.append(trace)
+        reads.append(survivors.reads if len(kept) else None)
         # let the layer's candidate arrays go before the next layer is built
         del layer, kept
         decision = should_stop(traces, config.mode, config.delta, config.max_layers)
 
-    members_pool = traces[decision.keep_layer].survivors
-    final_errors = min(n.errors for n in members_pool)
-    members = [n for n in members_pool if n.errors == final_errors]
+    keep = decision.keep_layer
+    final_errors = traces[keep].min_errors
+    members = np.flatnonzero(traces[keep].kept.errors == final_errors).tolist()
     # the collective keeps only the cuts its members read, in pool order
-    read = sorted(set().union(*(n.leaves for n in members)))
+    read = np.flatnonzero(reads[keep][members].any(axis=0)).tolist()
     index = {old: new for new, old in enumerate(read)}
     collective = Collective(
-        neurons=[Neuron(_renumbered(n.expression, index), n.layer, n.errors) for n in members],
+        neurons=[Neuron(_expression(traces, keep, i, index), keep, final_errors) for i in members],
         pool=[pool[i] for i in read],
         chi0=config.chi0,
         label_names=ls.label_names,

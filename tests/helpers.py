@@ -23,7 +23,7 @@ from neurules import cli
 from neurules.errors import DataError
 from neurules.model_io import model_text
 from neurules.quantization import quantize
-from neurules.synthesis import Survivors
+from neurules.synthesis import Layer
 
 
 def random_set(seed: int) -> nr.LearningSet:
@@ -79,11 +79,39 @@ def xor_set(rng: np.random.Generator) -> nr.LearningSet:
     return nr.from_arrays(np.array(rows, dtype=float), np.array(labels, dtype=np.uint8))
 
 
-def leaf_operands(pool, ls: nr.LearningSet) -> Survivors:
+def leaf_operands(pool, ls: nr.LearningSet) -> Layer:
     """A pool as ``generate_candidates`` takes it in statement-1 mode: feature i
-    as bare-leaf neuron i, with its packed training column as the one view."""
-    neurons = [nr.Neuron(i, 0, f.errors) for i, f in enumerate(pool)]
-    return Survivors(neurons, np.packbits(nr.pool_bits(pool, ls.values)[None], axis=-1))
+    as survivor i of layer 0, reading feature i alone, with its packed
+    training column as the one view."""
+    errors = np.array([f.errors for f in pool], dtype=np.int64)
+    packed = np.packbits(nr.pool_bits(pool, ls.values)[None], axis=-1)
+    return Layer(0, errors, np.arange(len(pool)), packed, reads=np.eye(len(pool), dtype=bool))
+
+
+def layer_expressions(arrays, parents=None) -> list:
+    """The expressions of a layer's candidates or survivors, from their arrays:
+    entry i applies connective i to operand i and pool leaf ``feature[i]``,
+    the operand being the expression ``parents[operand[i]]``, or pool leaf
+    ``operand[i]`` itself when ``parents`` is None (layer 1)."""
+    names = list(nr.CONNECTIVES)
+    return [(names[c], o if parents is None else parents[o], f)
+            for c, o, f in zip(arrays.connective.tolist(), arrays.operand.tolist(), arrays.feature.tolist())]
+
+
+def layer_neurons(report, r: int) -> list[nr.Neuron]:
+    """Layer r's survivors as neurons over the training pool, rebuilt from the
+    report's back-pointers (each trace's ``kept``) one layer at a time.  Training never builds them:
+    only the collective's members become neurons there."""
+    trace = report.traces[r]
+    if not trace.survivors:
+        return []
+    if r == 0:
+        expressions = trace.kept.feature.tolist()
+    else:
+        expressions = None
+        for t in report.traces[1:r + 1]:
+            expressions = layer_expressions(t.kept, expressions)
+    return [nr.Neuron(e, r, errors) for e, errors in zip(expressions, trace.kept.errors.tolist())]
 
 
 def training_indices(c: nr.Collective, pool) -> list[int]:

@@ -11,7 +11,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 # (module, name): defined there, not exported; the tests and bench/tracing.py use them
 INTERNALS = [
     ("neurules.synthesis", name) for name in (
-        "CandidateLayer", "Survivors", "LayerTrace", "StopDecision", "generate_candidates", "admit",
+        "Layer", "LayerTrace", "StopDecision", "generate_candidates", "admit",
         "default_f_cap", "select_survivors", "should_stop", "split_criteria")
 ] + [
     ("neurules.neurons", "apply_connective"),

@@ -353,6 +353,8 @@ _UNTRUSTED = {
     "empty-source": (lambda p: p["pool"][0].__setitem__("source", []), "non-empty list"),
     "nan-threshold": (lambda p: p["pool"][0].__setitem__("threshold", float("nan")), "non-finite threshold"),
     "infinite-threshold": (lambda p: p["pool"][0].__setitem__("threshold", float("inf")), "non-finite threshold"),
+    # float() of an integer past float range raised OverflowError
+    "huge-int-threshold": (_set_cut("threshold", 10**400), "non-finite threshold: inf"),
     "vote-weights": (lambda p: p.__setitem__("weights", [1]), "'weights' must be null"),
     # predict read one column for both variables; training never writes a repeated name
     "repeated-variable": (lambda p: p["variable_names"].__setitem__(1, p["variable_names"][0]),

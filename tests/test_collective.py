@@ -74,6 +74,7 @@ def test_collective_validation():
     (lambda: nr.QuantizedFeature((0,), 0.5, "gt", 0), "^unknown polarity: 'gt'$"),
     (lambda: nr.QuantizedFeature((0,), float("inf"), "ge", 0), "^non-finite threshold: inf$"),
     (lambda: nr.QuantizedFeature((0,), float("nan"), "lt", 0), "^non-finite threshold: nan$"),
+    (lambda: nr.QuantizedFeature((0,), 10**400, "ge", 0), "^non-finite threshold: inf$"),
     (lambda: _reading((-1,)), r"^pool source index -1 is not a variable index below 2$"),
     (lambda: _reading((5,)), r"^pool source index 5 is not a variable index below 2$"),
     (lambda: _reading(()), r"^pool source must be a non-empty list of variable indices, not \(\)$"),
@@ -103,7 +104,7 @@ def test_collective_validation():
     (lambda: nr.QuantizedFeature((0,), True, "ge", 0), "^pool threshold must be a number, not True$"),
     (lambda: nr.QuantizedFeature(0, 0.5, "ge", 0), "^pool source must be a list of variable indices, not 0$"),
 ], ids=["leaf-beyond-pool", "negative-leaf", "gt-polarity", "infinite-threshold", "nan-threshold",
-        "negative-source", "source-beyond-variables", "empty-source", "bool-source",
+        "huge-int-threshold", "negative-source", "source-beyond-variables", "empty-source", "bool-source",
         "one-class", "three-classes", "repeated-class", "blank-class", "repeated-variable", "blank-variable",
         "string-variables", "set-variables", "dict-classes", "layer-above-depth", "layer-below-depth", "bool-layer",
         "unknown-connective", "two-part-node", "bool-leaf", "negative-neuron-errors", "bool-neuron-errors",

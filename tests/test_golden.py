@@ -24,7 +24,7 @@ from neurules.model_io import dict_to_model, model_text
 from neurules.synthesis import training_pool
 
 from helpers import (COHERENCE_MAX_POOL, GOLDEN_OUTPUTS, assert_same_text, deep_cases, golden_coherence, golden_cases,
-                     golden_holdout, golden_model_text, golden_outputs, relabel, training_indices)
+                     golden_holdout, golden_model_text, golden_outputs, layer_neurons, relabel, training_indices)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FORMAT1 = Path(__file__).resolve().parent / "format1"
@@ -167,7 +167,7 @@ def test_saved_pool_is_exactly_the_cuts_the_neurons_read(name, ls, config):
     # neurons read, in training-pool order, with each leaf renumbered
     trained, report = nr.synthesize(ls, config)
     _, pool = training_pool(ls, config)
-    members = [n for n in report.traces[trained.neurons[0].layer].survivors if n.errors == report.final_errors]
+    members = [n for n in layer_neurons(report, trained.neurons[0].layer) if n.errors == report.final_errors]
     read = sorted(set().union(*(n.leaves for n in members)))
     for c in (trained, nr.load_model(GOLDEN / f"{name}.json").collective):
         assert training_indices(c, pool) == read

@@ -8,11 +8,11 @@ import neurules as nr
 import neurules.synthesis as synthesis
 from neurules.dataset import split_even
 from neurules.model_io import model_to_dict
-from neurules.neurons import apply_connective
+from neurules.neurons import apply_connective, expr_leaves
 from neurules.quantization import _keys, quantize, quantize_source
 from neurules.synthesis import (
+    Layer,
     LayerTrace,
-    Survivors,
     _refit,
     admit,
     default_f_cap,
@@ -30,6 +30,8 @@ from helpers import (
     deep_cases,
     expr_depth,
     golden_cases,
+    layer_expressions,
+    layer_neurons,
     leaf_operands,
     random_set,
     relabel,
@@ -68,27 +70,28 @@ def test_layer1_pair_counts():
 def test_later_layer_pairs_survivor_with_fresh_features():
     pool, labels, _ = _pool(4)
     _, layer = generate_candidates(pool, None, labels)
-    carried = layer.survivors([0])
-    survivor = carried.neurons[0]
-    assert survivor.leaves == frozenset({0, 1})
+    carried = layer.survivors([0], pool)
+    [survivor] = layer_expressions(carried)
+    assert expr_leaves(survivor) == {0, 1}
+    assert np.flatnonzero(carried.reads[0]).tolist() == [0, 1]
     pairs, layer2 = generate_candidates(pool, carried, labels)
     assert (layer.layer, layer2.layer) == (1, 2)   # one more than the operands' layer
     assert pairs == 2  # features 2 and 3 only
-    for neuron in layer2.survivors(np.arange(len(layer2))).neurons:
-        name, left, right = neuron.expression
-        assert left == survivor.expression
+    for name, left, right in layer_expressions(layer2, [survivor]):
+        assert left == survivor
         assert right in (2, 3)
-    assert all(layer2.parents[i] == survivor for i in layer2.operand.tolist())
+    assert len(layer2) and set(layer2.operand.tolist()) == {0}
 
 
 def test_candidates_duplicating_a_survivor_column_are_dropped():
     pool, labels, bits = _pool(3)
     _, layer = generate_candidates(pool, None, labels)
-    carried = layer.survivors([0])
+    carried = layer.survivors([0], pool)
     _, layer2 = generate_candidates(pool, carried, labels)
-    key = nr.eval_expr(carried.neurons[0].expression, bits).tobytes()
-    neurons = layer2.survivors(np.arange(len(layer2))).neurons
-    assert neurons and all(nr.eval_expr(n.expression, bits).tobytes() != key for n in neurons)
+    parents = layer_expressions(carried)
+    key = nr.eval_expr(parents[0], bits).tobytes()
+    expressions = layer_expressions(layer2, parents)
+    assert expressions and all(nr.eval_expr(e, bits).tobytes() != key for e in expressions)
 
 
 def _reference_layer(bits, parents, r):
@@ -96,33 +99,44 @@ def _reference_layer(bits, parents, r):
     bits: every (operand, fresh feature, connective) in generation order,
     keeping the first occurrence of each column and no operand's own column."""
     if r == 1:
-        parents = [nr.Neuron(j, 0, 0) for j in range(len(bits))]
-    columns = [nr.eval_expr(p.expression, bits) for p in parents]
+        parents = list(range(len(bits)))
+    columns = [nr.eval_expr(p, bits) for p in parents]
     taken = set() if r == 1 else {column.tobytes() for column in columns}
     out = {}
     for p, left in zip(parents, columns):
         for k in range(len(bits)):
-            if k in p.leaves or (r == 1 and k <= p.expression):
+            if k in expr_leaves(p) or (r == 1 and k <= p):
                 continue
             for name in nr.CONNECTIVES:
                 column = apply_connective(name, left, bits[k])
                 key = column.tobytes()
                 if key not in taken and key not in out:
-                    out[key] = ((name, p.expression, k), column)
+                    out[key] = ((name, p, k), column)
     return list(out.values())
 
 
 def _recorded_layers(monkeypatch):
-    """Run ``synthesize`` with every generated layer recorded as (parents, layer)."""
+    """Run ``synthesize`` with every generated layer recorded as (operands, layer)."""
     layers = []
 
     def recording(pool, survivors, labels):
         pairs, layer = generate_candidates(pool, survivors, labels)
-        layers.append((survivors, layer))
+        layers.append((pool if survivors is None else survivors, layer))
         return pairs, layer
 
     monkeypatch.setattr(synthesis, "generate_candidates", recording)
     return layers
+
+
+def _with_expressions(layers):
+    """Each recorded (operands, layer) of one run with the operands'
+    expressions (None for the pool's bare leaves) and the candidates'."""
+    out, parents = [], None
+    for operands, layer in layers:
+        if layer.layer > 1:
+            parents = layer_expressions(operands, parents)
+        out.append((operands, parents, layer, layer_expressions(layer, parents)))
+    return out
 
 
 def test_duplicate_columns_keep_the_first_occurrence(monkeypatch):
@@ -135,11 +149,10 @@ def test_duplicate_columns_keep_the_first_occurrence(monkeypatch):
             nr.synthesize(ls, config)
             bits = nr.pool_bits(training_pool(ls, config)[1], ls.values)
             assert layers
-            for parents, layer in layers:
-                neurons = layer.survivors(np.arange(len(layer))).neurons
-                reference = _reference_layer(bits, parents and parents.neurons, layer.layer)
-                assert [n.expression for n in neurons] == [expr for expr, _ in reference]
-                packed = layer.survivors(np.arange(len(layer))).packed[0]
+            for _, parents, layer, expressions in _with_expressions(layers):
+                reference = _reference_layer(bits, parents, layer.layer)
+                assert expressions == [expr for expr, _ in reference]
+                packed = layer.packed[0]
                 assert np.array_equal(_columns(packed, ls.n), np.reshape([col for _, col in reference], (-1, ls.n)))
                 assert layer.errors.tolist() == [np.count_nonzero(col != (ls.labels == 1)) for _, col in reference]
 
@@ -154,7 +167,7 @@ def test_split_dedup_keys_on_the_training_column_only(monkeypatch):
     _, pool = training_pool(ls, config)
     split = split_even(ls, config.seed)
     _, layer = layers[0]
-    kept = [n.expression for n in layer.survivors(np.arange(len(layer))).neurons]
+    kept = layer_expressions(layer)
     earlier, later = ("OR", 0, 2), ("OR", 0, 4)
     bits = nr.pool_bits(pool, ls.values)
     assert np.array_equal(nr.eval_expr(earlier, bits), nr.eval_expr(later, bits))
@@ -180,7 +193,8 @@ def test_first_occurrences_match_a_plain_loop():
 def test_generate_rejects_bad_arguments():
     pool, labels, _ = _pool(3)
     with pytest.raises(nr.DataError, match="no features"):
-        generate_candidates(Survivors([], pool.packed[:, :0]), None, labels)
+        empty = np.zeros(0, dtype=np.int64)
+        generate_candidates(Layer(0, empty, empty, pool.packed[:, :0], reads=np.zeros((0, 0), dtype=bool)), None, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +219,11 @@ def test_beating_the_last_layer_beats_both_operands(monkeypatch):
         layers.clear()
         _, rep = nr.synthesize(ls, config)
         _, pool = training_pool(ls, config)
-        for _, layer in layers:
+        for operands, layer in layers:
             bound = rep.traces[layer.layer - 1].min_errors
             for i in np.flatnonzero(layer.errors < bound).tolist():
                 below += 1
-                assert layer.errors[i] < layer.parents[layer.operand[i]].errors
+                assert layer.errors[i] < operands.errors[layer.operand[i]]
                 assert layer.errors[i] < pool[layer.feature[i]].errors
     assert below
 
@@ -352,11 +366,10 @@ def test_bulk_split_criteria_match_the_reference_for_every_candidate(monkeypatch
         split = split_even(ls, config.seed)
         depths.append(len(rep.traces) - 1)
         assert sum(len(layer) for _, layer in layers) == sum(t.expanded for t in rep.traces[1:])
-        for _, layer in layers:
-            neurons = layer.survivors(np.arange(len(layer))).neurons
-            assert layer.cr.tolist() == [sum(split_criteria(n.expression, pool, split, ls)) for n in neurons]
+        for _, _, layer, expressions in _with_expressions(layers):
+            assert layer.cr.tolist() == [sum(split_criteria(e, pool, split, ls)) for e in expressions]
         assert rep.traces[0].min_cr == min(sum(split_criteria(n.expression, pool, split, ls))
-                                           for n in rep.traces[0].survivors)
+                                           for n in layer_neurons(rep, 0))
     assert max(depths) >= 3
 
 
@@ -374,26 +387,33 @@ def test_survivor_fits_follow_the_chosen_candidates(monkeypatch):
         views = [nr.pool_bits(pool, ls.values)]
         views += [nr.pool_bits(_refit(pool, s, ls), ls.values) for s in split]
         assert len(layers) >= 2
-        for _, layer in layers:
+        for operands, parents, layer, expressions in _with_expressions(layers):
             positions = np.arange(len(layer))[::-3]
-            carried = layer.survivors(positions)
-            assert [n.errors for n in carried.neurons] == layer.errors[positions].tolist()
+            carried = layer.survivors(positions, operands)
+            assert carried.errors.tolist() == layer.errors[positions].tolist()
+            assert carried.cr.tolist() == layer.cr[positions].tolist()
+            assert layer_expressions(carried, parents) == [expressions[i] for i in positions.tolist()]
             assert carried.packed.shape[:2] == (3, len(positions))
             for rows, columns in zip(carried.packed, views):
-                expected = [nr.eval_expr(n.expression, columns) for n in carried.neurons]
+                expected = [nr.eval_expr(expressions[i], columns) for i in positions.tolist()]
                 assert np.array_equal(_columns(rows, ls.n), expected)
 
 
 def test_every_layer_r_candidate_has_r_plus_one_leaves_and_depth_r(monkeypatch):
-    # the invariant that lets selection and dedup ignore leaf counts
+    # the invariant that lets selection and dedup ignore leaf counts; a
+    # survivor's row of the reads matrix marks exactly its leaves
     layers = _recorded_layers(monkeypatch)
     for _, ls, config in golden_cases() + deep_cases():
         layers.clear()
         nr.synthesize(ls, config)
-        for _, layer in layers:
-            for neuron in layer.survivors(np.arange(len(layer))).neurons:
-                assert len(neuron.leaves) == layer.layer + 1
-                assert expr_depth(neuron.expression) == neuron.layer == layer.layer
+        for operands, _, layer, expressions in _with_expressions(layers):
+            for e in expressions:
+                assert len(expr_leaves(e)) == layer.layer + 1
+                assert expr_depth(e) == layer.layer
+            carried = layer.survivors(np.arange(len(layer)), operands)
+            assert [np.flatnonzero(row).tolist() for row in carried.reads] == [
+                sorted(expr_leaves(e)) for e in expressions]
+            assert operands.reads.shape[1] == carried.reads.shape[1]
 
 
 def test_agreeing_perfect_fits_score_zero():
@@ -449,7 +469,7 @@ def test_neuron_depth_equals_layer_and_columns_match_expressions():
         _, rep = nr.synthesize(ls)
         bits = nr.pool_bits(training_pool(ls)[1], ls.values)
         for trace in rep.traces:
-            for neuron in trace.survivors:
+            for neuron in layer_neurons(rep, trace.index):
                 assert expr_depth(neuron.expression) == neuron.layer == trace.index
                 assert neuron.errors == int(
                     np.count_nonzero(nr.eval_expr(neuron.expression, bits) != (ls.labels != 0))
@@ -462,7 +482,7 @@ def test_no_layer_holds_two_neurons_with_one_column():
         _, rep = nr.synthesize(ls)
         bits = nr.pool_bits(training_pool(ls)[1], ls.values)
         for trace in rep.traces:
-            keys = [nr.eval_expr(n.expression, bits).tobytes() for n in trace.survivors]
+            keys = [nr.eval_expr(n.expression, bits).tobytes() for n in layer_neurons(rep, trace.index)]
             assert len(keys) == len(set(keys))
 
 
@@ -472,7 +492,7 @@ def test_survivor_counts_respect_the_cap():
         _, rep = nr.synthesize(ls)
         for trace in rep.traces[1:]:
             if trace.survivors:
-                assert len(trace.survivors) <= default_f_cap(trace.pairs)
+                assert trace.survivors == len(layer_neurons(rep, trace.index)) <= default_f_cap(trace.pairs)
 
 
 def test_final_errors_never_beat_the_contradiction_floor():
@@ -506,7 +526,29 @@ def test_collective_members_share_the_minimal_error_count():
         # the trace reads the training pool, the collective only the cuts it keeps
         leaves = training_indices(c, training_pool(ls)[1])
         assert [(relabel(n.expression, leaves), n.layer, n.errors) for n in c.neurons] == [
-            (n.expression, n.layer, n.errors) for n in kept.survivors if n.errors == rep.final_errors]
+            (n.expression, n.layer, n.errors) for n in layer_neurons(rep, kept.index) if n.errors == rep.final_errors]
+
+
+def test_synthesize_builds_neurons_for_the_collective_only(monkeypatch):
+    # split mode on a noiseless AND of seven cuts over 16 variables grows
+    # layers of up to 29,551 survivors; only the kept layer's members, which
+    # share its least error count, become neurons
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(400, 16))
+    labels = (values[:, :7] > np.quantile(values[:, :7], 1 - 0.5 ** (1 / 7), axis=0)).all(axis=1)
+    ls = nr.from_arrays(values, labels.astype(np.uint8))
+    built = 0
+    check = nr.Neuron.__post_init__
+
+    def counting(neuron):
+        nonlocal built
+        built += 1
+        check(neuron)
+
+    monkeypatch.setattr(nr.Neuron, "__post_init__", counting)
+    c, rep = nr.synthesize(ls, nr.SynthesisConfig(mode="split", max_p=1, seed=3))
+    assert [t.survivors for t in rep.traces] == [16, 48, 269, 1399, 6716, 29551]
+    assert 1 <= built <= c.size
 
 
 def test_two_runs_produce_byte_identical_models():
