@@ -116,7 +116,7 @@ class Layer:
 class LayerTrace:
     """Per-layer bookkeeping; layer 0 records the feature pool itself, its
     survivors the pool's first cut of each training column.  ``kept`` holds
-    the survivors' errors and back-pointers, without columns or reads."""
+    the survivors' errors and back-pointers, without columns, reads or CR."""
 
     index: int
     pairs: int = 0              # operand pairs examined (the L_r count)
@@ -417,7 +417,7 @@ def synthesize(ls: LearningSet, config: SynthesisConfig | None = None) -> tuple[
             cr = layer.cr[kept] if split_mode else None
             chosen = kept[select_survivors(layer.errors[kept], default_f_cap(pairs, config.f_ratio), cr)]
             survivors = layer.survivors(chosen, leaves if survivors is None else survivors)
-            trace.kept = replace(survivors, packed=None, reads=None)
+            trace.kept = replace(survivors, packed=None, reads=None, cr=None)
             trace.min_errors = int(survivors.errors.min())
             if split_mode:
                 trace.min_cr = int(survivors.cr.min())
