@@ -1,9 +1,10 @@
 """Command-line interface: train, predict, rules, eval.
 
-Exit codes: 0 success, 2 bad data or an out-of-range training option, 3
-synthesis stalled with errors left (the model is still written, with a
-diagnostic on stderr), 4 file or model-format trouble, ``rules`` on a neuron
-of more than ``rules.MAX_RULE_LEAVES`` leaves included.
+Exit codes: 0 success, 2 bad data, an out-of-range training option or a
+training run out of memory, 3 synthesis stalled with errors left (the model
+is still written, with a diagnostic on stderr), 4 file or model-format
+trouble, ``rules`` on a neuron of more than ``rules.MAX_RULE_LEAVES`` leaves
+included.
 """
 from __future__ import annotations
 
@@ -110,7 +111,14 @@ def _cmd_train(args) -> int:
         # an out-of-range option is bad input: say so before reading any data
         raise DataError(f"bad training option: {exc}") from None
     ls = load_dataset(args.data, args.label)
-    collective, report = synthesize(ls, config)
+    try:
+        collective, report = synthesize(ls, config)
+    except MemoryError:
+        # split mode's layers have no width bound yet: name the options that bound growth
+        raise DataError(
+            "out of memory while growing layers; "
+            "bound growth with --max-layers or a smaller --f-ratio"
+        ) from None
     echo = config.to_dict()
     echo["label_column"] = args.label
     save_model(args.out, collective, report=report.to_dict(), config=echo)

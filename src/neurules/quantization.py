@@ -131,26 +131,27 @@ def quantize(values, labels, source: tuple[int, ...] = ()) -> QuantizedFeature:
     if n < 2 or labels.shape[0] != n:
         raise ValueError("quantize needs n >= 2 values with matching labels")
 
+    # The scan reads one element at a time, so it reads Python numbers: a
+    # NumPy scalar read per element costs more than the comparison it feeds.
     order = np.argsort(values, kind="stable")
-    sv = values[order]
-    sl = labels[order]
-    ones_before = np.concatenate([[0], np.cumsum(sl)])   # ones among the first t
-    total_ones = int(ones_before[-1])
+    sv = values[order].tolist()
+    ones_before = [0, *np.cumsum(labels[order]).tolist()]   # ones among the first t
+    total_ones = ones_before[-1]
     total_zeros = n - total_ones
 
     # (threshold, gap) candidates; index t means t instances fall below the cut.
     # A midpoint that rounds onto the lower sample (adjacent floats) or past the
     # upper one (overflow) would not split the pair, so the upper sample cuts.
-    cuts = [(float(sv[0]), 0.0, 0)]
+    cuts = [(sv[0], 0.0, 0)]
     for t in range(1, n):
-        lo, hi = float(sv[t - 1]), float(sv[t])
+        lo, hi = sv[t - 1], sv[t]
         if hi != lo:
             mid = (lo + hi) / 2.0
             cuts.append((mid if lo < mid <= hi else hi, hi - lo, t))
 
     best = None
     for u, gap, t in cuts:
-        below_ones = int(ones_before[t])
+        below_ones = ones_before[t]
         below_zeros = t - below_ones
         errors_ge = below_ones + (total_zeros - below_zeros)
         for polarity, errors in ((GE, errors_ge), (LT, n - errors_ge)):
@@ -159,7 +160,7 @@ def quantize(values, labels, source: tuple[int, ...] = ()) -> QuantizedFeature:
                 best = (key, u, polarity, errors)
 
     _, u, polarity, errors = best
-    return QuantizedFeature(tuple(source), u, polarity, int(errors))
+    return QuantizedFeature(tuple(source), u, polarity, errors)
 
 
 def quantize_source(ls: LearningSet, source: tuple[int, ...]) -> QuantizedFeature:

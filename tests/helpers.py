@@ -161,6 +161,32 @@ def brute_best_cut_errors(values, labels) -> int:
     return best
 
 
+def reference_quantize(values, labels) -> tuple[float, str, int]:
+    """README step 1 written out: the ``(threshold, polarity, errors)`` of the
+    best cut, each candidate's errors counted by comparing every row.
+
+    Candidates are the minimum value (gap 0) and, between each two adjacent
+    distinct values, their midpoint, or the upper value where the midpoint
+    does not fall in (lower, upper].  Fewest errors wins, then the widest
+    gap, then the smallest threshold, then ``>=`` over ``<``.
+    """
+    values = [float(v) for v in values]
+    labels = [int(y) != 0 for y in labels]
+    distinct = sorted(set(values))
+    candidates = [(min(values), 0.0)]
+    for lo, hi in zip(distinct, distinct[1:]):
+        mid = (lo + hi) / 2.0
+        candidates.append((mid if lo < mid <= hi else hi, hi - lo))
+    best = None
+    for u, gap in candidates:
+        for rank, polarity in enumerate(("ge", "lt")):
+            errors = sum(((v >= u) if polarity == "ge" else (v < u)) != y for v, y in zip(values, labels))
+            key = (errors, -gap, u, rank)
+            if best is None or key < best[0]:
+                best = (key, (u, polarity, errors))
+    return best[1]
+
+
 _TRUTH = {
     "AND": (0, 0, 0, 1),
     "OR": (0, 1, 1, 1),

@@ -266,6 +266,21 @@ def test_out_of_range_training_option_exits_2_before_training(
     assert captured.err.count("\n") == 1
 
 
+def test_train_out_of_memory_exits_2_with_one_line(demo_path, tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("neurules.cli.synthesize", exhausted)
+    code, out = _train(demo_path, tmp_path, "--mode", "split")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert not out.exists()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory")
+    assert "--max-layers" in captured.err and "--f-ratio" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_parser_reuse_carries_no_value_between_calls(demo_path, tmp_path, capsys):
     # main builds its parser once per process; each call must parse afresh
     first = tmp_path / "first"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import neurules as nr
 from neurules.quantization import GE, LT, hamming, product_values, quantize, quantize_source
 
-from helpers import brute_best_cut_errors
+from helpers import brute_best_cut_errors, reference_quantize
 
 
 def test_perfectly_separable_column():
@@ -179,3 +179,38 @@ def test_apply_reproduces_errors_and_constant_on_tight_values(sample):
     assert f.errors <= minority
     if column.all() or not column.any():
         assert f.errors == minority
+
+
+def _cut(f):
+    return (f.threshold, f.polarity, f.errors)
+
+
+@st.composite
+def _labelled(draw, values):
+    values = draw(values)
+    return values, draw(st.lists(st.integers(0, 1), min_size=len(values), max_size=len(values)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    _tight_samples(),
+    _labelled(st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.0]), min_size=2, max_size=24)),
+    _labelled(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=64)),
+))
+@example(([1.0, 2.0, 3.0, 4.0], [0, 1, 0, 1]))
+@example(([-0.0, 0.0, 1.0], [1, 0, 1]))
+def test_quantize_chooses_the_reference_cut(sample):
+    # the same cut, not only the same error count: the tie-break is pinned too
+    values, labels = sample
+    assert _cut(quantize(values, labels)) == reference_quantize(values, labels)
+
+
+@pytest.mark.parametrize("n", [400, 800, 1000])
+def test_quantize_chooses_the_reference_cut_on_normal_columns(n):
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=n)
+    labels = (values + rng.normal(scale=0.8, size=n) > 0.3).astype(np.uint8)
+    assert _cut(quantize(values, labels)) == reference_quantize(values, labels)
+    # rounded to 1 decimal, the column is all ties
+    coarse = np.round(values, 1)
+    assert _cut(quantize(coarse, labels)) == reference_quantize(coarse, labels)
