@@ -14,7 +14,6 @@ import functools
 import json
 import sys
 from dataclasses import fields
-from fractions import Fraction
 
 import numpy as np
 
@@ -36,14 +35,6 @@ STALL_DIAGNOSTIC = (
 )
 
 
-def _fraction(text: str) -> Fraction:
-    # exact rationals only: "0.8" and "4/5" both mean exactly 4/5
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a decimal or fraction: {text!r}")
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process; ``parse_args`` keeps no state between calls."""
@@ -57,23 +48,21 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="synthesize a classifier from a CSV table")
     train.add_argument("--data", required=True, help="training CSV (header row required)")
     train.add_argument("--label", required=True, help="name of the class column")
-    # every training option's default is SynthesisConfig's, set below
+    # SynthesisConfig sets every option's default (below) and alone reads --mode, --f-ratio and --chi0
     train.add_argument(
         "--mode",
-        choices=(MODE_STATEMENT1, MODE_SPLIT),
-        help="admission regime: strict error descent, or split-based criteria",
+        help=f"admission regime: {MODE_STATEMENT1} (strict error descent) "
+        f"or {MODE_SPLIT} (split-based criteria)",
     )
     train.add_argument("--delta", type=int, help="split-mode stop tolerance")
     train.add_argument(
         "--f-ratio",
-        type=_fraction,
         help="survivor fraction per layer (default %(default)s)",
     )
     train.add_argument("--max-p", type=int, help="largest product size tried")
     train.add_argument("--max-layers", type=int, help="hard layer cap")
     train.add_argument(
         "--chi0",
-        type=_fraction,
         help="coherence threshold below which the vote refuses (default %(default)s)",
     )
     train.add_argument("--seed", type=int, help="seed for the even split")

@@ -159,6 +159,8 @@ def load_dataset(path, label_column: str) -> LearningSet:
     The label column may hold any two distinct literals; they are encoded to
     {0, 1} in first-occurrence order.  Variable order follows column order.
     """
+    if not label_column:   # the model file records it for eval, which refuses an empty one
+        raise DataError(f"empty label column name for {path}")
     header, rows = read_table(path)
     if label_column not in header:
         raise DataError(f"missing label column {label_column!r} (columns: {', '.join(map(repr, header))})")

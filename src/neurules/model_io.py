@@ -11,9 +11,9 @@ layer's ``layer``; loading reads none of them.  They may hold cuts that no
 neuron reads, which load and change no answer.
 
 The loader maps the JSON onto the model types, which refuse any invalid
-value when they are built.  It checks only what is the file's own: the
-format version, ``weights``, ``chi0`` as a string, the names and the label
-column.  Every refusal is a ModelFormatError.
+value when they are built, the names included.  It checks only what is the
+file's own: the format version, ``weights``, ``chi0`` as a string and the
+label column.  Every refusal is a ModelFormatError.
 """
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass
 
 from .collective import Collective
-from .dataset import unique_names
 from .errors import ModelFormatError
 from .neurons import Neuron, expr_from_json, expr_to_json
 from .quantization import QuantizedFeature
@@ -77,17 +76,11 @@ def dict_to_model(data: dict) -> LoadedModel:
     if data.get("weights") is not None:
         raise ModelFormatError("vote weights are not supported: 'weights' must be null")
     try:
-        variable_names = unique_names(data["variable_names"], "variable_names", ModelFormatError)
         pool = [QuantizedFeature(f["source"], f["threshold"], f["polarity"], f["errors"]) for f in data["pool"]]
         neurons = [Neuron(expr_from_json(n["expression"]), n["layer"], n["errors"]) for n in data["neurons"]]
         if type(data["chi0"]) is not str:   # the file states chi0 exactly, as a fraction string
             raise ValueError(f'chi0 must be a fraction string such as "4/5", not {data["chi0"]!r}')
-        label_names = unique_names(data["label_names"], "label_names", ModelFormatError)
-        if len(label_names) != 2:
-            raise ModelFormatError("model must name exactly two classes")
-        collective = Collective(neurons, pool, data["chi0"], label_names, variable_names)
-    except ModelFormatError:
-        raise
+        collective = Collective(neurons, pool, data["chi0"], data["label_names"], data["variable_names"])
     except RecursionError:
         raise ModelFormatError("malformed model file: an expression is nested too deeply") from None
     except (KeyError, TypeError, ValueError, ArithmeticError) as exc:

@@ -130,34 +130,31 @@ def _render_dnf(terms: tuple[tuple[int, int], ...], literals: list[tuple[str, st
     return " OR ".join(t[0] if len(t) == 1 else f"({' AND '.join(t)})" for t in texts) or "FALSE"
 
 
-def _shape(expr, first: dict[int, int]):
-    """The expression with each leaf replaced by its index in order of first
-    appearance, which ``first`` records."""
+def _shape(expr, position: dict[int, int]):
+    """The expression with each leaf replaced by its ``position``."""
     if type(expr) is tuple:
         name, left, right = expr
-        return name, _shape(left, first), _shape(right, first)
-    return first.setdefault(int(expr), len(first))
+        return name, _shape(left, position), _shape(right, position)
+    return position[int(expr)]
 
 
 def _rules(c: Collective, numbered) -> list[NeuronRule]:
     """The rules of ``(index, neuron)`` pairs.  Terms depend only on a shape,
-    the expression over leaf positions, so each is minimised once, keyed as
-    the expression over first-appearance indices and each index's position."""
+    the expression over leaf positions in sorted leaf order, so each distinct
+    shape is minimised once."""
     terms_of, rules = {}, []
     for index, neuron in numbered:
-        first: dict[int, int] = {}
-        shape = _shape(neuron.expression, first)
-        leaf_order = tuple(sorted(first))
+        leaf_order = tuple(sorted(neuron.leaves))
         k = len(leaf_order)
         if k > MAX_RULE_LEAVES:
             raise ModelFormatError(f"rule {index} has {k} leaves; rules print at most {MAX_RULE_LEAVES}")
-        position = tuple(leaf_order.index(leaf) for leaf in first)
-        terms = terms_of.get((shape, position))
+        shape = _shape(neuron.expression, {leaf: i for i, leaf in enumerate(leaf_order)})
+        terms = terms_of.get(shape)
         if terms is None:
-            rows = np.arange(1 << k)   # index j reads bit k-1-position[j] of the row
-            columns = [rows & 1 << (k - 1 - p) != 0 for p in position]
+            rows = np.arange(1 << k)   # position i is bit k-1-i of the row
+            columns = [rows & 1 << (k - 1 - i) != 0 for i in range(k)]
             minterms = np.flatnonzero(eval_expr(shape, columns)).tolist()
-            terms = terms_of[shape, position] = tuple(minimal_cover(minterms, prime_implicants(minterms, k), k))
+            terms = terms_of[shape] = tuple(minimal_cover(minterms, prime_implicants(minterms, k), k))
         dnf = _render_dnf(terms, [_literals(c.pool[leaf], c.variable_names) for leaf in leaf_order])
         text = (f"RULE {index}: IF {dnf} THEN class = {c.label_names[1]} ELSE class = "
                 f"{c.label_names[0]}   [layer {neuron.layer}, errors {neuron.errors}]")

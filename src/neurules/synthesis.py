@@ -51,7 +51,7 @@ class SynthesisConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             setattr(self, name, int(value))
         if self.mode not in (MODE_STATEMENT1, MODE_SPLIT):
-            raise ValueError(f"mode must be {MODE_STATEMENT1!r} or {MODE_SPLIT!r}")
+            raise ValueError(f"mode must be {MODE_STATEMENT1!r} or {MODE_SPLIT!r}, got {self.mode!r}")
         if self.delta < 0:
             raise ValueError("delta must be a non-negative integer")
         if self.max_p is not None and self.max_p < 1:
@@ -234,7 +234,7 @@ def admit(errors: int, bound: int) -> bool:
 
 def default_f_cap(pairs: int, f_ratio: Fraction = SynthesisConfig.f_ratio) -> int:
     """Survivor cap for a layer that examined ``pairs`` operand pairs."""
-    return max(1, math.ceil(_as_fraction(f_ratio, "f_ratio") * pairs))
+    return max(1, math.ceil(f_ratio * pairs))
 
 
 def select_survivors(errors: np.ndarray, f_cap: int, cr: np.ndarray | None = None) -> np.ndarray:

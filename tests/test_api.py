@@ -1,12 +1,14 @@
 """The public surface: ``neurules.__all__`` is exactly what README "Python API"
 documents, and the training internals stay in their modules."""
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
 import neurules as nr
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # (module, name): defined there, not exported; the tests and bench/tracing.py use them
 INTERNALS = [
@@ -51,3 +53,12 @@ def test_training_internals_stay_in_their_modules():
     for module, name in INTERNALS:
         assert name not in nr.__all__
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps each (module, attr) of TARGETS; one the package
+    # no longer has drops its metrics from every benchmark record
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert [(module, attr) for module, attr, _ in tracing.TARGETS if tracing._resolve(module, attr) is None] == []

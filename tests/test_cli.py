@@ -230,19 +230,12 @@ def test_tighter_chi0_flows_through_to_the_footer(demo_path, tmp_path, capsys):
     assert "chi < 9/10 (= 0.90)" in capsys.readouterr().out
 
 
-def test_bad_fraction_argument_is_a_usage_error(demo_path, tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(
-            [
-                "train", "--data", str(demo_path), "--label", "sex",
-                "--chi0", "eight tenths", "--out", str(tmp_path / "m.json"),
-            ]
-        )
-    assert exc.value.code == 2
-    assert "not a decimal or fraction" in capsys.readouterr().err
-
-
+# SynthesisConfig reads the text of --chi0, --f-ratio and --mode, so a value
+# that is no fraction or mode is refused as one that is out of range
 @pytest.mark.parametrize("option, value, field", [
+    ("--chi0", "eight tenths", "chi0"),
+    ("--f-ratio", "1/0", "f_ratio"),
+    ("--mode", "greedy", "mode"),
     ("--chi0", "0.3", "chi0"),
     ("--chi0", "2", "chi0"),
     ("--f-ratio", "0", "f_ratio"),
@@ -379,7 +372,7 @@ _UNTRUSTED = {
                        "variable_names holds an empty or blank name"),
     "empty-class": (lambda p: p["label_names"].__setitem__(1, ""), "label_names holds an empty or blank name"),
     # classify raised IndexError on one class; training never writes one
-    "one-class": (lambda p: p["label_names"].pop(), "model must name exactly two classes"),
+    "one-class": (lambda p: p["label_names"].pop(), "label_names must name two classes"),
     # a model file states chi0 exactly, as a fraction string: a JSON number is refused
     "number-chi0": (lambda p: p.__setitem__("chi0", 0.8), "chi0 must be a fraction string"),
     "bool-chi0": (lambda p: p.__setitem__("chi0", True), "chi0 must be a fraction string"),

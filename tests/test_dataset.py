@@ -377,6 +377,19 @@ def test_empty_variable_name_rejected(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_empty_label_column_name_rejected(tmp_path, capsys):
+    # train wrote a model file with label_column "", which rules, predict and
+    # eval then refused
+    p = tmp_path / "t.csv"
+    p.write_text("x,\n1,a\n2,a\n3,b\n4,b\n", encoding="utf-8")
+    with pytest.raises(nr.DataError, match="^empty label column name"):
+        nr.load_dataset(p, "")
+    assert main(["train", "--data", str(p), "--label", "", "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: empty label column name") and err.count("\n") == 1
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_blank_class_cell_exits_2(tmp_path, capsys):
     p = tmp_path / "t.csv"
     p.write_text("a,y\n1,p\n3, \n2,p\n", encoding="utf-8")
