@@ -1,10 +1,10 @@
 """Command-line interface: train, predict, rules, eval.
 
-Exit codes: 0 success, 2 bad data, an out-of-range training option or a
-training run out of memory, 3 synthesis stalled with errors left (the model
-is still written, with a diagnostic on stderr), 4 file or model-format
-trouble, ``rules`` on a neuron of more than ``rules.MAX_RULE_LEAVES`` leaves
-included.
+Exit codes: 0 success, 2 bad data, a command line argparse refuses, an
+out-of-range training option or a training run out of memory, 3 synthesis
+stalled with errors left (the model is still written, with a diagnostic on
+stderr), 4 file or model-format trouble, ``rules`` on a neuron of more
+than ``rules.MAX_RULE_LEAVES`` leaves included.
 """
 from __future__ import annotations
 
@@ -35,10 +35,18 @@ STALL_DIAGNOSTIC = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose own errors print one ``error:`` line, as every
+    other bad input does, and exit 2; subparsers are built of this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_DATA, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process; ``parse_args`` keeps no state between calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="neurules",
         description="Grow a collective of two-input Boolean neurons from a "
         "small labeled table and classify by coherent majority vote.",

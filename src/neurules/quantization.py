@@ -149,15 +149,21 @@ def quantize(values, labels, source: tuple[int, ...] = ()) -> QuantizedFeature:
             mid = (lo + hi) / 2.0
             cuts.append((mid if lo < mid <= hi else hi, hi - lo, t))
 
+    # Errors lead the key, so a cut whose better polarity errs more than the
+    # best so far cannot win; a cut that ties it is still keyed for the tie-break.
     best = None
+    least = n   # the best key's errors
     for u, gap, t in cuts:
         below_ones = ones_before[t]
         below_zeros = t - below_ones
         errors_ge = below_ones + (total_zeros - below_zeros)
+        if min(errors_ge, n - errors_ge) > least:
+            continue
         for polarity, errors in ((GE, errors_ge), (LT, n - errors_ge)):
             key = (errors, -gap, u, 0 if polarity == GE else 1)
             if best is None or key < best[0]:
                 best = (key, u, polarity, errors)
+                least = errors
 
     _, u, polarity, errors = best
     return QuantizedFeature(tuple(source), u, polarity, errors)

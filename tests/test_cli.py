@@ -303,6 +303,25 @@ def test_usage_error_leaves_the_parser_usable(demo_path, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("RULE 1: IF (x1*x2 >= 118.44)")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--data", "t.csv", "--label", "y", "--out", "m.json", "--delta", "x"],
+     "error: argument --delta: invalid int value: 'x'"),
+    (["train", "--label", "y", "--out", "m.json"],
+     "error: the following arguments are required: --data"),
+    (["rules", "--model"], "error: argument --model: expected one argument"),
+    (["rules", "--model", "m.json", "--bogus"], "error: unrecognized arguments: --bogus"),
+    ([], "error: the following arguments are required: command"),
+])
+def test_argparse_errors_print_one_line(argv, message, capsys):
+    # argparse's own errors read like every other bad input: one line, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_help_is_the_same_on_every_call(capsys):
     texts = []
     for _ in range(2):

@@ -198,6 +198,8 @@ def _labelled(draw, values):
     _labelled(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=64)),
 ))
 @example(([1.0, 2.0, 3.0, 4.0], [0, 1, 0, 1]))
+# the cuts at 0.5 and 3.0 both err once; the later one, of wider gap, wins
+@example(([0.0, 1.0, 2.0, 4.0], [0, 1, 0, 1]))
 @example(([-0.0, 0.0, 1.0], [1, 0, 1]))
 def test_quantize_chooses_the_reference_cut(sample):
     # the same cut, not only the same error count: the tie-break is pinned too
