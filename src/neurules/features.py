@@ -43,8 +43,9 @@ def search_products(
             if not np.isfinite(values).all():
                 # an overflowing product has no usable cut
                 continue
-            feature = quantize(values, ls.labels, subset)
-            if feature.errors < min(base[i].errors for i in subset):
+            # quantize is asked only for a cut that beats the best factor
+            feature = quantize(values, ls.labels, subset, below=min(base[i].errors for i in subset))
+            if feature is not None:
                 admitted.append(feature)
     return admitted
 

@@ -116,7 +116,9 @@ def _keys(packed: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(packed).view(np.dtype((np.void, packed.shape[-1]))).ravel()
 
 
-def quantize(values, labels, source: tuple[int, ...] = ()) -> QuantizedFeature:
+def quantize(
+    values, labels, source: tuple[int, ...] = (), below: int | None = None
+) -> QuantizedFeature | None:
     """Choose the threshold and polarity with globally minimal label errors.
 
     Candidate cuts are the midpoints between consecutive distinct sorted
@@ -124,6 +126,10 @@ def quantize(values, labels, source: tuple[int, ...] = ()) -> QuantizedFeature:
     columns and therefore the min(#0, #1) error floor when nothing separates).
     Ties are broken deterministically: widest separation gap first, then
     smallest threshold, then the ``>=`` polarity.
+
+    With ``below`` set, only a cut with fewer than ``below`` errors counts:
+    the result is ``None`` when there is none, and otherwise the very cut the
+    unbounded call returns.
     """
     values = np.asarray(values, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.uint8)
@@ -149,10 +155,13 @@ def quantize(values, labels, source: tuple[int, ...] = ()) -> QuantizedFeature:
             mid = (lo + hi) / 2.0
             cuts.append((mid if lo < mid <= hi else hi, hi - lo, t))
 
-    # Errors lead the key, so a cut whose better polarity errs more than the
-    # best so far cannot win; a cut that ties it is still keyed for the tie-break.
+    # Errors lead the key, so a cut whose better polarity errs more than
+    # ``least`` cannot win; a cut that ties it is still keyed for the
+    # tie-break.  Before any key, ``least`` is below - 1: the first cut kept
+    # may key its worse polarity, but its better one, within the bound, then
+    # replaces it.
     best = None
-    least = n   # the best key's errors
+    least = n if below is None else below - 1   # the best key's errors
     for u, gap, t in cuts:
         below_ones = ones_before[t]
         below_zeros = t - below_ones
@@ -165,6 +174,8 @@ def quantize(values, labels, source: tuple[int, ...] = ()) -> QuantizedFeature:
                 best = (key, u, polarity, errors)
                 least = errors
 
+    if best is None:
+        return None
     _, u, polarity, errors = best
     return QuantizedFeature(tuple(source), u, polarity, errors)
 

@@ -156,8 +156,13 @@ def _popcount(bits: np.ndarray) -> np.ndarray:
 def _cr(on_a: np.ndarray, on_b: np.ndarray, target: np.ndarray) -> np.ndarray:
     """CR = b_u + Delta of packed columns under the A and the B refit:
     unbiasedness counts the rows where the two disagree, regularity their
-    disagreements with the packed labels ``target``."""
-    return _popcount(on_a ^ on_b) + _popcount(on_a ^ target) + _popcount(on_b ^ target)
+    disagreements with the packed labels ``target``.
+
+    Of three bits that are not all equal, exactly two pairs differ, so per
+    row ``[a != b] + [a != t] + [b != t] = 2 [a != t or b != t]``: one
+    popcount.  The padding bits are zero in all three arrays.
+    """
+    return 2 * _popcount((on_a ^ target) | (on_b ^ target))
 
 
 def _minterms(a: np.ndarray, b: np.ndarray, pad: np.ndarray) -> np.ndarray:

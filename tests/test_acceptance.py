@@ -172,8 +172,10 @@ def test_acceptance_5_search_space_combinatorics(monkeypatch, capsys):
         # more variables: a quantizer whose cuts miss every row never admits
         calls: list[tuple[int, ...]] = []
 
-        def never_admits(values, labels, source=()):
+        def never_admits(values, labels, source=(), below=None):
             calls.append(source)
+            if below is not None and len(labels) >= below:
+                return None
             return nr.QuantizedFeature(tuple(source), 0.0, "ge", len(labels))
 
         monkeypatch.setattr(features_mod, "quantize", never_admits)

@@ -18,11 +18,14 @@ def _cut(source, errors=0):
 
 def _stub_quantize(monkeypatch, errors_by_source, calls=None):
     """Product search sees a cut with the listed errors for each listed
-    subset and, for any other subset, a cut that misses every row."""
-    def fake(values, labels, source=()):
+    subset and, for any other subset, a cut that misses every row; as
+    ``quantize`` does, the stub returns None for a cut of ``below`` errors
+    or more."""
+    def fake(values, labels, source=(), below=None):
         if calls is not None:
             calls.append(tuple(source))
-        return _cut(source, errors_by_source.get(tuple(source), len(labels)))
+        errors = errors_by_source.get(tuple(source), len(labels))
+        return None if below is not None and errors >= below else _cut(source, errors)
 
     monkeypatch.setattr(neurules.features, "quantize", fake)
 
@@ -38,6 +41,15 @@ def test_admission_is_strict_improvement_over_every_factor(monkeypatch):
     _stub_quantize(monkeypatch, {(0, 1): 3, (0, 2): 3, (1, 2): 3, (0, 1, 2): 2})
     admitted = search_products(ls, base, max_p=3)
     assert [(f.source, f.errors) for f in admitted] == [((0, 1, 2), 2)]
+    monkeypatch.undo()
+    # unstubbed: x0 * x1 separates the labels with one error, and so does x0
+    # alone, so the product ties its best factor and stays out
+    values = np.array([[1.0, 1.0], [2.0, 1.0], [3.0, 1.0], [4.0, 2.0], [5.0, 1.0]])
+    ls = nr.from_arrays(values, [0, 0, 1, 0, 1])
+    base = [quantize_source(ls, (j,)) for j in range(ls.m)]
+    product = quantize_source(ls, (0, 1))
+    assert product.errors == min(f.errors for f in base) == 1
+    assert search_products(ls, base, max_p=2) == []
 
 
 def test_demo_product_admitted_with_zero_errors(demo_path):

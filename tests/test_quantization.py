@@ -191,12 +191,15 @@ def _labelled(draw, values):
     return values, draw(st.lists(st.integers(0, 1), min_size=len(values), max_size=len(values)))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(
+_SAMPLES = st.one_of(
     _tight_samples(),
     _labelled(st.lists(st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.0]), min_size=2, max_size=24)),
     _labelled(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=64)),
-))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SAMPLES)
 @example(([1.0, 2.0, 3.0, 4.0], [0, 1, 0, 1]))
 # the cuts at 0.5 and 3.0 both err once; the later one, of wider gap, wins
 @example(([0.0, 1.0, 2.0, 4.0], [0, 1, 0, 1]))
@@ -205,6 +208,23 @@ def test_quantize_chooses_the_reference_cut(sample):
     # the same cut, not only the same error count: the tie-break is pinned too
     values, labels = sample
     assert _cut(quantize(values, labels)) == reference_quantize(values, labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SAMPLES, st.integers(0, 3))
+# the best cut errs once, so below = 2; the cuts at 0.5 and 3.0 tie, and the
+# later one, of wider gap, must still win
+@example(([0.0, 1.0, 2.0, 4.0], [0, 1, 0, 1]), 2)
+def test_bounded_quantize_returns_the_reference_cut_or_none(sample, pick):
+    # below is 0, the best cut's errors, one more, or past every count
+    values, labels = sample
+    cut = reference_quantize(values, labels)
+    below = (0, cut[2], cut[2] + 1, len(values) + 1)[pick]
+    bounded = quantize(values, labels, below=below)
+    if cut[2] >= below:
+        assert bounded is None
+    else:
+        assert _cut(bounded) == cut
 
 
 @pytest.mark.parametrize("n", [400, 800, 1000])

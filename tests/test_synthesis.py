@@ -3,16 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import neurules as nr
 import neurules.synthesis as synthesis
 from neurules.dataset import split_even
 from neurules.model_io import model_to_dict
 from neurules.neurons import apply_connective, expr_leaves
-from neurules.quantization import _keys, quantize, quantize_source
+from neurules.quantization import _keys, _pack, quantize, quantize_source
 from neurules.synthesis import (
     Layer,
     LayerTrace,
+    _cr,
+    _popcount,
     _refit,
     admit,
     default_f_cap,
@@ -348,6 +352,17 @@ def test_split_criteria_matches_direct_hamming_recount():
             x != bool(t) for x, t in zip(out_b, y)
         )
         assert scores == (b_u, delta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 100).filter(lambda n: n % 8), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_cr_is_the_three_popcount_sum(n, k, seed):
+    # row lengths that are no multiple of 8 leave padding bits in the last byte
+    rng = np.random.default_rng(seed)
+    on_a, on_b = _pack(rng.random((k, n)) < 0.5), _pack(rng.random((k, n)) < 0.5)
+    target = _pack(rng.random(n) < 0.5)
+    three = _popcount(on_a ^ on_b) + _popcount(on_a ^ target) + _popcount(on_b ^ target)
+    assert _cr(on_a, on_b, target).tolist() == three.tolist()
 
 
 def test_bulk_split_criteria_match_the_reference_for_every_candidate(monkeypatch):
